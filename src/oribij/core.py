@@ -56,6 +56,10 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -240,9 +244,16 @@ class RegularMatroidRep:
 
     @cached_property
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Integer rows spanning ker(A); empty when the columns are independent."""
-        basis = ratlin.kernel_basis(self.matrix, self.element_count)
-        return tuple(ratlin.primitive_integer_vector(v) for v in basis)
+        """Integer rows spanning ker(A); empty when the columns are independent.
+
+        The rows are the fundamental circuits of the lexicographically first
+        basis (the pivot columns of A), one per element outside it.
+        """
+        basis = Basis(frozenset(ratlin.row_reduce(self.matrix, self.element_count)[1]))
+        return tuple(
+            fundamental_circuit(self, basis, e).entries
+            for e in range(self.element_count) if e not in basis.elements
+        )
 
     @cached_property
     def _independent_masks(self) -> frozenset[int]:
@@ -267,28 +278,37 @@ class RegularMatroidRep:
                 sub = (sub - 1) & free
         return frozenset(out)
 
+    def _extend_to_basis(self, start: int, avoid: int) -> Basis:
+        """Greedily extend the independent mask ``start`` by elements outside ``avoid``."""
+        mask = start
+        for j in range(self.element_count):
+            bit = 1 << j
+            if not (avoid | mask) & bit and mask | bit in self._independent_masks:
+                mask |= bit
+        return Basis(frozenset(bits_of(mask)))
+
     @cached_property
     def _circuits(self) -> tuple[SignedSupportVector, ...]:
-        supports = _minimal_dependent_masks(self._independent_masks, self.element_count)
-        vecs = [
-            _solve_support_vector(self.columns, self.rank, s, "kernel")
-            for s in supports
-        ]
+        # circuit C through its lowest element e: C is the fundamental circuit
+        # of e for any basis containing C - e
+        vecs = []
+        for s in _minimal_dependent_masks(self._independent_masks, self.element_count):
+            e = _lowest_bit(s)
+            vecs.append(fundamental_circuit(self, self._extend_to_basis(s & ~(1 << e), s), e))
         return tuple(sorted(vecs, key=lambda v: sorted(v.support)))
 
     @cached_property
-    def _cocircuit_matrix_columns(self) -> tuple[tuple[int, ...], ...]:
-        rows = self.kernel_basis
-        height = len(rows)
-        return tuple(tuple(row[j] for row in rows) for j in range(self.element_count))
-
-    @cached_property
     def _cocircuits(self) -> tuple[SignedSupportVector, ...]:
-        cols = self._cocircuit_matrix_columns
-        height = len(self.kernel_basis)
-        indep = _independent_column_masks(cols, height)
-        supports = _minimal_dependent_masks(frozenset(indep), self.element_count)
-        vecs = [_solve_support_vector(cols, height, s, "image") for s in supports]
+        # cocircuits are the circuits of the dual, whose independent sets are
+        # the complements of spanning sets; cocircuit D through its lowest
+        # element e is the fundamental cocircuit of e for any basis meeting D
+        # in e alone
+        full = (1 << self.element_count) - 1
+        dual_independent = frozenset(full & ~s for s in self._spanning_masks)
+        vecs = []
+        for s in _minimal_dependent_masks(dual_independent, self.element_count):
+            e = _lowest_bit(s)
+            vecs.append(fundamental_cocircuit(self, self._extend_to_basis(1 << e, s), e))
         for v in vecs:
             if any(ratlin.dot(row, v.entries) for row in self.kernel_basis):
                 raise InvariantViolationError("cocircuit not orthogonal to the kernel")
@@ -456,36 +476,6 @@ def _minimal_dependent_masks(independent: frozenset[int], n: int) -> list[int]:
     return sorted(found)
 
 
-def _solve_support_vector(
-    columns: Sequence[tuple[int, ...]], height: int, support_mask: int, side: Side
-) -> SignedSupportVector:
-    """The canonical {0,+-1} vector with the given circuit support.
-
-    Solves for the one-dimensional null space of the chosen columns and
-    normalizes so the lowest-index entry is +1.
-    """
-    support = bits_of(support_mask)
-    if height == 0 or all(not any(columns[j]) for j in support):
-        if len(support) != 1:
-            raise InvariantViolationError("zero columns must give singleton circuits")
-        entries = [0] * len(columns)
-        entries[support[0]] = 1
-        return SignedSupportVector(tuple(entries), side)
-    sub = [[Fraction(columns[j][i]) for j in support] for i in range(height)]
-    null = ratlin.kernel_basis(sub, len(support))
-    if len(null) != 1:
-        raise InvariantViolationError("circuit support must have a 1-dim null space")
-    prim = ratlin.primitive_integer_vector(null[0])
-    if any(abs(x) > 1 for x in prim) or any(x == 0 for x in prim):
-        raise InvariantViolationError("circuit vector is not a full-support sign vector")
-    if prim[0] < 0:
-        prim = tuple(-x for x in prim)
-    entries = [0] * len(columns)
-    for j, val in zip(support, prim):
-        entries[j] = val
-    return SignedSupportVector(tuple(entries), side)
-
-
 def _require_cap(rep: RegularMatroidRep, cap: int):
     if rep.element_count > cap:
         raise CapExceededError(
@@ -539,7 +529,7 @@ def _basis_tableau(rep: RegularMatroidRep, basis: frozenset[int]) -> tuple[tuple
             raise InputError("basis columns are dependent")
         work[i], work[pivot] = work[pivot], work[i]
         if abs(work[i][col]) != 1:
-            raise InvariantViolationError("pivot is not a unit; matrix is not TU")
+            raise InputError("matrix is not totally unimodular")
         if work[i][col] == -1:
             work[i] = [-x for x in work[i]]
         for k in range(rep.rank):
@@ -563,7 +553,7 @@ def fundamental_circuit(
     for i, b in enumerate(sorted(basis.elements)):
         coeff = tableau[i][element]
         if abs(coeff) > 1:
-            raise InvariantViolationError("tableau entry out of {0,+-1}")
+            raise InputError("matrix is not totally unimodular")
         entries[b] = -coeff
     if not forward:
         entries = [-x for x in entries]
@@ -580,7 +570,7 @@ def fundamental_cocircuit(
     i = sorted(basis.elements).index(element)
     entries = tableau[i]
     if any(abs(x) > 1 for x in entries):
-        raise InvariantViolationError("tableau row out of {0,+-1}")
+        raise InputError("matrix is not totally unimodular")
     if not forward:
         entries = tuple(-x for x in entries)
     return SignedSupportVector(tuple(entries), "image")

@@ -8,7 +8,6 @@ Gaussian elimination with Fraction arithmetic is both exact and fast enough.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Row = Sequence[int | Fraction]
@@ -39,27 +38,6 @@ def row_reduce(rows: Iterable[Row], width: int) -> tuple[list[list[Fraction]], l
 
 def matrix_rank(rows: Iterable[Row], width: int) -> int:
     return len(row_reduce(rows, width)[1])
-
-
-def in_row_space(rows: Sequence[Row], width: int, vec: Row) -> bool:
-    base = matrix_rank(rows, width)
-    return matrix_rank(list(rows) + [vec], width) == base
-
-
-def kernel_basis(rows: Sequence[Row], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : M x = 0} read off the reduced echelon form of M."""
-    rref, pivots = row_reduce(rows, width)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -rref[i][free]
-        basis.append(tuple(vec))
-    return basis
 
 
 def invert(matrix: Sequence[Row]) -> list[list[Fraction]]:
@@ -93,23 +71,6 @@ def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def primitive_integer_vector(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers (sign preserved)."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
-
-
-def matvec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, vec)) for row in matrix]
 
 
 def dot(u: Sequence[int | Fraction], v: Sequence[int | Fraction]):

@@ -191,6 +191,27 @@ def test_single_vertex_graph_loops_fast_path(capsys, tmp_path):
     assert len(subgraphs) == 4
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1, 1, 1], [1, -1, 0]],
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+])
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_non_tu_matrix_exits_2(capsys, tmp_path, matrix, command):
+    path = tmp_path / "non_tu.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, _, err = run(capsys, [command, "--matroid", str(path), "--samples", "50"])
+    assert code == 2
+    assert "not totally unimodular" in err
+
+
+def test_non_tu_matrix_cocycle_classes_exit_2(capsys, tmp_path):
+    path = tmp_path / "non_tu.json"
+    path.write_text(json.dumps({"matrix": [[1, 1, 1], [1, -1, 0]]}))
+    code, _, err = run(capsys, ["classes", "--matroid", str(path), "--kind", "cocycle"])
+    assert code == 2
+    assert "not totally unimodular" in err
+
+
 def test_disconnected_graph_exits_2(capsys, tmp_path):
     path = tmp_path / "disc.json"
     path.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))

@@ -28,7 +28,7 @@ from oribij import (
 )
 from oribij.ratlin import dot
 
-from helpers import R10_MATRIX, matrix_rep, random_connected_multigraph
+from helpers import R10_MATRIX, matrix_rep, random_connected_multigraph, suite_instances
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,37 @@ def test_circuit_cocircuit_orthogonality():
         for c in enumerate_signed_circuits(rep):
             for d in enumerate_signed_cocircuits(rep):
                 assert dot(c.entries, d.entries) == 0
+
+
+def _support_minimal_sign_vectors(n, member):
+    """Support-minimal nonzero {0,+-1} vectors accepted by ``member``, each
+    with its lowest-index entry +1, by exhaustive search over {0,+-1}^n."""
+    found = {}
+    for v in itertools.product((-1, 0, 1), repeat=n):
+        if next((x for x in v if x), 0) == 1 and member(v):
+            found[v] = frozenset(j for j, x in enumerate(v) if x)
+    supports = set(found.values())
+    return sorted(v for v, s in found.items() if not any(t < s for t in supports))
+
+
+def test_circuits_and_cocircuits_match_brute_force():
+    reps = []
+    for g, rep, _ in suite_instances():
+        if g.edge_count <= 8:
+            reps += [rep, matrix_rep(rep)]
+    reps.append(RegularMatroidRep.from_rows(R10_MATRIX))
+    for rep in reps:
+        n = rep.element_count
+        circuits = _support_minimal_sign_vectors(
+            n, lambda v: all(dot(row, v) == 0 for row in rep.matrix))
+        cocircuits = _support_minimal_sign_vectors(
+            n, lambda v: all(dot(c, v) == 0 for c in circuits))
+        got_c = enumerate_signed_circuits(rep)
+        got_d = enumerate_signed_cocircuits(rep)
+        assert sorted(v.entries for v in got_c) == circuits
+        assert sorted(v.entries for v in got_d) == cocircuits
+        assert all(v.side == "kernel" for v in got_c)
+        assert all(v.side == "image" for v in got_d)
 
 
 # ---------------------------------------------------------------------------
