@@ -232,9 +232,20 @@ class RegularMatroidRep:
         for row in rows:
             if any(x not in (-1, 0, 1) for x in row):
                 raise InputError("matrix entries must be 0 or +-1")
-        if ratlin.matrix_rank(rows, n) != len(rows):
+        pivots = ratlin.row_reduce(rows, n)[1]
+        if len(pivots) != len(rows):
             raise InputError("matrix must have full row rank")
-        return cls(matrix=rows, element_count=n, rank=len(rows), graph=graph)
+        rep = cls(matrix=rows, element_count=n, rank=len(rows), graph=graph)
+        if graph is None and n <= DEFAULT_ELEMENT_CAP:
+            # the first basis pivots with +-1 (else _basis_tableau raises), so
+            # every basis determinant is +-1 times a square minor of the
+            # non-basis block of its tableau; past the element cap every
+            # enumeration refuses anyway, so the C(n, r) - 1 minors are skipped
+            tableau = _basis_tableau(rep, frozenset(pivots))
+            block = [[row[j] for j in range(n) if j not in pivots] for row in tableau]
+            if not _minors_are_unit(block):
+                raise InputError("matrix is not totally unimodular")
+        return rep
 
     # -- cached structure ---------------------------------------------------
 
@@ -412,13 +423,16 @@ def rep_for(g: Graph) -> RegularMatroidRep:
 def is_totally_unimodular(matrix: Sequence[Sequence[int]], cap: int = DEFAULT_TU_CAP) -> bool:
     """Exhaustively check that every square minor lies in {0, +1, -1}."""
     rows = [tuple(int(x) for x in row) for row in matrix]
+    if min(len(rows), len(rows[0]) if rows else 0) > cap:
+        raise CapExceededError(f"minor check needs min(r, n) <= {cap}")
+    return _minors_are_unit(rows)
+
+
+def _minors_are_unit(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every square minor of the matrix, entries included, lies in {0, +1, -1}."""
     r = len(rows)
     n = len(rows[0]) if rows else 0
-    if min(r, n) > cap:
-        raise CapExceededError(f"minor check needs min(r, n) <= {cap}")
-    if any(x not in (-1, 0, 1) for row in rows for x in row):
-        return False
-    for k in range(2, min(r, n) + 1):
+    for k in range(1, min(r, n) + 1):
         for rsub in itertools.combinations(range(r), k):
             sliced = [rows[i] for i in rsub]
             for csub in itertools.combinations(range(n), k):

@@ -81,3 +81,21 @@ def suite_instances(seed: int = 20240, count: int = 50, pairs_per_graph: int = 3
         pairs = [random_signature_pair(rep, rng) for _ in range(pairs_per_graph)]
         out.append((g, rep, pairs))
     return out
+
+
+def unseparated_pairs(images, touching=None) -> list[tuple[int, int]]:
+    """Plain pair-loop oracle for the separation property.
+
+    ``images[m]`` is the image mask of orientation m.  Returns the pairs
+    a < b with no element where a and b disagree and exactly one image
+    contains it, in lexicographic order.  With ``touching``, only the pairs
+    with an end in that collection are examined.
+    """
+    total = len(images)
+    if touching is None:
+        candidates = ((a, b) for a in range(total) for b in range(a + 1, total))
+    else:
+        candidates = sorted({
+            (min(a, b), max(a, b)) for a in touching for b in range(total) if a != b
+        })
+    return [(a, b) for a, b in candidates if not (a ^ b) & (images[a] ^ images[b])]

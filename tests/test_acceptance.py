@@ -36,7 +36,7 @@ from oribij.geometry import MultilinearPolynomial
 from oribij.ratlin import determinant_int
 from oribij.verification import separation_violations
 
-from helpers import R10_MATRIX, matrix_rep, suite_instances
+from helpers import R10_MATRIX, matrix_rep, suite_instances, unseparated_pairs
 
 TRIANGLE = Graph(3, ((2, 0), (0, 1), (1, 2)))
 
@@ -96,7 +96,8 @@ def test_criterion_2_random_suite(suite):
         for sig, cosig in sig_pairs:
             table = BijectionTable.build(rep, sig, cosig)
             assert len(set(table.forward.values())) == 1 << n
-            assert not separation_violations(table)
+            assert unseparated_pairs([table.forward[m] for m in range(1 << n)]) == []
+            assert separation_violations(table) == []
             counts = _tag_counts(table)
             assert counts["basis"] == want["bases"]
             assert counts["basis"] + counts["forest"] == want["independent"]

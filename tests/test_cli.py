@@ -212,6 +212,42 @@ def test_non_tu_matrix_cocycle_classes_exit_2(capsys, tmp_path):
     assert "not totally unimodular" in err
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1, 1, 1], [1, -1, 0]],
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+    [[1, 0, 1, 1], [0, 1, 1, -1]],
+])
+def test_non_tu_matrix_cycle_classes_exit_2(capsys, tmp_path, matrix):
+    # cycle classes never build a basis tableau, so only the check at load sees it
+    path = tmp_path / "non_tu.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, _, err = run(capsys, ["classes", "--matroid", str(path), "--kind", "cycle"])
+    assert code == 2
+    assert "not totally unimodular" in err
+
+
+def test_matroid_past_the_element_cap_exits_3(capsys, tmp_path):
+    # [I | I] with 40 columns: the load check would face C(40, 20) - 1 minors
+    matrix = [[1 if j % 20 == i else 0 for j in range(40)] for i in range(20)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, _, _ = run(capsys, ["table", "--matroid", str(path)])
+    assert code == 3
+
+
+def test_negative_samples_exit_2(capsys, triangle_file):
+    code, out, err = run(capsys, ["verify", "--graph", triangle_file, "--samples", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "sample count" in err
+
+
+def test_zero_samples_still_verify(capsys, triangle_file):
+    code, out, _ = run(capsys, ["verify", "--graph", triangle_file, "--samples", "0"])
+    assert code == 0
+    assert json.loads(out)["samples"] == 0
+
+
 def test_disconnected_graph_exits_2(capsys, tmp_path):
     path = tmp_path / "disc.json"
     path.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))

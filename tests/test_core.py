@@ -90,6 +90,14 @@ def test_r10_is_tu():
     assert is_totally_unimodular(R10_MATRIX)
 
 
+def test_from_rows_rejects_a_non_tu_minor_behind_unit_pivots():
+    # the first basis pivots with 1s, but the non-basis block has determinant -2
+    rows = [[1, 0, 1, 1], [0, 1, 1, -1]]
+    assert not is_totally_unimodular(rows)
+    with pytest.raises(InputError, match="not totally unimodular"):
+        RegularMatroidRep.from_rows(rows)
+
+
 def test_tu_cap():
     big = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
     with pytest.raises(CapExceededError):
