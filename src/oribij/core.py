@@ -232,19 +232,13 @@ class RegularMatroidRep:
         for row in rows:
             if any(x not in (-1, 0, 1) for x in row):
                 raise InputError("matrix entries must be 0 or +-1")
-        pivots = ratlin.row_reduce(rows, n)[1]
-        if len(pivots) != len(rows):
+        if ratlin.matrix_rank(rows, n) != len(rows):
             raise InputError("matrix must have full row rank")
         rep = cls(matrix=rows, element_count=n, rank=len(rows), graph=graph)
-        if graph is None and n <= DEFAULT_ELEMENT_CAP:
-            # the first basis pivots with +-1 (else _basis_tableau raises), so
-            # every basis determinant is +-1 times a square minor of the
-            # non-basis block of its tableau; past the element cap every
-            # enumeration refuses anyway, so the C(n, r) - 1 minors are skipped
-            tableau = _basis_tableau(rep, frozenset(pivots))
-            block = [[row[j] for j in range(n) if j not in pivots] for row in tableau]
-            if not _minors_are_unit(block):
-                raise InputError("matrix is not totally unimodular")
+        if n <= DEFAULT_ELEMENT_CAP and not rep._unimodular:
+            # larger matrices are checked by the first enumeration whose cap
+            # lets them through (see _require_cap)
+            raise InputError("matrix is not totally unimodular")
         return rep
 
     # -- cached structure ---------------------------------------------------
@@ -265,6 +259,21 @@ class RegularMatroidRep:
             fundamental_circuit(self, basis, e).entries
             for e in range(self.element_count) if e not in basis.elements
         )
+
+    @cached_property
+    def _unimodular(self) -> bool:
+        """Whether every basis determinant is +-1 (graph-backed reps always are).
+
+        The first basis pivots with +-1 (else ``_basis_tableau`` raises), so
+        every basis determinant is +-1 times a square minor of the non-basis
+        block of its tableau: C(n, r) - 1 minors.
+        """
+        if self.graph is not None:
+            return True
+        n = self.element_count
+        pivots = ratlin.row_reduce(self.matrix, n)[1]
+        tableau = _basis_tableau(self, frozenset(pivots))
+        return _minors_are_unit([[row[j] for j in range(n) if j not in pivots] for row in tableau])
 
     @cached_property
     def _independent_masks(self) -> frozenset[int]:
@@ -491,10 +500,13 @@ def _minimal_dependent_masks(independent: frozenset[int], n: int) -> list[int]:
 
 
 def _require_cap(rep: RegularMatroidRep, cap: int):
+    """Refuse past the element cap; past the default cap, check unimodularity first."""
     if rep.element_count > cap:
         raise CapExceededError(
             f"{rep.element_count} elements exceeds the enumeration cap {cap}"
         )
+    if rep.element_count > DEFAULT_ELEMENT_CAP and not rep._unimodular:
+        raise InputError("matrix is not totally unimodular")
 
 
 def enumerate_signed_circuits(

@@ -6,13 +6,14 @@ half-open toward O on S.  These tile the cube exactly when the map has the
 separation property, and coordinate-wise dilation turns cell counts into
 multilinear counting polynomials that must match independent-set counts.
 
-The exact tiling certificate works on point types: a point's type is its
-set F of fractional coordinates plus its 0/1 values off F, so the cube has
-3^n types, and a cell holds whole types.  The cells tile the cube iff they
-cover every type exactly once, which takes O(3^n) time and a 3^n-byte mark
-table (43 MB at the 16-element cap), and holds iff the map is separated, for
-the map and its complement alike.  The unseparated orientation pairs, an
-O(4^n) listing, are computed only when the cover fails.
+The exact tiling certificate lists the unseparated orientation pairs
+bit-parallel, one pass over the orientations with a 2^n-bit word per
+element; the list is empty iff the cells tile the cube.  A point's type (its
+fractional coordinates and its 0/1 values off them) is a face of the cube,
+and the cell of (O, S) holds the faces at O whose directions lie in S, so the
+cells tile iff the images form the outmap of a unique-sink orientation;
+Szabo and Welzl ("Unique sink orientations of cubes", FOCS 2001) show these
+outmaps are exactly the separated maps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -32,6 +32,7 @@ from .core import (
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
+    _require_cap,
     bits_of,
     mask_of,
 )
@@ -179,39 +180,6 @@ class TilingReport:
         }
 
 
-def _covers_point_types_once(images: Sequence[int], n: int) -> bool:
-    """Whether the cells hoc(o, images[o]) cover each point type exactly once.
-
-    A point of the cube has type (F, b): F is its set of fractional
-    coordinates and b its 0/1 values off F, so there are 3^n types.  The
-    cell of (o, S) holds the points of the 2^|S| types with F inside S and
-    b = o off F.  Type (F, b) gets the base-3 index whose digit is 2 on F and
-    b elsewhere.  When the cell sizes add up to 3^n, the types are covered
-    exactly once iff none is left unmarked.  Memory: 3^n bytes.
-    """
-    types = 3 ** n
-    if sum(1 << s.bit_count() for s in images) != types:
-        return False
-    power = [3 ** j for j in range(n)]
-    tern = [0]  # tern[m]: base-3 number with digit 1 on the elements of m
-    for w in power:
-        tern += [t + w for t in tern]
-    marked = bytearray(types)
-    mark = marked.__setitem__
-    for o, s in enumerate(images):
-        # indices of the types in the cell: tern[o] with the digit of each
-        # element of F raised to 2, one doubling per element of S
-        cell = [tern[o]]
-        rest = s
-        while rest:
-            low = rest & -rest
-            raise_by = power[low.bit_length() - 1] * (1 if o & low else 2)
-            cell += [t + raise_by for t in cell]
-            rest ^= low
-        any(map(mark, cell, repeat(1)))  # mark returns None, so this runs to the end
-    return 0 not in marked
-
-
 def _unseparated_pairs(images: Sequence[int], n: int) -> list[tuple[int, int]]:
     """Pairs a < b with no element where they disagree and exactly one image contains it.
 
@@ -242,36 +210,24 @@ def _unseparated_pairs(images: Sequence[int], n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _pair_violations(images: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """The exact tiling certificate: no pairs iff the cells tile the cube.
-
-    The pairs are listed only when the point-type cover fails, so a passing
-    certificate costs O(3^n).
-    """
-    if _covers_point_types_once(images, n):
-        return []
-    return _unseparated_pairs(images, n)
-
-
 def verify_cube_tiling(
     rep: RegularMatroidRep, table: BijectionTable, sample_count: int, seed: int = 0,
     complement: bool = False,
 ) -> TilingReport:
     """Certify the half-open tiling of the cube induced by the table.
 
-    Exact part: the cells must cover each of the 3^n point types exactly
-    once (3^n bytes of memory).  This holds iff every pair of orientations
-    has an element where they disagree and exactly one image contains it
-    (separation), for the map and its complement alike.  Only when the cover
-    fails are the unseparated pairs listed, which takes O(4^n) time.
+    Exact part: the orientation pairs that are not separated, which is empty
+    iff the cells tile the cube (Szabo-Welzl, see the module docstring).
+    Complementing both images leaves the disagreement of two images
+    unchanged, so the pairs are the same for the complement and are read off
+    the forward images.
     Sampled part: seeded random rational points must each lie in exactly one
     cell, which exercises the search behind ``locate_point``.
     """
     if sample_count < 0:
         raise InputError("the sample count must not be negative")
     n = rep.element_count
-    images = [_image_mask(table, m, complement) for m in range(1 << n)]
-    pair_violations = _pair_violations(images, n)
+    pair_violations = _unseparated_pairs([table.forward[m] for m in range(1 << n)], n)
     rng = random.Random(seed)
     point_violations = []
     for _ in range(sample_count):
@@ -358,8 +314,7 @@ def independent_set_polynomial(
     rep: RegularMatroidRep, cap: int = DEFAULT_ELEMENT_CAP
 ) -> MultilinearPolynomial:
     """Sum over independent column subsets of their squarefree monomial."""
-    if rep.element_count > cap:
-        raise CapExceededError(f"{rep.element_count} elements exceeds the cap {cap}")
+    _require_cap(rep, cap)
     return MultilinearPolynomial.from_subsets(
         frozenset(bits_of(m)) for m in rep._independent_masks
     )

@@ -16,6 +16,7 @@ from .core import (
     Graph,
     Orientation,
     RegularMatroidRep,
+    _require_cap,
     closure_mask_partition,
 )
 from .errors import CapExceededError, InputError
@@ -157,10 +158,7 @@ def reversal_closure_classes(
     rep: RegularMatroidRep, kind: str, cap: int = DEFAULT_ELEMENT_CAP
 ) -> tuple[tuple[Orientation, ...], ...]:
     """Reversal classes by BFS over single-reversal moves (signature-free)."""
-    if rep.element_count > cap:
-        raise CapExceededError(
-            f"{rep.element_count} elements exceeds the enumeration cap {cap}"
-        )
+    _require_cap(rep, cap)
     if kind not in ("cycle", "cocycle", "cycle-cocycle"):
         raise InputError(f"unknown reversal kind {kind!r}")
     n = rep.element_count

@@ -16,10 +16,11 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
+    _require_cap,
     conformal_decompose,
     split_kernel_image,
 )
-from .errors import CapExceededError, InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError
 from .signatures import (
     CIRCUIT,
     COCIRCUIT,
@@ -163,9 +164,8 @@ def enumerate_classes(
     under A, resp. the pairing with the kernel); joint classes are grouped by
     their compatible representative under the canonical signature pair.
     """
+    _require_cap(rep, cap)
     n = rep.element_count
-    if n > cap:
-        raise CapExceededError(f"{n} elements exceeds the enumeration cap {cap}")
     if kind not in KINDS:
         raise InputError(f"unknown reversal kind {kind!r}")
     groups: dict[tuple | int, list[int]] = {}

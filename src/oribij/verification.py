@@ -1,7 +1,6 @@
 """The invariant battery behind the verify command.
 
-Each suite is an independent certificate: separation (decided by covering
-the cube's point types once with the half-open cells), sampled half-open
+Each suite is an independent certificate: separation, sampled half-open
 tilings, Tutte (or direct enumeration) counts for the specialization tags,
 reversal classes against the breadth-first oracle, and the two
 counting-polynomial identities.
@@ -14,7 +13,7 @@ from .core import Orientation, RegularMatroidRep
 from .errors import InputError
 from .geometry import (
     MultilinearPolynomial,
-    _pair_violations,
+    _unseparated_pairs,
     cell_count_polynomial,
     independent_set_polynomial,
     verify_cube_tiling,
@@ -29,13 +28,9 @@ def _suite(name: str, passed: bool, detail) -> dict:
 
 
 def separation_violations(table: BijectionTable) -> list[tuple[int, int]]:
-    """Orientation pairs with no disagreeing element in the image difference.
-
-    Decided by the point-type cover of the forward map's cells; the pairs
-    are listed only when that cover fails.
-    """
+    """Orientation pairs with no disagreeing element in the image difference."""
     n = table.rep.element_count
-    return _pair_violations([table.forward[m] for m in range(1 << n)], n)
+    return _unseparated_pairs([table.forward[m] for m in range(1 << n)], n)
 
 
 def run_verification(

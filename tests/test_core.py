@@ -26,7 +26,10 @@ from oribij import (
     loops_only_rep,
     split_kernel_image,
 )
+from oribij.geometry import independent_set_polynomial
+from oribij.oracle import reversal_closure_classes
 from oribij.ratlin import dot
+from oribij.reversal import enumerate_classes
 
 from helpers import R10_MATRIX, matrix_rep, random_connected_multigraph, suite_instances
 
@@ -96,6 +99,22 @@ def test_from_rows_rejects_a_non_tu_minor_behind_unit_pivots():
     assert not is_totally_unimodular(rows)
     with pytest.raises(InputError, match="not totally unimodular"):
         RegularMatroidRep.from_rows(rows)
+
+
+@pytest.mark.parametrize("enumerate_", [
+    enumerate_bases,
+    lambda rep, cap: enumerate_classes(rep, "cycle", cap=cap),
+    lambda rep, cap: reversal_closure_classes(rep, "cycle", cap=cap),
+    lambda rep, cap: independent_set_polynomial(rep, cap=cap),
+])
+def test_matrix_past_the_default_cap_is_checked_when_a_cap_lets_it_through(enumerate_):
+    # the same non-TU block padded with zero columns to 17 elements
+    rows = [[1, 0, 1, 1] + [0] * 13, [0, 1, 1, -1] + [0] * 13]
+    rep = RegularMatroidRep.from_rows(rows)
+    with pytest.raises(CapExceededError):
+        enumerate_(rep, 16)
+    with pytest.raises(InputError, match="not totally unimodular"):
+        enumerate_(rep, 17)
 
 
 def test_tu_cap():
