@@ -28,7 +28,7 @@ from .core import (
     mask_of,
 )
 from .errors import InputError, InvariantViolationError, NotCompatibleError
-from .reversal import compatible_decomposition
+from .reversal import _class_split
 from .signatures import CIRCUIT, COCIRCUIT, Signature, is_compatible
 
 Tag = Literal["basis", "forest", "connected-spanning", "general"]
@@ -210,18 +210,17 @@ def basis_from_orientation(
 def orientation_to_subgraph(
     rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature
 ) -> frozenset[int]:
-    """Map an orientation to a subgraph via its class decomposition.
+    """Map an orientation to a subgraph via its class split.
 
     The subgraph is the representative's basis, plus the supports of the
-    reversed circuits, minus the supports of the reversed cocircuits.
+    reversed circuits, minus the supports of the reversed cocircuits.  The
+    reversed circuits are disjoint and sum to the kernel part of
+    representative - o (the cocircuits likewise to the row-space part), so
+    their supports are read off the split without decomposing it.
     """
-    dec = compatible_decomposition(rep, o, sig, cosig)
-    out = set(basis_from_orientation(rep, dec.representative, sig, cosig).elements)
-    for piece in dec.cycles:
-        out |= piece.support
-    for piece in dec.cocycles:
-        out -= piece.support
-    return frozenset(out)
+    cp, c, cstar = _class_split(rep, o, sig, cosig)
+    basis = basis_from_orientation(rep, cp, sig, cosig)
+    return (basis.elements | c.support) - cstar.support
 
 
 def subgraph_to_orientation(
@@ -261,6 +260,8 @@ def restricted_subgraph_map(
     always a bijection.
     """
     n = rep.element_count
+    if any(not 0 <= e < n for e in partial.support):
+        raise InputError("fixed element outside the ground set")
     table = BijectionTable.build(rep, sig, cosig)
     free = sorted(set(range(n)) - partial.support)
     base = partial.forward_mask
@@ -286,6 +287,8 @@ def restricted_orientation_map(
     if include & exclude:
         raise InputError("included and excluded elements overlap")
     n = rep.element_count
+    if any(not 0 <= e < n for e in include | exclude):
+        raise InputError("fixed element outside the ground set")
     table = BijectionTable.build(rep, sig, cosig)
     free = sorted(set(range(n)) - include - exclude)
     base = mask_of(include)

@@ -204,8 +204,9 @@ class RegularMatroidRep:
     """A full-row-rank totally unimodular integer matrix, optionally graph-backed.
 
     ``matrix`` is stored row-wise.  When built from a graph, ``graph`` keeps
-    the vertex structure around so searches can use reachability instead of
-    enumeration; results never depend on its presence.
+    the vertex structure around for what only a graph has (Tutte counts, DOT
+    output) and lets the load skip the unimodularity check; every matroid
+    computation reads the matrix alone, so results never depend on it.
     """
 
     matrix: tuple[tuple[int, ...], ...]
@@ -620,6 +621,9 @@ def find_conforming_circuit_or_cocircuit(
     result contains ``element``, agrees with ``partial`` on every shared
     element, and avoids its forbidden class; one of the two kinds always
     exists.
+
+    Scans the signed circuits, then the cocircuits, both ways round, and
+    returns the first match; a graph rep and its matrix twin agree.
     """
     n = rep.element_count
     supp = partial.support
@@ -628,12 +632,6 @@ def find_conforming_circuit_or_cocircuit(
     if cycle_only & cocycle_only or (supp | cycle_only | cocycle_only) != frozenset(range(n)) \
             or supp & (cycle_only | cocycle_only):
         raise InputError("the three edge classes must partition the ground set")
-    if rep.graph is not None:
-        return _graph_conforming_search(rep, partial, cycle_only, cocycle_only, element)
-    return _matroid_conforming_search(rep, partial, cycle_only, cocycle_only, element)
-
-
-def _matroid_conforming_search(rep, partial, cycle_only, cocycle_only, element):
     fwd, bwd = partial.forward_mask, partial.backward_mask
     bit = 1 << element
     ed_mask = mask_of(cocycle_only)
@@ -650,86 +648,6 @@ def _matroid_conforming_search(rep, partial, cycle_only, cocycle_only, element):
                     continue
                 return cand
     raise InvariantViolationError("no conforming circuit or cocircuit found")
-
-
-def _graph_conforming_search(rep, partial, cycle_only, cocycle_only, element):
-    g = rep.graph
-    n = rep.element_count
-    direction = partial.mapping[element]
-    tail, head = g.edges[element]
-    if not direction:
-        tail, head = head, tail
-    sign = 1 if direction else -1
-    if tail == head:
-        entries = [0] * n
-        entries[element] = sign
-        return SignedSupportVector(tuple(entries), "kernel")
-
-    # reachability from the head, along partial arcs and both ways on
-    # cycle_only edges
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(g.vertex_count)]
-    for j, (t, h) in enumerate(g.edges):
-        if t == h:
-            continue
-        if j in partial.support:
-            if partial.mapping[j]:
-                adjacency[t].append((h, j, 1))
-            else:
-                adjacency[h].append((t, j, -1))
-        elif j in cycle_only:
-            adjacency[t].append((h, j, 1))
-            adjacency[h].append((t, j, -1))
-    parent: dict[int, tuple[int, int, int] | None] = {head: None}
-    queue = [head]
-    while queue:
-        v = queue.pop()
-        for target, j, s in adjacency[v]:
-            if target not in parent:
-                parent[target] = (v, j, s)
-                queue.append(target)
-
-    if tail in parent:
-        entries = [0] * n
-        entries[element] = sign
-        v = tail
-        while v != head:
-            prev, j, s = parent[v]
-            entries[j] = s
-            v = prev
-        vec = SignedSupportVector(tuple(entries), "kernel")
-        if not rep.in_kernel(vec.entries):
-            raise InvariantViolationError("reconstructed cycle is not in the kernel")
-        return vec
-
-    # cocircuit case: extract the minimal directed cut through the element
-    reached = set(parent)
-    k_side = _component(g, head, lambda v: v in reached)
-    l_side = _component(g, tail, lambda v: v not in k_side)
-    entries = [0] * n
-    for j, (t, h) in enumerate(g.edges):
-        if h in k_side and t in l_side:
-            entries[j] = 1
-        elif t in k_side and h in l_side:
-            entries[j] = -1
-    vec = SignedSupportVector(tuple(entries), "image")
-    if not rep.in_row_space(vec.entries):
-        raise InvariantViolationError("reconstructed cut is not in the row space")
-    return vec
-
-
-def _component(g: Graph, start: int, allowed) -> set[int]:
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for t, h in g.edges:
-            if t == v and allowed(h) and h not in seen:
-                seen.add(h)
-                queue.append(h)
-            elif h == v and allowed(t) and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -110,19 +110,21 @@ def _joint_representative_mask(
     raise InvariantViolationError("alternating reversal passes did not stabilize")
 
 
-def compatible_decomposition(
+def _class_split(
     rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature,
     rng: random.Random | None = None,
-) -> ClassDecomposition:
-    """Representative of o's joint class plus the disjoint reversals producing o.
+) -> tuple[Orientation, SignedSupportVector, SignedSupportVector]:
+    """The representative cp of o's joint class and the split of cp - o.
 
-    The difference representative - o splits exactly into a kernel part and a
-    row-space part, both {0,+-1} with disjoint supports; each part then
-    decomposes conformally into the reversed circuits and cocircuits.
+    The difference splits exactly into a kernel part c and a row-space part
+    c*, both {0,+-1} with disjoint supports: c is the sum of the reversed
+    circuits and c* the sum of the reversed cocircuits.
     """
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
     n = rep.element_count
+    if len(o) != n:
+        raise InputError("orientation length disagrees with the ground set")
     cp_mask = _joint_representative_mask(rep, o.mask, sig, cosig, rng)
     cp = Orientation.from_mask(n, cp_mask)
     d = [a - b for a, b in zip(cp.vector(), o.vector())]
@@ -131,6 +133,19 @@ def compatible_decomposition(
         raise InvariantViolationError("same-class split is not a sign vector")
     if (c.pos_mask | c.neg_mask) & (cstar.pos_mask | cstar.neg_mask):
         raise InvariantViolationError("kernel and image parts overlap")
+    return cp, c, cstar
+
+
+def compatible_decomposition(
+    rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature,
+    rng: random.Random | None = None,
+) -> ClassDecomposition:
+    """Representative of o's joint class plus the disjoint reversals producing o.
+
+    Each part of the class split (see ``_class_split``) decomposes
+    conformally into the reversed circuits, resp. cocircuits.
+    """
+    cp, c, cstar = _class_split(rep, o, sig, cosig, rng)
     cycles = conformal_decompose(rep, c) if c.support else ()
     cocycles = conformal_decompose(rep, cstar) if cstar.support else ()
     for piece in (*cycles, *cocycles):
@@ -143,6 +158,8 @@ def same_class(
     rep: RegularMatroidRep, o1: Orientation, o2: Orientation, kind: Kind
 ) -> bool:
     """Whether two orientations differ by reversals of the given kind."""
+    if len(o1) != rep.element_count or len(o2) != rep.element_count:
+        raise InputError("orientation length disagrees with the ground set")
     d = [a - b for a, b in zip(o1.vector(), o2.vector())]
     if kind == "cycle":
         return rep.in_kernel(d)

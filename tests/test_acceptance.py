@@ -242,7 +242,7 @@ def test_criterion_7_matroid_parity(suite):
         for kind in ("cycle", "cocycle", "cycle-cocycle"):
             assert enumerate_classes(rep, kind) == enumerate_classes(repm, kind)
         assert independent_set_polynomial(rep) == independent_set_polynomial(repm)
-        # the per-orientation route exercises the two distinct search paths
+        # the per-orientation route, on a graph and on its matrix twin
         s, cs = sig_pairs[0]
         if n <= 6:
             masks = list(rep.orientation_universe())
@@ -265,5 +265,5 @@ def test_criterion_7_matroid_parity(suite):
     assert len(enumerate_bases(r10)) == determinant_int(gram) == 162
     print(
         f"\nACCEPTANCE 7: PASS (matroid path identical on all suite instances, "
-        f"{checked_orientations} dual-path orientations, R10 verified)"
+        f"{checked_orientations} twin-checked orientations, R10 verified)"
     )

@@ -8,6 +8,7 @@ from oribij import (
     BijectionTable,
     CIRCUIT,
     COCIRCUIT,
+    InputError,
     NotCompatibleError,
     Orientation,
     PartialOrientation,
@@ -107,6 +108,13 @@ def test_single_edge_backward_maps_to_empty(single_edge_rep):
     sig = signature_from_weights(single_edge_rep, (1,), CIRCUIT)
     cosig = signature_from_weights(single_edge_rep, (1,), COCIRCUIT)
     assert orientation_to_subgraph(single_edge_rep, Orientation((False,)), sig, cosig) == frozenset()
+
+
+def test_orientation_to_subgraph_rejects_wrong_length(triangle_rep):
+    sig, cosig = canonical_signature_pair(triangle_rep)
+    for signs in ((True, False), (True, False, True, False), (True, False, True, True)):
+        with pytest.raises(InputError):
+            orientation_to_subgraph(triangle_rep, Orientation(signs), sig, cosig)
 
 
 def test_forward_map_is_bijective_and_invertible():
@@ -250,6 +258,20 @@ def test_restricted_inverse_map_cases(triangle_rep):
     partial = restricted_orientation_map(triangle_rep, (0,), (1,), sig, cosig)
     assert len(partial) == 2
     assert len(set(partial.values())) == 2
+
+
+def test_restricted_maps_reject_elements_outside_ground_set(triangle_rep):
+    sig, cosig = canonical_signature_pair(triangle_rep)
+    for fixed in (3, 5, -1):
+        with pytest.raises(InputError):
+            restricted_subgraph_map(
+                triangle_rep, PartialOrientation.from_mapping({0: True, fixed: True}),
+                sig, cosig,
+            )
+        with pytest.raises(InputError):
+            restricted_orientation_map(triangle_rep, (fixed,), (), sig, cosig)
+        with pytest.raises(InputError):
+            restricted_orientation_map(triangle_rep, (0,), (fixed,), sig, cosig)
 
 
 def test_local_bijectivity_exhaustive():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from oribij import (
+    BijectionTable,
     CIRCUIT,
     COCIRCUIT,
     InputError,
     Orientation,
     SignedSupportVector,
+    basis_from_orientation,
     canonical_signature_pair,
     circuit_class_representative,
     cocircuit_class_representative,
@@ -16,6 +18,7 @@ from oribij import (
     explicit_signature,
     graph_to_rep,
     is_compatible,
+    orientation_to_subgraph,
     reversal_closure_classes,
     reverse,
     same_class,
@@ -23,7 +26,7 @@ from oribij import (
     tutte,
 )
 
-from helpers import random_connected_multigraph, random_signature_pair
+from helpers import matrix_rep, random_connected_multigraph, random_signature_pair
 
 
 def test_reverse_full_circuit(triangle_rep):
@@ -133,13 +136,23 @@ def test_decomposition_single_edge(single_edge_rep):
 
 def test_decomposition_sound_on_random_instances():
     rng = random.Random(13)
-    for _ in range(5):
-        g = random_connected_multigraph(rng, rng.randint(3, 7))
+    for _ in range(30):
+        g = random_connected_multigraph(rng, rng.randint(3, 8))
         rep = graph_to_rep(g)
+        twin = matrix_rep(rep)
         sig, cosig = random_signature_pair(rep, rng)
+        table = BijectionTable.build(rep, sig, cosig)
         for m in rep.orientation_universe():
             o = Orientation.from_mask(rep.element_count, m)
             dec = compatible_decomposition(rep, o, sig, cosig)
+            assert compatible_decomposition(twin, o, sig, cosig) == dec
+            # the paper's subgraph map: basis, plus reversed circuits, minus
+            # reversed cocircuits
+            image = basis_from_orientation(rep, dec.representative, sig, cosig).elements
+            image = image.union(*(p.support for p in dec.cycles))
+            image = image.difference(*(p.support for p in dec.cocycles))
+            assert orientation_to_subgraph(rep, o, sig, cosig) == image
+            assert table.subgraph_of(o) == image
             assert is_compatible(rep, dec.representative, sig)
             assert is_compatible(rep, dec.representative, cosig)
             seen = frozenset()
@@ -154,6 +167,21 @@ def test_decomposition_sound_on_random_instances():
                 assert dec.cycles == ()
             if is_compatible(rep, o, cosig):
                 assert dec.cocycles == ()
+
+
+def test_decomposition_rejects_wrong_length(triangle_rep):
+    sig, cosig = canonical_signature_pair(triangle_rep)
+    for signs in ((True, False), (True, False, True, False)):
+        with pytest.raises(InputError):
+            compatible_decomposition(triangle_rep, Orientation(signs), sig, cosig)
+
+
+def test_same_class_rejects_wrong_length(triangle_rep):
+    short, o, long = (Orientation((True,) * k) for k in (2, 3, 4))
+    for kind in ("cycle", "cocycle", "cycle-cocycle"):
+        for a, b in ((o, long), (long, o), (o, short), (short, long)):
+            with pytest.raises(InputError):
+                same_class(triangle_rep, a, b, kind)
 
 
 def test_same_class_reflexive(triangle_rep):
