@@ -21,19 +21,34 @@ from .core import (
     PartialOrientation,
     RegularMatroidRep,
     bits_of,
+    _image_part,
     closure_mask_partition,
     enumerate_bases,
     fundamental_circuit,
     fundamental_cocircuit,
     mask_of,
 )
-from .errors import InputError, InvariantViolationError, NotCompatibleError
+from .errors import (
+    InputError,
+    InvariantViolationError,
+    NotCompatibleError,
+    NotSameClassError,
+)
 from .reversal import _class_split
-from .signatures import CIRCUIT, COCIRCUIT, Signature, is_compatible
+from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set, is_compatible
 
 Tag = Literal["basis", "forest", "connected-spanning", "general"]
 
 _TABLE_CACHE: dict[tuple, "BijectionTable"] = {}
+
+# tag by (compatible with the circuit signature, with the cocircuit signature),
+# which is also (image independent, image spanning)
+_TAGS: dict[tuple[bool, bool], Tag] = {
+    (True, True): "basis",
+    (True, False): "forest",
+    (False, True): "connected-spanning",
+    (False, False): "general",
+}
 
 
 class BijectionTable:
@@ -64,12 +79,15 @@ class BijectionTable:
     def tag_of(self, o: Orientation) -> Tag:
         return self.tags[o.mask]
 
+    def mask_rows(self):
+        """(orientation mask, sorted subgraph elements, tag), by increasing mask."""
+        for m in sorted(self.forward):
+            yield m, bits_of(self.forward[m]), self.tags[m]
+
     def rows(self):
         n = self.rep.element_count
-        for m in sorted(self.forward):
-            yield (Orientation.from_mask(n, m),
-                   frozenset(bits_of(self.forward[m])),
-                   self.tags[m])
+        for m, subgraph, tag in self.mask_rows():
+            yield Orientation.from_mask(n, m), frozenset(subgraph), tag
 
     # -- construction ----------------------------------------------------------
 
@@ -93,14 +111,15 @@ class BijectionTable:
         if len(orientation_bases) != len(basis_orientations):
             raise InvariantViolationError("basis map is not injective")
 
-        sigma_ok = [is_compatible(rep, m, sig) for m in rep.orientation_universe()]
-        star_ok = [is_compatible(rep, m, cosig) for m in rep.orientation_universe()]
+        total = 1 << n
+        sigma_ok = f"{_compatible_set(rep, sig):0{total}b}"[::-1]
+        star_ok = f"{_compatible_set(rep, cosig):0{total}b}"[::-1]
+        tag_by_mask = [_TAGS[a == "1", b == "1"] for a, b in zip(sigma_ok, star_ok)]
 
-        proj, scale = rep._projection
         forward: dict[int, int] = {}
         tags: dict[int, Tag] = {}
         for members in closure_mask_partition(rep, "cycle-cocycle"):
-            compatible = [m for m in members if sigma_ok[m] and star_ok[m]]
+            compatible = [m for m in members if tag_by_mask[m] == "basis"]
             if len(compatible) != 1:
                 raise InvariantViolationError(
                     f"class has {len(compatible)} compatible orientations, not 1"
@@ -112,32 +131,20 @@ class BijectionTable:
                     "compatible orientation missed by the basis map"
                 )
             tree_mask = mask_of(tree)
-            cp_vec = [(cp >> j) & 1 for j in range(n)]
             for m in members:
-                d = [cp_vec[j] - ((m >> j) & 1) for j in range(n)]
-                support = [k for k in range(n) if d[k]]
-                kmask = imask = 0
-                for j in range(n):
-                    num = sum(proj[j][k] * d[k] for k in support)
-                    if num % scale:
-                        raise InvariantViolationError("class split is not integral")
-                    star = num // scale
-                    if star == 0:
-                        if d[j]:
-                            kmask |= 1 << j
-                    elif star == d[j]:
-                        imask |= 1 << j
-                    else:
+                pos, neg = cp & ~m, m & ~cp
+                try:
+                    image_part = _image_part(rep, ((pos, neg),))
+                except NotSameClassError as exc:
+                    raise InvariantViolationError("class split is not integral") from exc
+                image = 0
+                for j, star in image_part.items():
+                    bit = 1 << j
+                    if star != (1 if pos & bit else -1 if neg & bit else 0):
                         raise InvariantViolationError("class split is not a sign split")
-                forward[m] = (tree_mask | kmask) & ~imask
-                if sigma_ok[m] and star_ok[m]:
-                    tags[m] = "basis"
-                elif sigma_ok[m]:
-                    tags[m] = "forest"
-                elif star_ok[m]:
-                    tags[m] = "connected-spanning"
-                else:
-                    tags[m] = "general"
+                    image |= bit
+                forward[m] = (tree_mask | pos | neg) & ~image
+                tags[m] = tag_by_mask[m]
 
         if len(set(forward.values())) != 1 << n:
             raise InvariantViolationError("forward map is not a bijection")
@@ -153,13 +160,7 @@ class BijectionTable:
 def _check_tag(rep: RegularMatroidRep, tag: Tag, subgraph_mask: int):
     independent = subgraph_mask in rep._independent_masks
     spanning = subgraph_mask in rep._spanning_masks
-    expected = {
-        "basis": (True, True),
-        "forest": (True, False),
-        "connected-spanning": (False, True),
-        "general": (False, False),
-    }[tag]
-    if (independent, spanning) != expected:
+    if _TAGS[independent, spanning] != tag:
         raise InvariantViolationError(
             f"{tag} orientation mapped to a subgraph with "
             f"(independent, spanning) = {(independent, spanning)}"

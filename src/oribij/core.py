@@ -10,13 +10,15 @@ Conventions used throughout the package:
   On graphs these are exactly the directed cycles and directed minimal cuts.
 * All arithmetic is exact (ints and Fractions).  Bit masks over the element
   set are used in inner loops; bit j of a mask is element j.
+* Independence is decided over GF(2).  Every basis determinant of an
+  accepted matrix is +-1, hence odd, so the matrix and its reduction mod 2
+  have the same bases.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -278,7 +280,13 @@ class RegularMatroidRep:
 
     @cached_property
     def _independent_masks(self) -> frozenset[int]:
-        return frozenset(_independent_column_masks(self.columns, self.rank))
+        # the mod-2 reduction has the same bases only when every basis
+        # determinant is +-1, which the minor check proves
+        if not self._unimodular:
+            raise InputError("matrix is not totally unimodular")
+        return frozenset(_independent_column_masks(
+            [mask_of(i for i, x in enumerate(col) if x) for col in self.columns]
+        ))
 
     @cached_property
     def _basis_masks(self) -> tuple[int, ...]:
@@ -339,7 +347,6 @@ class RegularMatroidRep:
     def _tableaus(self) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
         return {}
 
-    @cached_property
     def _projection(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Integer matrix N and scale t with row-space projection = N/t."""
         if self.rank == 0:
@@ -368,6 +375,27 @@ class RegularMatroidRep:
                 row.append(int(val))
             out.append(tuple(row))
         return tuple(out), t
+
+    @cached_property
+    def _packed_projection(self) -> tuple[tuple[int, ...], int, int, int]:
+        """The columns of N packed into ints, for ``_image_part``.
+
+        The rep keeps these, not N.  Column k holds n signed fields of
+        ``width`` bits, field j being N[j][k].  A field of a signed sum of
+        distinct columns is at most the largest absolute row sum of N, which
+        ``width`` leaves room for, so after adding ``bias`` (2^(width-1) in
+        every field) no field of such a sum borrows from the next.  Wider
+        integer vectors are summed one binary digit at a time.  Returns
+        (columns, t, width, bias).
+        """
+        rows, t = self._projection()
+        n = self.element_count
+        width = max((sum(abs(x) for x in row) for row in rows), default=0).bit_length() + 1
+        columns = tuple(
+            sum(rows[j][k] << (width * j) for j in range(n)) for k in range(n)
+        )
+        bias = sum(1 << (width * j + width - 1) for j in range(n))
+        return columns, t, width, bias
 
     @cached_property
     def _closure_cache(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -439,48 +467,63 @@ def is_totally_unimodular(matrix: Sequence[Sequence[int]], cap: int = DEFAULT_TU
 
 
 def _minors_are_unit(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether every square minor of the matrix, entries included, lies in {0, +1, -1}."""
+    """Whether every square minor of the matrix, entries included, lies in {0, +1, -1}.
+
+    Each k-minor is expanded along its first row over the (k-1)-minors of the
+    rows below it, all computed (and checked) one level earlier.  Minors are
+    keyed by their row mask shifted past the columns, or-ed with the column
+    mask; only the nonzero ones are kept, so a missing key reads as 0.
+    """
     r = len(rows)
     n = len(rows[0]) if rows else 0
+    previous = {0: 1}
     for k in range(1, min(r, n) + 1):
+        current = {}
         for rsub in itertools.combinations(range(r), k):
-            sliced = [rows[i] for i in rsub]
+            top = rows[rsub[0]]
+            below = mask_of(rsub[1:]) << n
+            key = below | 1 << (rsub[0] + n)
             for csub in itertools.combinations(range(n), k):
-                minor = [[row[j] for j in csub] for row in sliced]
-                if abs(ratlin.determinant_int(minor)) > 1:
-                    return False
+                cmask = mask_of(csub)
+                det = 0
+                sign = 1
+                for j in csub:
+                    if top[j]:
+                        det += sign * top[j] * previous.get(below | cmask ^ 1 << j, 0)
+                    sign = -sign
+                if det:
+                    if abs(det) > 1:
+                        return False
+                    current[key | cmask] = det
+        previous = current
     return True
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _independent_column_masks(columns: Sequence[tuple[int, ...]], height: int) -> set[int]:
-    """All column subsets that are linearly independent, as bit masks."""
+def _independent_column_masks(columns: Sequence[int]) -> set[int]:
+    """All column subsets that are linearly independent over GF(2), as bit masks.
+
+    ``columns[j]`` is column j reduced mod 2, as a bit mask over the rows.
+    Each echelon row is reduced by the rows before it, so reducing a column
+    by the rows in order clears every pivot bit.
+    """
     n = len(columns)
     out = {0}
 
-    def reduce(col: Sequence[Fraction], echelon: list[tuple[int, list[Fraction]]]):
-        work = list(col)
-        for pivot, row in echelon:
-            f = work[pivot]
-            if f:
-                work = [a - f * b for a, b in zip(work, row)]
-        return work
-
-    def extend(mask: int, start: int, echelon: list[tuple[int, list[Fraction]]]):
+    def extend(mask: int, start: int, echelon: list[tuple[int, int]]):
         for j in range(start, n):
-            work = reduce([Fraction(x) for x in columns[j]], echelon)
-            pivot = next((i for i, x in enumerate(work) if x), None)
-            if pivot is None:
-                continue
-            inv = Fraction(1) / work[pivot]
-            row = [x * inv for x in work]
-            out.add(mask | (1 << j))
-            extend(mask | (1 << j), j + 1, echelon + [(pivot, row)])
+            work = columns[j]
+            for pivot, row in echelon:
+                if work & pivot:
+                    work ^= row
+            if work:
+                grown = mask | (1 << j)
+                out.add(grown)
+                extend(grown, j + 1, echelon + [(work & -work, work)])
 
-    if height:
-        extend(0, 0, [])
+    extend(0, 0, [])
     return out
 
 
@@ -707,7 +750,6 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     cached = rep._closure_cache.get(kind)
     if cached is not None:
         return cached
-    moves: list[tuple[int, int]] = []
     pools = {
         "cycle": (rep._circuits,),
         "cocycle": (rep._cocircuits,),
@@ -715,10 +757,12 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     }
     if kind not in pools:
         raise InputError(f"unknown reversal kind {kind!r}")
-    for pool in pools[kind]:
-        for vec in pool:
-            moves.append((vec.pos_mask, vec.neg_mask))
-            moves.append((vec.neg_mask, vec.pos_mask))
+    # a support is directed in m either way round exactly when m restricted
+    # to it is one of its two sign patterns; reversing it flips the support
+    moves = [
+        (vec.pos_mask | vec.neg_mask, (vec.pos_mask, vec.neg_mask))
+        for pool in pools[kind] for vec in pool
+    ]
     total = 1 << rep.element_count
     seen = [False] * total
     classes = []
@@ -730,9 +774,9 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
         queue = [start]
         while queue:
             m = queue.pop()
-            for pos, neg in moves:
-                if (pos & ~m) == 0 and (neg & m) == 0:
-                    nxt = (m & ~pos) | neg
+            for supp, directed in moves:
+                if (m & supp) in directed:
+                    nxt = m ^ supp
                     if not seen[nxt]:
                         seen[nxt] = True
                         members.append(nxt)
@@ -743,25 +787,68 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     return result
 
 
+def _image_part(
+    rep: RegularMatroidRep, digits: Sequence[tuple[int, int]]
+) -> dict[int, int]:
+    """The entries of the row-space part c* = N d / t, by element.
+
+    d is the sum over b of 2^b (pos_b - neg_b), where (pos_b, neg_b) =
+    ``digits[b]`` are disjoint masks; a {0,+-1} vector is the one digit
+    (pos, neg).  Each digit is a {0,+-1} vector, so its sum of packed
+    columns never borrows across fields, and only its nonzero fields are
+    read.  Elements left out of the result are 0; for a one-digit d, so is
+    no element kept.  Raises NotSameClassError when c* is not integral.
+    """
+    columns, t, width, bias = rep._packed_projection
+    field = (1 << width) - 1
+    half = 1 << (width - 1)
+    nums: dict[int, int] = {}
+    for b, (pos, neg) in enumerate(digits):
+        total = bias
+        rest = pos
+        while rest:
+            low = rest & -rest
+            total += columns[low.bit_length() - 1]
+            rest ^= low
+        rest = neg
+        while rest:
+            low = rest & -rest
+            total -= columns[low.bit_length() - 1]
+            rest ^= low
+        nonzero = total ^ bias  # the fields of N d that are not zero
+        while nonzero:
+            shift = (nonzero & -nonzero).bit_length() - 1
+            shift -= shift % width
+            nonzero &= ~(field << shift)
+            j = shift // width
+            nums[j] = nums.get(j, 0) + ((total >> shift & field) - half << b)
+    for j, num in nums.items():
+        star, rem = divmod(num, t)
+        if rem:
+            raise NotSameClassError("kernel/image split is not integral")
+        nums[j] = star
+    return nums
+
+
 def split_kernel_image(
     rep: RegularMatroidRep, d: Sequence[int]
 ) -> tuple[SignedSupportVector, SignedSupportVector]:
     """Orthogonal split d = c + c* with c in ker(A) and c* in the row space.
 
-    Computed by exact rational projection onto the row space.  Raises
-    NotSameClassError when the split is not integral, which is exactly the
-    case where d is not a difference of same-class orientations.
+    Computed by exact projection onto the row space, one binary digit of
+    |d| at a time.  Raises NotSameClassError when the split is not integral,
+    which is exactly the case where d is not a difference of same-class
+    orientations.
     """
     d = [int(x) for x in d]
     if len(d) != rep.element_count:
         raise InputError("vector length disagrees with the ground set")
-    matrix, t = rep._projection
-    nums = [sum(row[j] * d[j] for j in range(rep.element_count)) for row in matrix]
-    if any(x % t for x in nums):
-        raise NotSameClassError("kernel/image split is not integral")
-    cstar = [x // t for x in nums]
-    c = [a - b for a, b in zip(d, cstar)]
-    return (
-        SignedSupportVector(tuple(c), "kernel"),
-        SignedSupportVector(tuple(cstar), "image"),
-    )
+    digits = [
+        (mask_of(j for j, x in enumerate(d) if x > 0 and x >> b & 1),
+         mask_of(j for j, x in enumerate(d) if x < 0 and -x >> b & 1))
+        for b in range(max(map(abs, d), default=0).bit_length())
+    ]
+    image = _image_part(rep, digits)
+    cstar = tuple(image.get(j, 0) for j in range(len(d)))
+    c = tuple(x - y for x, y in zip(d, cstar))
+    return SignedSupportVector(c, "kernel"), SignedSupportVector(cstar, "image")

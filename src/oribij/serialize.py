@@ -73,15 +73,18 @@ def orientation_json(o: Orientation) -> list[int]:
     return [1 if s else 0 for s in o.signs]
 
 
+def _orientation_bits(m: int, n: int) -> list[int]:
+    """``orientation_json`` of the orientation with mask m over n elements."""
+    return [m >> j & 1 for j in range(n)]
+
+
 def table_json_obj(table: BijectionTable) -> dict:
-    rows = []
-    for o, subgraph, tag in table.rows():
-        rows.append({
-            "orientation": orientation_json(o),
-            "subgraph": sorted(subgraph),
-            "tag": tag,
-        })
-    return {"elements": table.rep.element_count, "rows": rows}
+    n = table.rep.element_count
+    rows = [
+        {"orientation": _orientation_bits(m, n), "subgraph": subgraph, "tag": tag}
+        for m, subgraph, tag in table.mask_rows()
+    ]
+    return {"elements": n, "rows": rows}
 
 
 def classes_json_obj(classes: Sequence[Sequence[Orientation]]) -> dict:
@@ -102,10 +105,11 @@ def polynomial_json_obj(poly: MultilinearPolynomial) -> list[dict]:
 
 
 def table_csv(table: BijectionTable) -> str:
+    n = table.rep.element_count
     lines = ["orientation,subgraph,tag"]
-    for o, subgraph, tag in table.rows():
-        bits = "".join("1" if s else "0" for s in o.signs)
-        subset = ";".join(str(e) for e in sorted(subgraph))
+    for m, subgraph, tag in table.mask_rows():
+        bits = "".join(map(str, _orientation_bits(m, n)))
+        subset = ";".join(map(str, subgraph))
         lines.append(f"{bits},{subset},{tag}")
     return "\n".join(lines) + "\n"
 
@@ -119,15 +123,16 @@ def table_dot(table: BijectionTable) -> str:
     g = table.rep.graph
     if g is None:
         raise InputError("DOT output needs a graph-backed representation")
+    n = table.rep.element_count
     lines = ["digraph table {"]
-    for o, subgraph, tag in table.rows():
-        bits = "".join("1" if s else "0" for s in o.signs)
+    for m, subgraph, tag in table.mask_rows():
+        bits = "".join(map(str, _orientation_bits(m, n)))
         lines.append(f'  subgraph "cluster_{bits}" {{')
         lines.append(f'    label="{bits} [{tag}]";')
         for v in range(g.vertex_count):
             lines.append(f'    "o{bits}_v{v}";')
         for j, (tail, head) in enumerate(g.edges):
-            if not o.signs[j]:
+            if not m >> j & 1:
                 tail, head = head, tail
             style = "solid" if j in subgraph else "dashed"
             lines.append(
@@ -138,5 +143,41 @@ def table_dot(table: BijectionTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    The standard library writes indented JSON in pure Python, one chunk per
+    token.  Here dicts with string keys and lists are laid out directly, a
+    list of plain ints in one join; every other value (scalars, non-string
+    keys, container subclasses) is encoded by ``json`` and re-indented.
+    """
+    out: list[str] = []
+    _write_json(obj, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, indent: str, out: list[str]):
+    inner = indent + "  "
+    kind = type(obj)
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        lead = "{\n"
+        for key, value in sorted(obj.items()):
+            out.append(f"{lead}{inner}{_INDENTED.encode(key)}: ")
+            _write_json(value, inner, out)
+            lead = ",\n"
+        out.append(f"\n{indent}}}")
+    elif (kind is list or kind is tuple) and set(map(type, obj)) == {int}:
+        out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{indent}]")
+    elif (kind is list or kind is tuple) and obj:
+        lead = "[\n"
+        for value in obj:
+            out.append(lead + inner)
+            _write_json(value, inner, out)
+            lead = ",\n"
+        out.append(f"\n{indent}]")
+    else:
+        out.append(_INDENTED.encode(obj).replace("\n", "\n" + indent))

@@ -210,6 +210,33 @@ def is_compatible(rep: RegularMatroidRep, o: Orientation | int, sig: Signature) 
     return True
 
 
+def _compatible_set(rep: RegularMatroidRep, sig: Signature) -> int:
+    """All orientations compatible with sig, as a 2^n-bit set (bit m is mask m).
+
+    Bit-parallel ``is_compatible``: an orientation contains a vector when it
+    agrees with the vector's positive arcs and disagrees with its negative
+    ones, so the orientations containing an anti-chosen vector are an AND of
+    per-element sets, and the compatible ones avoid all of them.
+    """
+    n = rep.element_count
+    full = (1 << (1 << n)) - 1
+    # forward[e]: orientations with bit e set, i.e. runs of 2^e zeros then 2^e ones
+    forward = [
+        (((1 << (1 << e)) - 1) << (1 << e)) * (full // ((1 << (2 << e)) - 1))
+        for e in range(n)
+    ]
+    containing = 0
+    for pos, neg in sig.anti_masks:
+        hit = full
+        for e in range(n):
+            if pos >> e & 1:
+                hit &= forward[e]
+            elif neg >> e & 1:
+                hit &= ~forward[e]
+        containing |= hit
+    return full & ~containing
+
+
 def canonical_weights(n: int) -> tuple[int, ...]:
     """Powers of three: never orthogonal to a nonzero {0,+-1} vector."""
     return tuple(3 ** j for j in range(n))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -99,3 +100,180 @@ def unseparated_pairs(images, touching=None) -> list[tuple[int, int]]:
             (min(a, b), max(a, b)) for a in touching for b in range(total) if a != b
         })
     return [(a, b) for a, b in candidates if not (a ^ b) & (images[a] ^ images[b])]
+
+
+# ---------------------------------------------------------------------------
+# reference implementations; none of them calls into the package
+
+
+def fraction_independent_masks(columns, height: int) -> set[int]:
+    """All linearly independent column subsets over Q, by Fraction elimination."""
+    n = len(columns)
+    out = {0}
+
+    def reduce(col, echelon):
+        work = list(col)
+        for pivot, row in echelon:
+            f = work[pivot]
+            if f:
+                work = [a - f * b for a, b in zip(work, row)]
+        return work
+
+    def extend(mask, start, echelon):
+        for j in range(start, n):
+            work = reduce([Fraction(x) for x in columns[j]], echelon)
+            pivot = next((i for i, x in enumerate(work) if x), None)
+            if pivot is None:
+                continue
+            inv = Fraction(1) / work[pivot]
+            row = [x * inv for x in work]
+            out.add(mask | (1 << j))
+            extend(mask | (1 << j), j + 1, echelon + [(pivot, row)])
+
+    if height:
+        extend(0, 0, [])
+    return out
+
+
+def fraction_determinant(matrix) -> Fraction:
+    work = [[Fraction(x) for x in row] for row in matrix]
+    n = len(work)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for i in range(col + 1, n):
+            f = work[i][col] / work[col][col]
+            if f:
+                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
+    return det
+
+
+def minors_are_unit_from_scratch(rows) -> bool:
+    """Whether every square minor lies in {0, +1, -1}, each computed on its own."""
+    r = len(rows)
+    n = len(rows[0]) if rows else 0
+    for k in range(1, min(r, n) + 1):
+        for rsub in itertools.combinations(range(r), k):
+            for csub in itertools.combinations(range(n), k):
+                minor = [[rows[i][j] for j in csub] for i in rsub]
+                if abs(fraction_determinant(minor)) > 1:
+                    return False
+    return True
+
+
+def fraction_inverse(matrix) -> list[list[Fraction]]:
+    n = len(matrix)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if work[i][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def row_space_projection(matrix, n: int) -> list[list[Fraction]]:
+    """P = A^T (A A^T)^-1 A for a full-row-rank A (zero when A has no rows)."""
+    if not matrix:
+        return [[Fraction(0)] * n for _ in range(n)]
+    r = len(matrix)
+    gram_inv = fraction_inverse(
+        [[sum(a * b for a, b in zip(matrix[i], matrix[k])) for k in range(r)] for i in range(r)]
+    )
+    half = [[sum(gram_inv[i][k] * matrix[k][j] for k in range(r)) for j in range(n)]
+            for i in range(r)]
+    return [[sum(matrix[k][i] * half[k][j] for k in range(r)) for j in range(n)]
+            for i in range(n)]
+
+
+def fraction_split(projection, d) -> tuple[list[Fraction], list[Fraction]]:
+    """(c, c*) with c* = P d the row-space part and c = d - c*."""
+    cstar = [sum(p * x for p, x in zip(row, d)) for row in projection]
+    return [x - y for x, y in zip(d, cstar)], cstar
+
+
+def _sign_masks(vec) -> tuple[int, int]:
+    return (sum(1 << j for j, x in enumerate(vec) if x > 0),
+            sum(1 << j for j, x in enumerate(vec) if x < 0))
+
+
+def table_oracle(matrix, n: int, circuits, cocircuits):
+    """The subgraph map and tags of every orientation, straight from the definitions.
+
+    ``circuits`` and ``cocircuits`` are the chosen signed vectors of the two
+    signatures, as tuples.  Classes come from breadth-first reversal of
+    their supports; each class holds one orientation cp containing no
+    anti-chosen vector, the image of the basis whose fundamental circuits
+    and cocircuits all point along the chosen directions; m goes to that
+    basis, plus the support of c, minus the support of c*, where
+    cp - m = c + c* is the exact split with c* = A^T (A A^T)^-1 A (cp - m).
+    Returns (forward, tags) as dicts keyed by orientation mask.
+    """
+    total = 1 << n
+    # m contains the anti-chosen vector (neg, pos) when m covers neg and misses pos
+    anti = [_sign_masks(v) for v in circuits], [_sign_masks(v) for v in cocircuits]
+    sigma_ok, star_ok = (
+        [not any(m & neg == neg and not m & pos for pos, neg in side) for m in range(total)]
+        for side in anti
+    )
+
+    supports = [sum(1 << j for j, x in enumerate(v) if x) for v in (*circuits, *cocircuits)]
+    circuit_supports, cocircuit_supports = supports[:len(circuits)], supports[len(circuits):]
+    bases = [
+        b for b in (sum(1 << e for e in c) for c in itertools.combinations(range(n), len(matrix)))
+        if not any(s & ~b == 0 for s in circuit_supports)
+    ]
+    orientation_of_basis = {}
+    for b in bases:
+        m = 0
+        for e in range(n):
+            if b >> e & 1:
+                (vec,) = [v for v, s in zip(cocircuits, cocircuit_supports) if s & b == 1 << e]
+            else:
+                (vec,) = [v for v, s in zip(circuits, circuit_supports) if s & ~b == 1 << e]
+            if vec[e] > 0:
+                m |= 1 << e
+        orientation_of_basis[m] = b
+    assert len(orientation_of_basis) == len(bases)
+
+    projection = row_space_projection(matrix, n)
+    seen = [False] * total
+    forward, tags = {}, {}
+    for start in range(total):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, queue = [start], [start]
+        while queue:
+            m = queue.pop()
+            for (pos, neg), s in zip((*anti[0], *anti[1]), supports):
+                if m & s in (pos, neg):
+                    if not seen[m ^ s]:
+                        seen[m ^ s] = True
+                        members.append(m ^ s)
+                        queue.append(m ^ s)
+        (cp,) = [m for m in members if sigma_ok[m] and star_ok[m]]
+        basis = orientation_of_basis[cp]
+        for m in members:
+            d = [(cp >> j & 1) - (m >> j & 1) for j in range(n)]
+            _, cstar = fraction_split(projection, d)
+            assert all(x.denominator == 1 for x in cstar)
+            image = sum(1 << j for j, x in enumerate(cstar) if x)
+            kernel = sum(1 << j for j, x in enumerate(d) if x) & ~image
+            forward[m] = (basis | kernel) & ~image
+            tags[m] = {
+                (True, True): "basis", (True, False): "forest",
+                (False, True): "connected-spanning", (False, False): "general",
+            }[sigma_ok[m], star_ok[m]]
+    return forward, tags

@@ -26,12 +26,22 @@ from oribij import (
     loops_only_rep,
     split_kernel_image,
 )
+from oribij.core import _minors_are_unit
 from oribij.geometry import independent_set_polynomial
 from oribij.oracle import reversal_closure_classes
 from oribij.ratlin import dot
 from oribij.reversal import enumerate_classes
 
-from helpers import R10_MATRIX, matrix_rep, random_connected_multigraph, suite_instances
+from helpers import (
+    R10_MATRIX,
+    fraction_independent_masks,
+    fraction_split,
+    matrix_rep,
+    minors_are_unit_from_scratch,
+    random_connected_multigraph,
+    row_space_projection,
+    suite_instances,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +125,45 @@ def test_matrix_past_the_default_cap_is_checked_when_a_cap_lets_it_through(enume
         enumerate_(rep, 16)
     with pytest.raises(InputError, match="not totally unimodular"):
         enumerate_(rep, 17)
+
+
+def test_incremental_minors_match_the_from_scratch_loop():
+    rng = random.Random(29)
+    verdicts = []
+    for _ in range(300):
+        r, n = rng.randint(1, 4), rng.randint(1, 6)
+        # sparse draws are mostly TU, dense ones mostly not
+        density = rng.choice((0.3, 0.5, 0.8))
+        rows = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(r)]
+        verdict = _minors_are_unit(rows)
+        assert verdict == minors_are_unit_from_scratch(rows)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 250
+    for rows in (R10_MATRIX, [[1, 1], [-1, 1]], [[1, 0, 1, 1], [0, 1, 1, -1]], [[2]], []):
+        assert _minors_are_unit(rows) == minors_are_unit_from_scratch(rows)
+
+
+def test_incremental_minors_on_wide_sparse_matrices():
+    # network matrices of random digraphs (TU), and the same with one entry
+    # changed, which mostly breaks total unimodularity
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(12):
+        r, n = rng.randint(3, 4), rng.randint(12, 16)
+        rows = [[0] * n for _ in range(r)]
+        for j in range(n):
+            tail, head = rng.sample(range(r + 1), 2)
+            if tail < r:
+                rows[tail][j] = 1
+            if head < r:
+                rows[head][j] = -1
+        if rng.random() < 0.5:
+            rows[rng.randrange(r)][rng.randrange(n)] = rng.choice((-1, 1))
+        verdict = _minors_are_unit(rows)
+        assert verdict == minors_are_unit_from_scratch(rows)
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_tu_cap():
@@ -459,21 +508,49 @@ def test_split_parts_are_orthogonal_and_sum(triangle_bridge, bowtie):
     rng = random.Random(3)
     for g in (triangle_bridge, bowtie):
         rep = graph_to_rep(g)
-        for _ in range(40):
-            d = [rng.randint(-2, 2) for _ in range(rep.element_count)]
-            try:
-                c, cstar = split_kernel_image(rep, d)
-            except NotSameClassError:
+        projection = row_space_projection(rep.matrix, rep.element_count)
+        draws = [[rng.randint(-2, 2) for _ in range(rep.element_count)] for _ in range(40)]
+        # entries past one binary digit, and every {0,+-1} vector, against
+        # the Fraction split
+        draws += [[-7 * x for x in d] for d in draws]
+        draws += itertools.product((-1, 0, 1), repeat=rep.element_count)
+        split = wide = 0
+        for d in draws:
+            want_c, want_cstar = fraction_split(projection, d)
+            if any(x.denominator != 1 for x in want_cstar):
+                with pytest.raises(NotSameClassError):
+                    split_kernel_image(rep, d)
                 continue
-            assert [a + b for a, b in zip(c.entries, cstar.entries)] == d
+            c, cstar = split_kernel_image(rep, d)
+            assert list(c.entries) == want_c and list(cstar.entries) == want_cstar
+            assert [a + b for a, b in zip(c.entries, cstar.entries)] == list(d)
             assert rep.in_kernel(c.entries)
             assert rep.in_row_space(cstar.entries)
             assert dot(c.entries, cstar.entries) == 0
+            split += 1
+            wide += any(abs(x) > 1 for x in d)
+        assert split > 1 and wide > 1
 
 
 def test_split_signals_non_integral(triangle_rep):
     with pytest.raises(NotSameClassError):
         split_kernel_image(triangle_rep, (1, 0, 0))
+
+
+def test_gf2_independent_sets_match_the_fraction_pass():
+    reps = []
+    for _, rep, _ in suite_instances():
+        reps += [rep, matrix_rep(rep)]
+    wheel = [(i, i % 6 + 1) for i in range(1, 7)] + [(0, i) for i in range(1, 7)]
+    grid = [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    grid += [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)]
+    reps += [
+        RegularMatroidRep.from_rows(R10_MATRIX),
+        graph_to_rep(Graph(7, tuple(wheel))),
+        graph_to_rep(Graph(9, tuple(grid))),
+    ]
+    for rep in reps:
+        assert rep._independent_masks == fraction_independent_masks(rep.columns, rep.rank)
 
 
 def test_independent_sets_count(triangle_rep):

@@ -92,7 +92,8 @@ def test_corrupted_tables_list_the_oracle_pairs(name):
 
 
 # ---------------------------------------------------------------------------
-# the verify output is pinned to the pair-loop implementation's
+# the verify output is pinned to the pair-loop implementation's, and the table
+# output to the inline-split, per-mask compatibility and standard-encoder one's
 
 
 def _input_file(tmp_path, name):
@@ -129,3 +130,18 @@ def test_corrupted_triangle_report_is_unchanged(triangle_rep):
     report = run_verification(triangle_rep, sig, cosig, samples=50, table=corrupted)
     want = json.loads((DATA / "corrupted_triangle_report.json").read_text())
     assert json.loads(json.dumps(report)) == want
+
+
+@pytest.mark.parametrize("name, fmt, digest", [
+    ("W4", "json", "73785140a24ef41e504d69a10fb94f21479272d15bcb3a954efef976f2d583c2"),
+    ("W4", "csv", "3c8a6cefcabc3b628e6cc66a957e7ce5dcc123997f79068f0582c7f10f36de85"),
+    ("W4", "dot", "ae4784eceab85dd5281880a67757aeb029c753ba3aad45602f9b1cd53f8e9ae3"),
+    ("R10", "json", "9eba7822a641a23fa74e1af0461222cf230378e42401f55cc7e15d5c20eeb5c4"),
+    ("R10", "csv", "a2c3a8e42bb2028b03e687b015a5e4b385e36138014ee33a16974bfa1684a09a"),
+])
+def test_table_stdout_is_unchanged(capsys, tmp_path, name, fmt, digest):
+    flag, path = _input_file(tmp_path, name)
+    code = main(["table", flag, path, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
