@@ -22,7 +22,6 @@ from .core import (
     RegularMatroidRep,
     bits_of,
     _image_part,
-    closure_mask_partition,
     enumerate_bases,
     fundamental_circuit,
     fundamental_cocircuit,
@@ -34,7 +33,7 @@ from .errors import (
     NotCompatibleError,
     NotSameClassError,
 )
-from .reversal import _class_split
+from .reversal import _class_masks, _class_split
 from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set, is_compatible
 
 Tag = Literal["basis", "forest", "connected-spanning", "general"]
@@ -118,7 +117,7 @@ class BijectionTable:
 
         forward: dict[int, int] = {}
         tags: dict[int, Tag] = {}
-        for members in closure_mask_partition(rep, "cycle-cocycle"):
+        for members in _class_masks(rep, "cycle-cocycle"):
             compatible = [m for m in members if tag_by_mask[m] == "basis"]
             if len(compatible) != 1:
                 raise InvariantViolationError(

@@ -251,13 +251,25 @@ class RegularMatroidRep:
         return tuple(tuple(row[j] for row in self.matrix) for j in range(self.element_count))
 
     @cached_property
+    def _first_tableau(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The first basis (A's pivot columns) and A's tableau [I | D] on it.
+
+        Entries are ratios of basis determinants (Cramer), so +-1 or 0 if A is unimodular.
+        """
+        rows, pivots = ratlin.row_reduce(self.matrix, self.element_count)
+        first = ratlin.determinant_int([[row[j] for j in pivots] for row in self.matrix])
+        if abs(first) != 1 or any(x not in (-1, 0, 1) for row in rows for x in row):
+            raise InputError("matrix is not totally unimodular")
+        return tuple(pivots), tuple(tuple(int(x) for x in row) for row in rows)
+
+    @cached_property
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
         """Integer rows spanning ker(A); empty when the columns are independent.
 
-        The rows are the fundamental circuits of the lexicographically first
-        basis (the pivot columns of A), one per element outside it.
+        The rows are the fundamental circuits of the first basis, one per
+        element outside it.
         """
-        basis = Basis(frozenset(ratlin.row_reduce(self.matrix, self.element_count)[1]))
+        basis = Basis(frozenset(self._first_tableau[0]))
         return tuple(
             fundamental_circuit(self, basis, e).entries
             for e in range(self.element_count) if e not in basis.elements
@@ -267,16 +279,13 @@ class RegularMatroidRep:
     def _unimodular(self) -> bool:
         """Whether every basis determinant is +-1 (graph-backed reps always are).
 
-        The first basis pivots with +-1 (else ``_basis_tableau`` raises), so
-        every basis determinant is +-1 times a square minor of the non-basis
-        block of its tableau: C(n, r) - 1 minors.
+        Every basis determinant is +-1 times a square minor of the non-basis
+        block D of the first tableau: C(n, r) - 1 minors.
         """
         if self.graph is not None:
             return True
-        n = self.element_count
-        pivots = ratlin.row_reduce(self.matrix, n)[1]
-        tableau = _basis_tableau(self, frozenset(pivots))
-        return _minors_are_unit([[row[j] for j in range(n) if j not in pivots] for row in tableau])
+        pivots, tableau = self._first_tableau
+        return _minors_are_unit([[x for j, x in enumerate(r) if j not in pivots] for r in tableau])
 
     @cached_property
     def _independent_masks(self) -> frozenset[int]:
@@ -396,10 +405,6 @@ class RegularMatroidRep:
         )
         bias = sum(1 << (width * j + width - 1) for j in range(n))
         return columns, t, width, bias
-
-    @cached_property
-    def _closure_cache(self) -> dict[str, tuple[tuple[int, ...], ...]]:
-        return {}
 
     # -- membership helpers ---------------------------------------------------
 
@@ -587,12 +592,12 @@ def enumerate_independent_sets(
 # fundamental circuits / cocircuits
 
 def _basis_tableau(rep: RegularMatroidRep, basis: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    """Rows of A_b^{-1} A, computed with the +-1 pivots a TU matrix guarantees."""
+    """Rows of A_b^{-1} A, pivoted from the first tableau: all pivots +-1 if A is unimodular."""
     cached = rep._tableaus.get(basis)
     if cached is not None:
         return cached
     cols = sorted(basis)
-    work = [list(row) for row in rep.matrix]
+    work = [list(row) for row in rep._first_tableau[1]]
     for i, col in enumerate(cols):
         pivot = next((k for k in range(i, rep.rank) if work[k][col]), None)
         if pivot is None:
@@ -743,13 +748,10 @@ def conformal_decompose(
 def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int, ...], ...]:
     """Reversal classes by breadth-first closure over single reversal moves.
 
-    Signature-free: the only moves are "reverse one directed circuit" and/or
-    "reverse one directed cocircuit".  Returns sorted tuples of orientation
-    masks, cached per rep and kind.
+    The class oracle's alone (kept in core for the benchmark's tracer); the only
+    moves are "reverse one directed circuit" and/or "reverse one directed
+    cocircuit".  Returns sorted tuples of orientation masks, by least member.
     """
-    cached = rep._closure_cache.get(kind)
-    if cached is not None:
-        return cached
     pools = {
         "cycle": (rep._circuits,),
         "cocycle": (rep._cocircuits,),
@@ -782,9 +784,7 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
                         members.append(nxt)
                         queue.append(nxt)
         classes.append(tuple(sorted(members)))
-    result = tuple(sorted(classes, key=lambda c: c[0]))
-    rep._closure_cache[kind] = result
-    return result
+    return tuple(sorted(classes, key=lambda c: c[0]))
 
 
 def _image_part(

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: deletion-contraction for Tutte
 evaluations, union-find subgraph classification, breadth-first closure for
 reversal classes, and a generic bijection auditor.  Nothing in this module
-consults signatures or the bijection tables it is used to check.
+consults signatures or the bijection tables it is used to check, and the
+closure shares no code with the linear keys that partition the classes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .core import (
     _require_cap,
     closure_mask_partition,
 )
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError
 
 
 def tutte(g: Graph, x: int, y: int, cap: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -159,8 +160,6 @@ def reversal_closure_classes(
 ) -> tuple[tuple[Orientation, ...], ...]:
     """Reversal classes by BFS over single-reversal moves (signature-free)."""
     _require_cap(rep, cap)
-    if kind not in ("cycle", "cocycle", "cycle-cocycle"):
-        raise InputError(f"unknown reversal kind {kind!r}")
     n = rep.element_count
     return tuple(
         tuple(Orientation.from_mask(n, m) for m in members)

@@ -3,6 +3,10 @@
 Reversing a directed circuit in an orientation subtracts its sign vector.
 Under an acyclic signature every reversal class has a unique compatible
 orientation; iterating "reverse an anti-chosen circuit" reaches it.
+
+The classes need no signature: cycle classes are the fibres of o -> A o,
+cocycle classes those of o -> K o (K the kernel basis), and joint classes
+the join of the two partitions.  ``_class_masks`` is the one partition.
 """
 
 from __future__ import annotations
@@ -20,14 +24,8 @@ from .core import (
     conformal_decompose,
     split_kernel_image,
 )
-from .errors import InputError, InvariantViolationError
-from .signatures import (
-    CIRCUIT,
-    COCIRCUIT,
-    Signature,
-    canonical_signature_pair,
-)
-from . import ratlin
+from .errors import InputError, InvariantViolationError, NotSameClassError
+from .signatures import CIRCUIT, COCIRCUIT, Signature
 
 Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
 KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
@@ -165,40 +163,67 @@ def same_class(
         return rep.in_kernel(d)
     if kind == "cocycle":
         return rep.in_row_space(d)
-    if kind == "cycle-cocycle":
-        sig, cosig = canonical_signature_pair(rep)
-        return _joint_representative_mask(rep, o1.mask, sig, cosig) == \
-            _joint_representative_mask(rep, o2.mask, sig, cosig)
+    if kind == "cycle-cocycle":  # same class iff d lies in ker(A) + row(A) over Z
+        try:
+            split_kernel_image(rep, d)
+        except NotSameClassError:
+            return False
+        return True
     raise InputError(f"unknown reversal kind {kind!r}")
+
+
+def _fibre_labels(rows: tuple[tuple[int, ...], ...], n: int) -> list[int]:
+    """Per orientation mask, the number (by least member) of its fibre of o -> R o.
+
+    Key R o is one int of signed fields, each a sign bit wider than its row's
+    absolute sum, so distinct images get distinct keys: key(m) = key(m less its
+    top bit) + that bit's packed column.
+    """
+    columns = [0] * n
+    shift = 0
+    for row in rows:
+        for j, x in enumerate(row):
+            columns[j] += x << shift
+        shift += sum(map(abs, row)).bit_length() + 1
+    keys = [0]
+    for column in columns:
+        keys += [key + column for key in keys]
+    number: dict[int, int] = {}
+    return [number.setdefault(key, len(number)) for key in keys]
+
+
+def _class_masks(rep: RegularMatroidRep, kind: Kind) -> tuple[tuple[int, ...], ...]:
+    """Reversal classes as sorted tuples of orientation masks, by least member."""
+    if kind not in KINDS:
+        raise InputError(f"unknown reversal kind {kind!r}")
+    labels = _fibre_labels(rep.kernel_basis if kind == "cocycle" else rep.matrix, rep.element_count)
+    if kind == "cycle-cocycle":
+        # union-find over the cycle classes, merged along each cocycle class
+        parent = list(range(max(labels) + 1))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        first: dict[int, int] = {}
+        for m, c in enumerate(_fibre_labels(rep.kernel_basis, rep.element_count)):
+            a, b = find(labels[m]), find(first.setdefault(c, labels[m]))
+            parent[max(a, b)] = min(a, b)
+        labels = [find(c) for c in labels]
+    groups: dict[int, list[int]] = {}
+    for m, c in enumerate(labels):
+        groups.setdefault(c, []).append(m)
+    return tuple(tuple(members) for members in groups.values())
 
 
 def enumerate_classes(
     rep: RegularMatroidRep, kind: Kind, cap: int = DEFAULT_ELEMENT_CAP
 ) -> tuple[tuple[Orientation, ...], ...]:
-    """Partition of all orientations into reversal classes of the given kind.
-
-    Cycle and cocycle classes are keyed by exact linear invariants (the image
-    under A, resp. the pairing with the kernel); joint classes are grouped by
-    their compatible representative under the canonical signature pair.
-    """
+    """Partition of all orientations into reversal classes of the given kind."""
     _require_cap(rep, cap)
     n = rep.element_count
-    if kind not in KINDS:
-        raise InputError(f"unknown reversal kind {kind!r}")
-    groups: dict[tuple | int, list[int]] = {}
-    if kind == "cycle-cocycle":
-        sig, cosig = canonical_signature_pair(rep)
-        for m in rep.orientation_universe():
-            key = _joint_representative_mask(rep, m, sig, cosig)
-            groups.setdefault(key, []).append(m)
-    else:
-        rows = rep.matrix if kind == "cycle" else rep.kernel_basis
-        for m in rep.orientation_universe():
-            vec = [(m >> j) & 1 for j in range(n)]
-            key = tuple(ratlin.dot(row, vec) for row in rows)
-            groups.setdefault(key, []).append(m)
-    classes = sorted(groups.values(), key=min)
     return tuple(
-        tuple(Orientation.from_mask(n, m) for m in sorted(members))
-        for members in classes
+        tuple(Orientation.from_mask(n, m) for m in members)
+        for members in _class_masks(rep, kind)
     )

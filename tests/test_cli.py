@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from oribij import CIRCUIT, COCIRCUIT, RegularMatroidRep, canonical_weights, signature_from_weights
 from oribij.cli import main
+
+from helpers import table_oracle
 
 
 @pytest.fixture
@@ -224,6 +227,37 @@ def test_non_tu_matrix_cycle_classes_exit_2(capsys, tmp_path, matrix):
     code, _, err = run(capsys, ["classes", "--matroid", str(path), "--kind", "cycle"])
     assert code == 2
     assert "not totally unimodular" in err
+
+
+@pytest.mark.parametrize("matrix", [
+    # unimodular but not TU: naive pivoting from A meets a 2 on basis {1, 2, 3}
+    [[0, 1, 1, -1], [-1, -1, 1, 0], [-1, -1, 0, 0]],
+    # one basis, of determinant -1; naive pivoting meets a -2 on it
+    [[1, 1, 0], [1, -1, 1], [0, 1, 0]],
+])
+def test_matrix_accepted_at_load_is_accepted_by_every_command(capsys, tmp_path, matrix):
+    path = tmp_path / "unimodular.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    commands = [["table"], ["verify"], ["ehrhart"], ["signature-check"]]
+    commands += [["classes", "--kind", kind] for kind in ("cycle", "cocycle", "cycle-cocycle")]
+    outputs = {}
+    for command in commands:
+        code, out, err = run(capsys, [command[0], "--matroid", str(path), *command[1:]])
+        assert (code, err) == (0, ""), command
+        outputs[command[0]] = json.loads(out)
+    assert outputs["verify"]["passed"]
+    rep = RegularMatroidRep.from_rows(matrix)
+    n = rep.element_count
+    sig, cosig = (signature_from_weights(rep, canonical_weights(n), side)
+                  for side in (CIRCUIT, COCIRCUIT))
+    forward, tags = table_oracle(matrix, n, [v.entries for v in sig.chosen],
+                                 [v.entries for v in cosig.chosen])
+    rows = outputs["table"]["rows"]
+    assert len(rows) == 1 << n
+    for row in rows:
+        m = sum(1 << j for j, bit in enumerate(row["orientation"]) if bit)
+        assert row["subgraph"] == [j for j in range(n) if forward[m] >> j & 1]
+        assert row["tag"] == tags[m]
 
 
 def test_matroid_past_the_element_cap_exits_3(capsys, tmp_path):

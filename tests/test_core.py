@@ -261,6 +261,8 @@ def test_circuits_and_cocircuits_match_brute_force():
         if g.edge_count <= 8:
             reps += [rep, matrix_rep(rep)]
     reps.append(RegularMatroidRep.from_rows(R10_MATRIX))
+    # unimodular but not TU: every basis tableau is pivoted from the first one
+    reps.append(RegularMatroidRep.from_rows([[0, 1, 1, -1], [-1, -1, 1, 0], [-1, -1, 0, 0]]))
     for rep in reps:
         n = rep.element_count
         circuits = _support_minimal_sign_vectors(

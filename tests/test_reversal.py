@@ -1,11 +1,15 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import oribij
 from oribij import (
     BijectionTable,
     CIRCUIT,
     COCIRCUIT,
+    Graph,
     InputError,
     Orientation,
     SignedSupportVector,
@@ -19,6 +23,8 @@ from oribij import (
     graph_to_rep,
     is_compatible,
     orientation_to_subgraph,
+    rep_for,
+    RegularMatroidRep,
     reversal_closure_classes,
     reverse,
     same_class,
@@ -26,7 +32,17 @@ from oribij import (
     tutte,
 )
 
-from helpers import matrix_rep, random_connected_multigraph, random_signature_pair
+from oribij import bijection, core, oracle, reversal, signatures
+
+from helpers import (
+    R10_MATRIX,
+    matrix_rep,
+    random_connected_multigraph,
+    random_signature_pair,
+    suite_instances,
+)
+
+KINDS = ("cycle", "cocycle", "cycle-cocycle")
 
 
 def test_reverse_full_circuit(triangle_rep):
@@ -222,18 +238,93 @@ def test_class_counts_match_tutte():
             assert len(enumerate_classes(rep, kind)) == tutte(g, x, y)
 
 
-def test_classes_match_bfs_oracle():
+def _complete(k):
+    return Graph(k, tuple((i, j) for i in range(k) for j in range(i + 1, k)))
+
+
+def test_classes_match_bfs_oracle(triangle_loop, triangle_bridge):
     rng = random.Random(37)
-    for _ in range(6):
-        g = random_connected_multigraph(rng, rng.randint(3, 8))
-        rep = graph_to_rep(g)
-        for kind in ("cycle", "cocycle", "cycle-cocycle"):
-            ours = sorted(tuple(o.mask for o in cls) for cls in enumerate_classes(rep, kind))
-            oracle = sorted(
-                tuple(sorted(o.mask for o in cls))
-                for cls in reversal_closure_classes(rep, kind)
-            )
-            assert ours == oracle
+    reps = [graph_to_rep(random_connected_multigraph(rng, rng.randint(3, 8))) for _ in range(6)]
+    reps += [graph_to_rep(g) for g in (_complete(5), triangle_loop, triangle_bridge)]
+    reps.append(rep_for(Graph(1, ((0, 0), (0, 0), (0, 0)))))
+    reps += [matrix_rep(rep) for rep in reps]
+    reps.append(RegularMatroidRep.from_rows(R10_MATRIX))
+    for rep in reps:
+        for kind in KINDS:
+            ours = [tuple(o.mask for o in cls) for cls in enumerate_classes(rep, kind)]
+            oracle = [tuple(o.mask for o in cls) for cls in reversal_closure_classes(rep, kind)]
+            assert ours == oracle, (rep.matrix, kind)
+
+
+def test_same_class_matches_oracle_membership():
+    reps = [rep for g, rep, _ in suite_instances() if g.edge_count <= 6]
+    reps += [matrix_rep(rep) for rep in reps]
+    assert len(reps) > 20
+    for rep in reps:
+        n = rep.element_count
+        orientations = [Orientation.from_mask(n, m) for m in rep.orientation_universe()]
+        for kind in KINDS:
+            label = {}
+            for i, cls in enumerate(reversal_closure_classes(rep, kind)):
+                label.update((o.mask, i) for o in cls)
+            for a in orientations:
+                for b in orientations:
+                    assert same_class(rep, a, b, kind) == (label[a.mask] == label[b.mask])
+
+
+def _parallel(k):
+    return graph_to_rep(Graph(2, ((0, 1),) * k))
+
+
+def test_joint_classes_honour_the_callers_cap():
+    assert len(enumerate_classes(_parallel(17), "cycle-cocycle", cap=17)) == 17
+    # same_class enumerates nothing, so no cap applies
+    rep = _parallel(20)
+    ref = Orientation.reference(20)
+    assert same_class(rep, ref, Orientation.from_mask(20, 0), "cycle-cocycle")
+    assert not same_class(rep, ref, Orientation.from_mask(20, 1), "cycle-cocycle")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the oracle or a signature was consulted")
+
+
+@pytest.mark.parametrize("name", ["K4", "R10"])
+def test_partitions_consult_neither_the_oracle_nor_signatures(monkeypatch, name):
+    rep = graph_to_rep(_complete(4)) if name == "K4" else RegularMatroidRep.from_rows(R10_MATRIX)
+    n = rep.element_count
+    weights = [3 ** j for j in range(n)]
+    sig = signature_from_weights(rep, weights, CIRCUIT)
+    cosig = signature_from_weights(rep, weights, COCIRCUIT)
+    # every module that binds one of these names, not only the defining one
+    for module in (oribij, core, oracle, reversal, signatures, bijection):
+        for attr in ("closure_mask_partition", "_joint_representative_mask",
+                     "canonical_signature_pair"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, _refuse)
+    table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+    joint = enumerate_classes(rep, "cycle-cocycle")
+    assert len(joint) == sum(tag == "basis" for tag in table.tags.values())
+    for kind in KINDS:
+        classes = enumerate_classes(rep, kind)
+        largest = max(classes, key=len)
+        assert len(largest) > 1
+        assert same_class(rep, largest[0], largest[-1], kind)
+        assert not same_class(rep, classes[0][0], classes[1][0], kind)
+
+
+def test_only_the_oracle_calls_the_closure_and_nothing_calls_the_canonical_pair():
+    callers = set()
+    for path in sorted(Path(oribij.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if name in ("closure_mask_partition", "canonical_signature_pair"):
+                            callers.add((path.stem, fn.name, name))
+    assert callers == {("oracle", "reversal_closure_classes", "closure_mask_partition")}
 
 
 def test_representatives_constant_on_classes(triangle_rep):

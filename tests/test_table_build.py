@@ -80,9 +80,9 @@ def test_cyclic_explicit_signature_pair_is_refused(theta_rep):
 
 def test_class_with_two_compatible_orientations_is_refused(monkeypatch):
     rep = _k4()
-    classes = bijection.closure_mask_partition(rep, "cycle-cocycle")
+    classes = bijection._class_masks(rep, "cycle-cocycle")
     merged = [classes[0] + classes[1], *classes[2:]]
-    monkeypatch.setattr(bijection, "closure_mask_partition", lambda *args: merged)
+    monkeypatch.setattr(bijection, "_class_masks", lambda *args: merged)
     with pytest.raises(InvariantViolationError, match="has 2 compatible orientations, not 1"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
@@ -107,14 +107,14 @@ def test_basis_map_missing_a_representative_is_refused(monkeypatch):
 def test_orientation_outside_its_class_is_refused(monkeypatch):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    classes = [list(c) for c in bijection.closure_mask_partition(rep, "cycle-cocycle")]
+    classes = [list(c) for c in bijection._class_masks(rep, "cycle-cocycle")]
     source = next(c for c in classes if len(c) > 1)
     stray = next(
         m for m in source if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig))
     )
     source.remove(stray)
     next(c for c in classes if c is not source).append(stray)
-    monkeypatch.setattr(bijection, "closure_mask_partition", lambda *args: classes)
+    monkeypatch.setattr(bijection, "_class_masks", lambda *args: classes)
     with pytest.raises(InvariantViolationError, match="class split is not integral"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
 

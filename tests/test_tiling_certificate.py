@@ -92,8 +92,9 @@ def test_corrupted_tables_list_the_oracle_pairs(name):
 
 
 # ---------------------------------------------------------------------------
-# the verify output is pinned to the pair-loop implementation's, and the table
-# output to the inline-split, per-mask compatibility and standard-encoder one's
+# the verify output is pinned to the pair-loop implementation's, the table
+# output to the inline-split, per-mask compatibility and standard-encoder one's,
+# and the classes output to the dot-product keys' and signature walk's
 
 
 def _input_file(tmp_path, name):
@@ -142,6 +143,22 @@ def test_corrupted_triangle_report_is_unchanged(triangle_rep):
 def test_table_stdout_is_unchanged(capsys, tmp_path, name, fmt, digest):
     flag, path = _input_file(tmp_path, name)
     code = main(["table", flag, path, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, kind, digest", [
+    ("W4", "cycle", "e6814a52c0162c1b06ff8b7d46e70e4e96619c91ecb13418121da05ad7cb766b"),
+    ("W4", "cocycle", "5ab4b963d75ecbf7a3f707d6b7482538ade80173af4b9fab0bfa8c858a54aa74"),
+    ("W4", "cycle-cocycle", "a3cc9f6c8473919162764232cbfc19a207cb475e36ccd77be34de36013cdc41a"),
+    ("R10", "cycle", "288cd4be8baeefad0f7c1ecf6da43e0e905db4b11bfbc55999fac400ca0375db"),
+    ("R10", "cocycle", "ab8808494a9e46492442da0d343fa6d1664a02e5782fde7db352abadd0f67a2b"),
+    ("R10", "cycle-cocycle", "33d6902e70b6b0f81486ed32c6699267cffb752a6ab03afe10e6149c47910727"),
+])
+def test_classes_stdout_is_unchanged(capsys, tmp_path, name, kind, digest):
+    flag, path = _input_file(tmp_path, name)
+    code = main(["classes", flag, path, "--kind", kind])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
