@@ -5,8 +5,10 @@ fundamental circuit (off the basis) and fundamental cocircuit (on it); that
 map is a bijection onto the jointly compatible orientations.  Extending by
 "add reversed circuit supports, remove reversed cocircuit supports" turns it
 into a bijection from all orientations to all subsets of the ground set.
-Inverses are table-based: the forward map is enumerated once per
-(rep, signatures) triple and cached.
+A forward single query needs only its orientation's class split and the
+basis map, which is read off the basis tableaux once per (rep, signatures)
+triple and cached; the whole 2^n table, also cached, serves the commands
+that need every row and the inverse maps.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from .core import (
     PartialOrientation,
     RegularMatroidRep,
     bits_of,
+    _basis_tableau,
     _image_part,
+    _require_cap,
     enumerate_bases,
-    fundamental_circuit,
-    fundamental_cocircuit,
     mask_of,
 )
 from .errors import (
@@ -95,20 +97,12 @@ class BijectionTable:
         cls, rep: RegularMatroidRep, sig: Signature, cosig: Signature,
         cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
     ) -> "BijectionTable":
-        if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
-            raise InputError("need a circuit signature and a cocircuit signature")
         key = (rep, sig, cosig, rep.graph is not None)
         if use_cache and key in _TABLE_CACHE:
             return _TABLE_CACHE[key]
 
         n = rep.element_count
-        basis_orientations: dict[frozenset[int], int] = {}
-        for basis in enumerate_bases(rep, cap):
-            m = _orient_basis_mask(rep, basis, sig, cosig)
-            basis_orientations[basis.elements] = m
-        orientation_bases = {m: b for b, m in basis_orientations.items()}
-        if len(orientation_bases) != len(basis_orientations):
-            raise InvariantViolationError("basis map is not injective")
+        basis_orientations, orientation_bases = _basis_map(rep, sig, cosig, cap, use_cache)
 
         total = 1 << n
         sigma_ok = f"{_compatible_set(rep, sig):0{total}b}"[::-1]
@@ -166,18 +160,63 @@ def _check_tag(rep: RegularMatroidRep, tag: Tag, subgraph_mask: int):
         )
 
 
+_UNIT = frozenset((-1, 0, 1))
+
+
 def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> int:
+    """The orientation of a basis, read off its tableau.
+
+    Row i of the tableau is the fundamental cocircuit of the i-th basis
+    element b, with +1 at b; the fundamental circuit of e off the basis is
+    +1 at e and nonzero at the b whose row is nonzero at e.  Either way the
+    element is oriented forward when it is positive in the chosen vector on
+    that support.
+    """
+    tableau = _basis_tableau(rep, basis.elements)
+    circuit_supports = [1 << e for e in range(rep.element_count)]
     mask = 0
-    for e in range(rep.element_count):
-        if e in basis.elements:
-            vec = fundamental_cocircuit(rep, basis, e)
-            chosen = cosig.choice(vec.support)
-        else:
-            vec = fundamental_circuit(rep, basis, e)
-            chosen = sig.choice(vec.support)
-        if chosen.entries[e] > 0:
-            mask |= 1 << e
+    for b, row in zip(sorted(basis.elements), tableau):
+        if not _UNIT.issuperset(row):
+            raise InputError("matrix is not totally unimodular")
+        support = 0
+        for e, x in enumerate(row):
+            if x:
+                support |= 1 << e
+                circuit_supports[e] |= 1 << b
+        mask |= cosig.chosen_pos_mask(support) & 1 << b
+    off = ~basis.mask
+    for e, support in enumerate(circuit_supports):
+        if off >> e & 1:
+            mask |= sig.chosen_pos_mask(support) & 1 << e
     return mask
+
+
+_BASIS_MAP_CACHE: dict[tuple, tuple[dict[frozenset[int], int], dict[int, frozenset[int]]]] = {}
+
+
+def _basis_map(
+    rep: RegularMatroidRep, sig: Signature, cosig: Signature,
+    cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
+) -> tuple[dict[frozenset[int], int], dict[int, frozenset[int]]]:
+    """(basis -> orientation mask, orientation mask -> basis) for one signature pair."""
+    if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
+        raise InputError("need a circuit signature and a cocircuit signature")
+    _require_cap(rep, cap)
+    # the graph flag keeps a graph rep and its equal matrix twin apart, so a
+    # hit matches its own signatures by identity, not vector by vector
+    key = (rep, sig, cosig, rep.graph is not None)
+    if use_cache and key in _BASIS_MAP_CACHE:
+        return _BASIS_MAP_CACHE[key]
+    basis_orientations = {
+        basis.elements: _orient_basis_mask(rep, basis, sig, cosig)
+        for basis in enumerate_bases(rep, cap)
+    }
+    orientation_bases = {m: b for b, m in basis_orientations.items()}
+    if len(orientation_bases) != len(basis_orientations):
+        raise InvariantViolationError("basis map is not injective")
+    if use_cache:
+        _BASIS_MAP_CACHE[key] = basis_orientations, orientation_bases
+    return basis_orientations, orientation_bases
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +237,41 @@ def basis_from_orientation(
     rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature
 ) -> Basis:
     """Invert basis_to_orientation on a jointly compatible orientation."""
+    if len(o) != rep.element_count:
+        raise InputError("orientation length disagrees with the ground set")
     if not (is_compatible(rep, o, sig) and is_compatible(rep, o, cosig)):
         raise NotCompatibleError("orientation is not jointly compatible")
-    table = BijectionTable.build(rep, sig, cosig)
-    found = table.orientation_bases.get(o.mask)
+    found = _basis_map(rep, sig, cosig)[1].get(o.mask)
     if found is None:
         raise InvariantViolationError("compatible orientation has no basis preimage")
     return Basis(found)
 
 
-def orientation_to_subgraph(
+def _subgraph_and_tag(
     rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature
-) -> frozenset[int]:
-    """Map an orientation to a subgraph via its class split.
+) -> tuple[int, Tag]:
+    """One row of the table, without the table: o's image mask and its tag.
 
-    The subgraph is the representative's basis, plus the supports of the
+    The image is the representative's basis, plus the supports of the
     reversed circuits, minus the supports of the reversed cocircuits.  The
     reversed circuits are disjoint and sum to the kernel part of
     representative - o (the cocircuits likewise to the row-space part), so
-    their supports are read off the split without decomposing it.
+    their supports are read off the split without decomposing it.  The row
+    is checked as the build checks each row: the tag must match the image.
     """
     cp, c, cstar = _class_split(rep, o, sig, cosig)
     basis = basis_from_orientation(rep, cp, sig, cosig)
-    return (basis.elements | c.support) - cstar.support
+    image = (basis.mask | c.pos_mask | c.neg_mask) & ~(cstar.pos_mask | cstar.neg_mask)
+    tag = _TAGS[is_compatible(rep, o, sig), is_compatible(rep, o, cosig)]
+    _check_tag(rep, tag, image)
+    return image, tag
+
+
+def orientation_to_subgraph(
+    rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature
+) -> frozenset[int]:
+    """Map an orientation to a subgraph via its class split (see _subgraph_and_tag)."""
+    return frozenset(bits_of(_subgraph_and_tag(rep, o, sig, cosig)[0]))
 
 
 def subgraph_to_orientation(
@@ -242,11 +293,8 @@ def orientation_to_subgraph_complement(
 def classify_specialization(
     rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature
 ) -> Tag:
-    """Tag an orientation by which compatibility it enjoys, with cross-check."""
-    table = BijectionTable.build(rep, sig, cosig)
-    tag = table.tags[o.mask]
-    _check_tag(rep, tag, table.forward[o.mask])
-    return tag
+    """Tag an orientation by which compatibility it enjoys, cross-checked on its image."""
+    return _subgraph_and_tag(rep, o, sig, cosig)[1]
 
 
 def restricted_subgraph_map(

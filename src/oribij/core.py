@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal, Mapping, Sequence
@@ -33,6 +34,8 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 16
 DEFAULT_TU_CAP = 12
+# square minors is_totally_unimodular may visit: C(r + n, r) - 1 for r x n
+TU_MINOR_CAP = 10 ** 6
 
 Side = Literal["kernel", "image", "free"]
 
@@ -464,10 +467,21 @@ def rep_for(g: Graph) -> RegularMatroidRep:
 # total unimodularity
 
 def is_totally_unimodular(matrix: Sequence[Sequence[int]], cap: int = DEFAULT_TU_CAP) -> bool:
-    """Exhaustively check that every square minor lies in {0, +1, -1}."""
+    """Exhaustively check that every square minor lies in {0, +1, -1}.
+
+    Refused (CapExceededError) when min(r, n) exceeds ``cap`` or the square
+    minors number more than TU_MINOR_CAP.
+    """
     rows = [tuple(int(x) for x in row) for row in matrix]
-    if min(len(rows), len(rows[0]) if rows else 0) > cap:
+    r, n = len(rows), len(rows[0]) if rows else 0
+    if min(r, n) > cap:
         raise CapExceededError(f"minor check needs min(r, n) <= {cap}")
+    # sum over k of C(r, k) * C(n, k) square minors, by Vandermonde
+    minors = math.comb(r + n, r) - 1
+    if minors > TU_MINOR_CAP:
+        raise CapExceededError(
+            f"minor check visits {minors} square minors, more than {TU_MINOR_CAP}"
+        )
     return _minors_are_unit(rows)
 
 

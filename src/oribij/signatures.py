@@ -20,6 +20,7 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
+    bits_of,
     enumerate_signed_circuits,
     enumerate_signed_cocircuits,
 )
@@ -45,6 +46,14 @@ class Signature:
     chosen: tuple[SignedSupportVector, ...]
     provenance: str = "explicit"
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash of the fields, which never change
+        return hash((self.side, self.chosen, self.provenance))
+
     @cached_property
     def by_support(self) -> dict[frozenset[int], SignedSupportVector]:
         return {vec.support: vec for vec in self.chosen}
@@ -55,6 +64,18 @@ class Signature:
             return self.by_support[key]
         except KeyError:
             raise InputError(f"no circuit with support {sorted(key)}") from None
+
+    @cached_property
+    def pos_by_support(self) -> dict[int, int]:
+        """Support mask -> positive mask of the chosen vector on that support."""
+        return {v.pos_mask | v.neg_mask: v.pos_mask for v in self.chosen}
+
+    def chosen_pos_mask(self, support: int) -> int:
+        """``choice`` by support mask, answering with the chosen positive mask."""
+        try:
+            return self.pos_by_support[support]
+        except KeyError:
+            raise InputError(f"no circuit with support {bits_of(support)}") from None
 
     @cached_property
     def chosen_masks(self) -> tuple[tuple[int, int], ...]:

@@ -9,9 +9,12 @@ from fractions import Fraction
 from oribij import (
     CIRCUIT,
     COCIRCUIT,
+    Basis,
     Graph,
     RegularMatroidRep,
     Signature,
+    fundamental_circuit,
+    fundamental_cocircuit,
     graph_to_rep,
     signature_from_weights,
 )
@@ -100,6 +103,25 @@ def unseparated_pairs(images, touching=None) -> list[tuple[int, int]]:
             (min(a, b), max(a, b)) for a in touching for b in range(total) if a != b
         })
     return [(a, b) for a, b in candidates if not (a ^ b) & (images[a] ^ images[b])]
+
+
+def orient_basis_by_vectors(
+    rep: RegularMatroidRep, basis: Basis, sig: Signature, cosig: Signature
+) -> int:
+    """A basis's orientation mask by definition, one signed vector per element.
+
+    Element e follows the chosen direction of its fundamental circuit (e off
+    the basis) or fundamental cocircuit (e on it).
+    """
+    mask = 0
+    for e in range(rep.element_count):
+        if e in basis.elements:
+            chosen = cosig.choice(fundamental_cocircuit(rep, basis, e).support)
+        else:
+            chosen = sig.choice(fundamental_circuit(rep, basis, e).support)
+        if chosen.entries[e] > 0:
+            mask |= 1 << e
+    return mask
 
 
 # ---------------------------------------------------------------------------

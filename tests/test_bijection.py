@@ -76,6 +76,19 @@ def test_basis_from_incompatible_orientation_rejected(triangle_rep):
         basis_from_orientation(triangle_rep, Orientation.from_mask(3, 0), sig, cosig)
 
 
+@pytest.mark.parametrize("query", [
+    basis_from_orientation,
+    classify_specialization,
+    orientation_to_subgraph,
+    orientation_to_subgraph_complement,
+])
+def test_wrong_length_orientation_fails_at_the_door(triangle_rep, query):
+    sig, cosig = canonical_signature_pair(triangle_rep)
+    for o in (Orientation.from_mask(5, 21), Orientation.from_mask(2, 1)):
+        with pytest.raises(InputError, match="orientation length disagrees with the ground set"):
+            query(triangle_rep, o, sig, cosig)
+
+
 def test_basis_separation_property():
     rng = random.Random(41)
     for _ in range(6):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from oribij import (
     loops_only_rep,
     split_kernel_image,
 )
+from oribij import core
 from oribij.core import _minors_are_unit
 from oribij.geometry import independent_set_polynomial
 from oribij.oracle import reversal_closure_classes
@@ -170,6 +172,27 @@ def test_tu_cap():
     big = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
     with pytest.raises(CapExceededError):
         is_totally_unimodular(big)
+
+
+def test_tu_minor_count_cap_refuses_before_any_minor(monkeypatch):
+    # network matrix of a random digraph on 9 vertices and 30 arcs, last row
+    # dropped: 8 x 30, so C(38, 8) - 1 = 48,903,491 square minors
+    rng = random.Random(37)
+    rows = [[0] * 30 for _ in range(8)]
+    for j in range(30):
+        tail, head = rng.sample(range(9), 2)
+        if tail < 8:
+            rows[tail][j] = 1
+        if head < 8:
+            rows[head][j] = -1
+    checked = []
+    monkeypatch.setattr(core, "_minors_are_unit", lambda rows: checked.append(rows) or True)
+    with pytest.raises(CapExceededError, match=f"visits {math.comb(38, 8) - 1} square minors"):
+        is_totally_unimodular(rows)
+    assert checked == []
+    # R10 has C(15, 5) - 1 = 3,002 square minors, well under the cap
+    monkeypatch.undo()
+    assert is_totally_unimodular(R10_MATRIX)
 
 
 # ---------------------------------------------------------------------------

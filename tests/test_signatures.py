@@ -6,8 +6,10 @@ from oribij import (
     CIRCUIT,
     COCIRCUIT,
     CapExceededError,
+    Graph,
     InputError,
     Orientation,
+    Signature,
     canonical_signature_pair,
     canonical_weights,
     directed_circuits_in,
@@ -180,3 +182,19 @@ def test_canonical_weights_never_tie():
 def test_weight_length_validated(triangle_rep):
     with pytest.raises(InputError):
         signature_from_weights(triangle_rep, (1, 2), CIRCUIT)
+
+
+def test_signature_hash_is_the_field_hash():
+    rep = graph_to_rep(Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4))))
+    weights = canonical_weights(rep.element_count)
+    for side in (CIRCUIT, COCIRCUIT):
+        sig = signature_from_weights(rep, weights, side)
+        assert hash(sig) == hash((sig.side, sig.chosen, sig.provenance))
+        twin = signature_from_weights(rep, weights, side)
+        copy = Signature(side=sig.side, chosen=tuple(v for v in sig.chosen),
+                         provenance=sig.provenance)
+        for other in (twin, copy):
+            assert other is not sig and other == sig and hash(other) == hash(sig)
+        explicit = explicit_signature(rep, side, [v.entries for v in sig.chosen])
+        assert explicit != sig
+        assert hash(explicit) == hash((side, sig.chosen, "explicit"))

@@ -1,9 +1,12 @@
-"""The table build against the Fraction oracle, and every way it can refuse.
+"""The table build and single queries against the Fraction oracle, and every way they refuse.
 
 ``BijectionTable.build`` splits cp - m through packed projection columns and
-gets its compatibility flags bit-parallel.  These tests hold both to the
-plain definitions in ``helpers`` (exact Fraction projection, per-mask
-``is_compatible``) and make each of the build's invariant checks fire.
+gets its compatibility flags bit-parallel; single queries split one
+orientation the same way and read its representative's basis off the basis
+map, which orients each basis straight off its tableau.  These tests hold
+all of it to the plain definitions in ``helpers`` (exact Fraction
+projection, per-mask ``is_compatible``, fundamental signed vectors) and
+make each of the build's invariant checks fire.
 """
 
 import pytest
@@ -13,19 +16,31 @@ from oribij import (
     CIRCUIT,
     COCIRCUIT,
     Graph,
+    InputError,
     InvariantViolationError,
     Orientation,
     RegularMatroidRep,
+    basis_from_orientation,
     canonical_signature_pair,
+    classify_specialization,
+    enumerate_bases,
     explicit_signature,
     graph_to_rep,
     is_compatible,
     orientation_to_subgraph,
+    orientation_to_subgraph_complement,
 )
 from oribij import bijection
+from oribij.core import _basis_tableau, bits_of
 from oribij.signatures import _compatible_set
 
-from helpers import R10_MATRIX, matrix_rep, suite_instances, table_oracle
+from helpers import (
+    R10_MATRIX,
+    matrix_rep,
+    orient_basis_by_vectors,
+    suite_instances,
+    table_oracle,
+)
 
 
 def _oracle_cases():
@@ -39,17 +54,26 @@ def _oracle_cases():
     return cases + [(k5, *canonical_signature_pair(k5)), (r10, *canonical_signature_pair(r10))]
 
 
+_ORACLES = {}
+
+
+def _oracle(rep, sig, cosig):
+    """table_oracle of one case, computed once per matrix and signature pair."""
+    key = (rep.matrix, sig, cosig)
+    if key not in _ORACLES:
+        _ORACLES[key] = table_oracle(
+            rep.matrix, rep.element_count,
+            [v.entries for v in sig.chosen], [v.entries for v in cosig.chosen],
+        )
+    return _ORACLES[key]
+
+
 def test_table_equals_the_fraction_oracle():
-    oracles = {}
+    oracles = set()
     for rep, sig, cosig in _oracle_cases():
         table = BijectionTable.build(rep, sig, cosig, use_cache=False)
-        key = (rep.matrix, sig, cosig)
-        if key not in oracles:
-            oracles[key] = table_oracle(
-                rep.matrix, rep.element_count,
-                [v.entries for v in sig.chosen], [v.entries for v in cosig.chosen],
-            )
-        assert (table.forward, table.tags) == oracles[key]
+        oracles.add((rep.matrix, sig, cosig))
+        assert (table.forward, table.tags) == _oracle(rep, sig, cosig)
     assert len(oracles) > 30
 
 
@@ -129,16 +153,23 @@ def _with_projection(rep, scale):
 
 
 def test_split_that_is_not_a_sign_split_is_refused():
-    rep = _with_projection(_k4(), 2)
+    clean = _k4()
+    rep = _with_projection(clean, 2)
     sig, cosig = canonical_signature_pair(rep)
     with pytest.raises(InvariantViolationError, match="not a sign split"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
-    # a single query splits through the same columns and refuses it too
+    # a single query splits through the same columns: those that need a
+    # nonzero row-space part are refused, the others keep their clean image
+    want = BijectionTable.build(clean, sig, cosig, use_cache=False)
     messages = set()
     for m in rep.orientation_universe():
-        with pytest.raises(InvariantViolationError) as exc:
-            orientation_to_subgraph(rep, Orientation.from_mask(rep.element_count, m), sig, cosig)
-        messages.add(str(exc.value))
+        o = Orientation.from_mask(rep.element_count, m)
+        try:
+            image = orientation_to_subgraph(rep, o, sig, cosig)
+        except InvariantViolationError as exc:
+            messages.add(str(exc))
+        else:
+            assert image == want.subgraph_of(o)
     assert "same-class split is not a sign vector" in messages
 
 
@@ -158,3 +189,81 @@ def test_wrong_tag_is_refused(monkeypatch):
     )
     with pytest.raises(InvariantViolationError, match="mapped to a subgraph with"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
+
+
+# ---------------------------------------------------------------------------
+# single queries, without the table
+
+
+def _reversed(rep, sig):
+    """The explicit signature taking the other direction on every support.
+
+    Reversing every choice of an acyclic signature keeps it acyclic (negate
+    the witness), so each case yields a second, explicit, pair.
+    """
+    return explicit_signature(rep, sig.side, [(-v).entries for v in sig.chosen])
+
+
+def _query_cases():
+    for rep, sig, cosig in _oracle_cases():
+        yield rep, sig, cosig
+        yield rep, _reversed(rep, sig), _reversed(rep, cosig)
+
+
+def test_single_queries_equal_the_fraction_oracle():
+    provenances = set()
+    for rep, sig, cosig in _query_cases():
+        forward, tags = _oracle(rep, sig, cosig)
+        provenances.add(sig.provenance)
+        for m in rep.orientation_universe():
+            o = Orientation.from_mask(rep.element_count, m)
+            assert orientation_to_subgraph(rep, o, sig, cosig) == frozenset(bits_of(forward[m]))
+            assert classify_specialization(rep, o, sig, cosig) == tags[m]
+    assert provenances == {"weights", "explicit"}
+
+
+def test_tableau_orientation_equals_the_vector_definition():
+    bases = 0
+    for rep, sig, cosig in _query_cases():
+        for basis in enumerate_bases(rep):
+            got = bijection._orient_basis_mask(rep, basis, sig, cosig)
+            assert got == orient_basis_by_vectors(rep, basis, sig, cosig)
+            bases += 1
+    assert bases > 1000
+
+
+def test_tableau_orientation_refuses_what_the_vectors_refuse():
+    rep = _k4()
+    sig, cosig = canonical_signature_pair(rep)
+    basis = enumerate_bases(rep)[0]
+    triangle = graph_to_rep(Graph(3, ((0, 1), (1, 2), (2, 0))))
+    with pytest.raises(InputError, match="no circuit with support"):
+        bijection._orient_basis_mask(rep, basis, *canonical_signature_pair(triangle))
+    fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
+    rows = [list(row) for row in _basis_tableau(fresh, basis.elements)]
+    rows[0][next(e for e in range(rep.element_count) if e not in basis.elements)] = 2
+    fresh._tableaus[basis.elements] = tuple(tuple(row) for row in rows)
+    with pytest.raises(InputError, match="matrix is not totally unimodular"):
+        bijection._orient_basis_mask(fresh, basis, sig, cosig)
+
+
+@pytest.mark.parametrize("name", ["K4", "R10"])
+def test_single_queries_never_build_the_table(monkeypatch, name):
+    rep = _k4() if name == "K4" else RegularMatroidRep.from_rows(R10_MATRIX)
+    sig, cosig = canonical_signature_pair(rep)
+    want = BijectionTable.build(rep, sig, cosig, use_cache=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single query built the table")
+
+    monkeypatch.setattr(BijectionTable, "build", refuse)
+    n = rep.element_count
+    full = frozenset(range(n))
+    for m in rep.orientation_universe():
+        o = Orientation.from_mask(n, m)
+        image = orientation_to_subgraph(rep, o, sig, cosig)
+        assert image == want.subgraph_of(o)
+        assert orientation_to_subgraph_complement(rep, o, sig, cosig) == full - image
+        assert classify_specialization(rep, o, sig, cosig) == want.tag_of(o)
+        if want.tag_of(o) == "basis":
+            assert basis_from_orientation(rep, o, sig, cosig).elements == image

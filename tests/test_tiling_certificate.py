@@ -19,16 +19,18 @@ import pytest
 from oribij import (
     BijectionTable,
     Graph,
+    Orientation,
     RegularMatroidRep,
     canonical_signature_pair,
     graph_to_rep,
+    orientation_to_subgraph,
     verify_cube_tiling,
 )
 from oribij import geometry
 from oribij.cli import main
 from oribij.verification import run_verification, separation_violations
 
-from helpers import R10_MATRIX, unseparated_pairs
+from helpers import R10_MATRIX, matrix_rep, unseparated_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,7 +96,8 @@ def test_corrupted_tables_list_the_oracle_pairs(name):
 # ---------------------------------------------------------------------------
 # the verify output is pinned to the pair-loop implementation's, the table
 # output to the inline-split, per-mask compatibility and standard-encoder one's,
-# and the classes output to the dot-product keys' and signature walk's
+# the classes output to the dot-product keys' and signature walk's, and the
+# single-query images to those of the queries that read the whole table
 
 
 def _input_file(tmp_path, name):
@@ -162,3 +165,18 @@ def test_classes_stdout_is_unchanged(capsys, tmp_path, name, kind, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_single_query_images_are_unchanged(twin):
+    rep = graph_to_rep(_wheel(4))
+    if twin:
+        rep = matrix_rep(rep)
+    sig, cosig = canonical_signature_pair(rep)
+    n = rep.element_count
+    images = [
+        sorted(orientation_to_subgraph(rep, Orientation.from_mask(n, m), sig, cosig))
+        for m in rep.orientation_universe()
+    ]
+    digest = hashlib.sha256(json.dumps(images).encode()).hexdigest()
+    assert digest == "f500648c6f7d1e74866a511e1451f03b8db0ffee6e54cf35e122c7165b75d92f"
