@@ -65,6 +65,18 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def orientations_with_bit(n: int) -> list[int]:
+    """Entry e: the orientations whose bit e is set, as a 2^n-bit set (bit m is mask m).
+
+    In closed form, runs of 2^e zeros and then 2^e ones.
+    """
+    full = (1 << (1 << n)) - 1
+    return [
+        (((1 << (1 << e)) - 1) << (1 << e)) * (full // ((1 << (2 << e)) - 1))
+        for e in range(n)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # domain types
 

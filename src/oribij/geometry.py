@@ -6,14 +6,24 @@ half-open toward O on S.  These tile the cube exactly when the map has the
 separation property, and coordinate-wise dilation turns cell counts into
 multilinear counting polynomials that must match independent-set counts.
 
-The exact tiling certificate lists the unseparated orientation pairs
-bit-parallel, one pass over the orientations with a 2^n-bit word per
-element; the list is empty iff the cells tile the cube.  A point's type (its
-fractional coordinates and its 0/1 values off them) is a face of the cube,
-and the cell of (O, S) holds the faces at O whose directions lie in S, so the
-cells tile iff the images form the outmap of a unique-sink orientation;
-Szabo and Welzl ("Unique sink orientations of cubes", FOCS 2001) show these
-outmaps are exactly the separated maps.
+Both parts of the tiling certificate read one index per table, built once
+and held in a single slot: for each element e, the 2^n-bit sets (bit m for
+orientation m) of the orientations whose bit e is set and of those whose
+image contains e, with their complements.
+
+The exact part lists the unseparated orientation pairs from the index, one
+pass over the orientations, at most once per table; the list is empty iff
+the cells tile the cube.  A point's type (its fractional coordinates and its
+0/1 values off them) is a face of the cube, and the cell of (O, S) holds the
+faces at O whose directions lie in S, so the cells tile iff the images form
+the outmap of a unique-sink orientation; Szabo and Welzl ("Unique sink
+orientations of cubes", FOCS 2001) show these outmaps are exactly the
+separated maps.
+
+The sampled part locates points bit-parallel: the anchors whose cell holds a
+point are the AND of n index sets, "image contains e" on the point's
+fractional coordinates and "bit e equals the point's value" off them, and
+their number is a popcount.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .core import (
     _require_cap,
     bits_of,
     mask_of,
+    orientations_with_bit,
 )
 from .errors import CapExceededError, InputError, InvariantViolationError
 
@@ -98,12 +109,18 @@ def cell_contains(cell: HalfOpenCell, point: RationalPoint) -> bool:
     return True
 
 
-def random_rational_point(n: int, rng: random.Random) -> RationalPoint:
+def _draw_coordinates(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """n seeded coordinates k/d as pairs (k, d), d drawn from SAMPLE_DENOMINATORS."""
+    choice, randint = rng.choice, rng.randint
     coords = []
     for _ in range(n):
-        d = rng.choice(SAMPLE_DENOMINATORS)
-        coords.append(Fraction(rng.randint(0, d), d))
-    return RationalPoint(tuple(coords))
+        d = choice(SAMPLE_DENOMINATORS)
+        coords.append((randint(0, d), d))
+    return coords
+
+
+def random_rational_point(n: int, rng: random.Random) -> RationalPoint:
+    return RationalPoint(tuple(Fraction(k, d) for k, d in _draw_coordinates(n, rng)))
 
 
 def _image_mask(table: BijectionTable, mask: int, complement: bool) -> int:
@@ -113,26 +130,74 @@ def _image_mask(table: BijectionTable, mask: int, complement: bool) -> int:
     return out
 
 
-def _anchors_containing(
-    table: BijectionTable, point: RationalPoint, complement: bool
-) -> list[int]:
-    """Anchor masks whose cell contains the point.
+def _element_sets(values: Sequence[int], n: int) -> list[int]:
+    """Entry e: the indices m with bit e of values[m] set, as a len(values)-bit set."""
+    if max(values, default=0) >> n:
+        raise InvariantViolationError("an image lies outside the ground set")
+    text = "".join([format(v, f"0{n}b") for v in reversed(values)])
+    return [int(text[n - 1 - e::n], 2) for e in range(n)]
 
-    Integral coordinates pin the anchor (a half-open unit interval contains
-    only its own anchor among 0 and 1), so only the fractional coordinates
-    are searched, and those must lie in the generating set.
+
+class _CellIndex:
+    """Per-element sets of one map's orientations, each a 2^n-bit set (bit m is mask m).
+
+    ``bit[e][x]`` holds the orientations whose bit e is x, and ``image[e][x]``
+    those whose image contains e (x = 1) or misses it (x = 0).  ``pairs`` is
+    the unseparated-pair list, filled in on first use.
     """
-    frac = point.fractional_mask
-    base = point.integral_one_mask
-    hits = []
-    sub = frac
-    while True:
-        mask = base | sub
-        if (frac & ~_image_mask(table, mask, complement)) == 0:
-            hits.append(mask)
-        if sub == 0:
-            break
-        sub = (sub - 1) & frac
+
+    def __init__(self, images: Sequence[int], n: int):
+        self.n = n
+        self.images = images
+        self.full = (1 << len(images)) - 1
+        self.bit = [(self.full ^ s, s) for s in orientations_with_bit(n)]
+        self.image = [(self.full ^ s, s) for s in _element_sets(images, n)]
+        self.pairs: list[tuple[int, int]] | None = None
+
+
+# The index of the last table seen, with that table and its forward dict: a
+# single slot, keyed on identity, so a copied table with a replaced forward
+# dict is indexed afresh.  Tables are not mutated once built.
+_last_index: tuple = (None, None, None)
+
+
+def _table_index(table: BijectionTable) -> _CellIndex:
+    global _last_index
+    held_table, held_forward, index = _last_index
+    if held_table is not table or held_forward is not table.forward:
+        n = table.rep.element_count
+        index = _CellIndex([table.forward[m] for m in range(1 << n)], n)
+        _last_index = (table, table.forward, index)
+    return index
+
+
+def _table_pairs(table: BijectionTable) -> list[tuple[int, int]]:
+    """The table's unseparated pairs, listed at most once per table."""
+    index = _table_index(table)
+    if index.pairs is None:
+        index.pairs = _unseparated_pairs(index.images, index.n)
+    return index.pairs
+
+
+def _anchors_containing(
+    table: BijectionTable, frac_mask: int, ones_mask: int, complement: bool
+) -> int:
+    """The anchors whose cell contains a point, as a 2^n-bit set.
+
+    The point has fractional coordinates ``frac_mask`` and is 1 on
+    ``ones_mask`` and 0 elsewhere.  A cell pins its anchor's coordinates off
+    its generating set, and a half-open unit interval holds only its own
+    anchor among 0 and 1, so the anchors are an AND of one index set per
+    element: the image contains e (misses it, for the complement) when e is
+    fractional, and the anchor's bit e equals the point's value otherwise.
+    """
+    index = _table_index(table)
+    hits = index.full
+    for e in range(index.n):
+        if frac_mask >> e & 1:
+            hits &= index.image[e][not complement]
+        else:
+            hits &= index.bit[e][ones_mask >> e & 1]
     return hits
 
 
@@ -140,16 +205,26 @@ def locate_point(
     rep: RegularMatroidRep, point: RationalPoint, table: BijectionTable,
     complement: bool = False,
 ) -> Orientation:
-    """The unique orientation whose induced half-open cell contains the point."""
-    if len(point.coords) != rep.element_count:
+    """The unique orientation whose induced half-open cell contains the point.
+
+    The candidate anchors are one AND of per-element orientation sets from
+    the table's index (see ``_anchors_containing``); the single hit is then
+    checked against ``cell_contains``.
+    """
+    n = rep.element_count
+    if len(point.coords) != n:
         raise InputError("point dimension disagrees with the ground set")
-    hits = _anchors_containing(table, point, complement)
-    if len(hits) != 1:
-        raise InvariantViolationError(
-            f"point lies in {len(hits)} cells; the tiling is broken"
-        )
-    anchor = Orientation.from_mask(rep.element_count, hits[0])
-    cell = HalfOpenCell(anchor, frozenset(bits_of(_image_mask(table, hits[0], complement))))
+    if table.rep.element_count != n:
+        raise InputError("the table's ground set disagrees with the representation")
+    hits = _anchors_containing(
+        table, point.fractional_mask, point.integral_one_mask, complement
+    )
+    count = hits.bit_count()
+    if count != 1:
+        raise InvariantViolationError(f"point lies in {count} cells; the tiling is broken")
+    mask = hits.bit_length() - 1
+    anchor = Orientation.from_mask(n, mask)
+    cell = HalfOpenCell(anchor, frozenset(bits_of(_image_mask(table, mask, complement))))
     if not cell_contains(cell, point):
         raise InvariantViolationError("candidate filter disagrees with the cell test")
     return anchor
@@ -180,33 +255,42 @@ class TilingReport:
         }
 
 
+# elements per group of the pair listing; a group's table has 4^width sets
+_PAIR_GROUP = 4
+
+
 def _unseparated_pairs(images: Sequence[int], n: int) -> list[tuple[int, int]]:
     """Pairs a < b with no element where they disagree and exactly one image contains it.
 
-    Bit-parallel over b: ``differs[e][x]`` is the set of orientations whose
-    bit e is not x, as an integer with one bit per orientation, and
-    ``image_differs[e][x]`` the same for the images.
+    Bit-parallel over b, from the per-element sets of ``_CellIndex``: b is
+    separated from a at e when b's bit e is not a's and b's image differs
+    from a's at e.  The elements go in groups of ``_PAIR_GROUP``, and each
+    group's union of these sets is tabulated for every value of a's bits
+    and its image's bits there, so one orientation costs a union per group.
     """
-    total = len(images)
-    full = (1 << total) - 1
-
-    def columns(values: Sequence[int]) -> list[tuple[int, int]]:
-        rows = [format(v, f"0{n}b") for v in reversed(values)]
-        ones = [int("".join(col), 2) for col in zip(*rows)][::-1]
-        return [(x, full ^ x) for x in ones]
-
-    differs = columns(range(total))
-    image_differs = columns(images)
+    index = _CellIndex(images, n)
+    groups = []
+    for start in range(0, n, _PAIR_GROUP):
+        width = min(_PAIR_GROUP, n - start)
+        sets = []
+        for key in range(1 << 2 * width):
+            separated = 0
+            for j in range(width):
+                # a's bit e in the high half of the key, its image's in the low half
+                x, y = key >> width + j & 1, key >> j & 1
+                separated |= index.bit[start + j][1 - x] & index.image[start + j][1 - y]
+            sets.append(separated)
+        groups.append((start, width, (1 << width) - 1, sets))
     pairs = []
     for a, ia in enumerate(images):
         separated = 0
-        for e in range(n):
-            separated |= differs[e][a >> e & 1] & image_differs[e][ia >> e & 1]
-        later = (full ^ separated) >> (a + 1)
+        for start, width, low, sets in groups:
+            separated |= sets[(a >> start & low) << width | ia >> start & low]
+        later = (index.full ^ separated) >> (a + 1)
         while later:
-            low = later & -later
-            pairs.append((a, a + low.bit_length()))
-            later ^= low
+            low_bit = later & -later
+            pairs.append((a, a + low_bit.bit_length()))
+            later ^= low_bit
     return pairs
 
 
@@ -216,26 +300,39 @@ def verify_cube_tiling(
 ) -> TilingReport:
     """Certify the half-open tiling of the cube induced by the table.
 
+    Both parts read the table's index: for each element, the 2^n-bit sets of
+    orientations with that bit set and of those whose image contains it,
+    built once per table.
     Exact part: the orientation pairs that are not separated, which is empty
     iff the cells tile the cube (Szabo-Welzl, see the module docstring).
     Complementing both images leaves the disagreement of two images
-    unchanged, so the pairs are the same for the complement and are read off
-    the forward images.
+    unchanged, so the pairs are the same for the complement; they are listed
+    once per table and shared with ``separation_violations``.
     Sampled part: seeded random rational points must each lie in exactly one
-    cell, which exercises the search behind ``locate_point``.
+    cell.  A point's cells are an AND of n index sets and their number a
+    popcount (``_anchors_containing``); points are drawn as integer pairs
+    and become Fractions only when reported.
     """
     if sample_count < 0:
         raise InputError("the sample count must not be negative")
     n = rep.element_count
-    pair_violations = _unseparated_pairs([table.forward[m] for m in range(1 << n)], n)
+    if table.rep.element_count != n:
+        raise InputError("the table's ground set disagrees with the representation")
+    pair_violations = _table_pairs(table)
     rng = random.Random(seed)
     point_violations = []
     for _ in range(sample_count):
-        point = random_rational_point(n, rng)
-        hits = _anchors_containing(table, point, complement)
-        if len(hits) != 1:
+        coords = _draw_coordinates(n, rng)
+        frac = ones = 0
+        for e, (k, d) in enumerate(coords):
+            if k == d:
+                ones |= 1 << e
+            elif k:
+                frac |= 1 << e
+        hits = _anchors_containing(table, frac, ones, complement).bit_count()
+        if hits != 1:
             point_violations.append(
-                (tuple(str(x) for x in point.coords), len(hits))
+                (tuple(str(Fraction(k, d)) for k, d in coords), hits)
             )
     return TilingReport(
         seed=seed,

@@ -23,6 +23,7 @@ from .core import (
     bits_of,
     enumerate_signed_circuits,
     enumerate_signed_cocircuits,
+    orientations_with_bit,
 )
 from .errors import (
     CapExceededError,
@@ -187,6 +188,8 @@ def is_acyclic(
     if len(sig.chosen) > cap:
         raise CapExceededError(f"{len(sig.chosen)} supports exceeds the cap {cap}")
     n = rep.element_count
+    if any(len(vec.entries) != n for vec in sig.chosen):
+        raise InputError("a chosen vector's length disagrees with the ground set")
     if not sig.chosen:
         return Acyclicity(True, tuple(Fraction(0) for _ in range(n)))
     rows = []
@@ -241,11 +244,7 @@ def _compatible_set(rep: RegularMatroidRep, sig: Signature) -> int:
     """
     n = rep.element_count
     full = (1 << (1 << n)) - 1
-    # forward[e]: orientations with bit e set, i.e. runs of 2^e zeros then 2^e ones
-    forward = [
-        (((1 << (1 << e)) - 1) << (1 << e)) * (full // ((1 << (2 << e)) - 1))
-        for e in range(n)
-    ]
+    forward = orientations_with_bit(n)
     containing = 0
     for pos, neg in sig.anti_masks:
         hit = full

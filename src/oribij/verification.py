@@ -13,7 +13,7 @@ from .core import Orientation, RegularMatroidRep
 from .errors import InputError
 from .geometry import (
     MultilinearPolynomial,
-    _unseparated_pairs,
+    _table_pairs,
     cell_count_polynomial,
     independent_set_polynomial,
     verify_cube_tiling,
@@ -28,9 +28,12 @@ def _suite(name: str, passed: bool, detail) -> dict:
 
 
 def separation_violations(table: BijectionTable) -> list[tuple[int, int]]:
-    """Orientation pairs with no disagreeing element in the image difference."""
-    n = table.rep.element_count
-    return _unseparated_pairs([table.forward[m] for m in range(1 << n)], n)
+    """Orientation pairs with no disagreeing element in the image difference.
+
+    The list is the table's, shared with both ``verify_cube_tiling`` calls of
+    a verification, so it is computed once per table.
+    """
+    return list(_table_pairs(table))
 
 
 def run_verification(
@@ -43,9 +46,14 @@ def run_verification(
 ) -> dict:
     if samples < 0:
         raise InputError("the sample count must not be negative")
+    n = rep.element_count
     if table is None:
         table = BijectionTable.build(rep, sig, cosig)
-    n = rep.element_count
+    elif table.rep.element_count != n:
+        raise InputError("the table's ground set disagrees with the representation")
+    elif (table.circuit_signature.by_support != sig.by_support
+          or table.cocircuit_signature.by_support != cosig.by_support):
+        raise InputError("the table was built for other signatures")
     suites = []
 
     bad_pairs = separation_violations(table)

@@ -105,6 +105,35 @@ def unseparated_pairs(images, touching=None) -> list[tuple[int, int]]:
     return [(a, b) for a, b in candidates if not (a ^ b) & (images[a] ^ images[b])]
 
 
+def anchors_by_enumeration(images, n: int, point, complement: bool = False) -> list[int]:
+    """Plain locator oracle: the anchors whose half-open cell holds the point.
+
+    ``images[m]`` is the image mask of orientation m and ``point`` a sequence
+    of Fractions in [0, 1].  The candidate anchors agree with the point on
+    its integral coordinates, one per subset of its fractional ones; each is
+    kept when hoc(anchor, image) holds the point coordinate by coordinate.
+    Returns the anchor masks in increasing order.
+    """
+    fractional = [e for e, x in enumerate(point) if 0 < x < 1]
+    base = sum(1 << e for e, x in enumerate(point) if x == 1)
+    hits = []
+    for size in range(len(fractional) + 1):
+        for subset in itertools.combinations(fractional, size):
+            anchor = base + sum(1 << e for e in subset)
+            image = images[anchor] ^ ((1 << n) - 1 if complement else 0)
+            if all(_cell_holds(anchor >> e & 1, image >> e & 1, x)
+                   for e, x in enumerate(point)):
+                hits.append(anchor)
+    return sorted(hits)
+
+
+def _cell_holds(anchored: int, generating: int, x) -> bool:
+    """Coordinate test of hoc(O, S): pinned to O(e) off S, half-open toward O(e) on S."""
+    if not generating:
+        return x == anchored
+    return 0 < x <= 1 if anchored else 0 <= x < 1
+
+
 def orient_basis_by_vectors(
     rep: RegularMatroidRep, basis: Basis, sig: Signature, cosig: Signature
 ) -> int:

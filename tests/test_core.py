@@ -47,6 +47,16 @@ from helpers import (
 
 
 # ---------------------------------------------------------------------------
+# bit-mask helpers
+
+
+def test_orientations_with_bit_lists_each_element_set():
+    for n in range(6):
+        want = [sum(1 << m for m in range(1 << n) if m >> e & 1) for e in range(n)]
+        assert core.orientations_with_bit(n) == want
+
+
+# ---------------------------------------------------------------------------
 # representation construction
 
 

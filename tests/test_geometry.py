@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,9 @@ from oribij import (
     CapExceededError,
     HalfOpenCell,
     InputError,
+    InvariantViolationError,
     MultilinearPolynomial,
+    Graph,
     Orientation,
     RationalPoint,
     canonical_signature_pair,
@@ -26,6 +30,9 @@ from oribij import (
 )
 
 from helpers import random_connected_multigraph, random_signature_pair
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _table(rep):
@@ -123,6 +130,24 @@ def test_locate_dimension_mismatch(triangle_rep):
         locate_point(triangle_rep, RationalPoint.of([0, 1]), table)
 
 
+def _k4_table():
+    k4 = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
+    return _table(graph_to_rep(k4))
+
+
+def test_locate_point_refuses_a_table_of_another_ground_set(triangle_rep):
+    point = RationalPoint.of([Fraction(1, 2), 1, 0])
+    with pytest.raises(InputError):
+        locate_point(triangle_rep, point, _k4_table())
+
+
+def test_random_points_are_pinned():
+    # the first 50 draws of seed 0, as recorded from the Fraction-only sampler
+    rng = random.Random(0)
+    got = [[str(x) for x in random_rational_point(5, rng).coords] for _ in range(50)]
+    assert got == json.loads((DATA / "rational_points_seed0.json").read_text())
+
+
 # ---------------------------------------------------------------------------
 # tiling verification
 
@@ -140,6 +165,18 @@ def test_constant_map_fails_tiling(triangle_rep):
     report = verify_cube_tiling(triangle_rep, fake, 50, seed=1)
     assert not report.passed
     assert report.pair_violations
+
+
+def test_tiling_refuses_a_table_of_another_ground_set(triangle_rep):
+    with pytest.raises(InputError):
+        verify_cube_tiling(triangle_rep, _k4_table(), 20)
+
+
+def test_an_image_outside_the_ground_set_is_reported(triangle_rep):
+    fake = types.SimpleNamespace(rep=triangle_rep, forward={m: m for m in range(8)})
+    fake.forward[5] = 0b1000
+    with pytest.raises(InvariantViolationError):
+        verify_cube_tiling(triangle_rep, fake, 10)
 
 
 def test_cell_dimension_matches_subgraph_size(triangle_rep):

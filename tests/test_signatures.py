@@ -91,6 +91,13 @@ def test_acyclicity_cap(theta_rep):
         is_acyclic(theta_rep, sig, cap=2)
 
 
+def test_acyclicity_refuses_a_signature_of_another_ground_set(triangle_rep):
+    k4 = graph_to_rep(Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4))))
+    sig, _ = canonical_signature_pair(k4)
+    with pytest.raises(InputError):
+        is_acyclic(triangle_rep, sig)
+
+
 def test_weight_induced_signatures_are_acyclic():
     rng = random.Random(11)
     graphs = [

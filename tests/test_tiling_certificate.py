@@ -1,9 +1,11 @@
 """The exact tiling certificate against the plain pair-loop oracle.
 
-The package lists the unseparated orientation pairs bit-parallel.  These
-tests check that listing against the oracle in ``helpers`` exhaustively on
-small maps and on seeded corruptions of real tables, and pin the ``verify``
-output to what the plain pair loop printed.
+The package lists the unseparated orientation pairs and locates points
+bit-parallel, from one index per table.  These tests check the listing and
+the locator against the plain oracles in ``helpers`` exhaustively on small
+maps and on seeded corruptions of real tables, check that the listing runs
+once per verification, and pin the ``verify`` output to what the plain pair
+loop and the subset-enumeration locator printed.
 """
 
 import copy
@@ -13,6 +15,8 @@ import json
 import random
 import types
 from pathlib import Path
+
+from fractions import Fraction
 
 import pytest
 
@@ -28,9 +32,10 @@ from oribij import (
 )
 from oribij import geometry
 from oribij.cli import main
+from oribij.core import bits_of
 from oribij.verification import run_verification, separation_violations
 
-from helpers import R10_MATRIX, matrix_rep, unseparated_pairs
+from helpers import R10_MATRIX, anchors_by_enumeration, matrix_rep, unseparated_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,6 +98,98 @@ def test_corrupted_tables_list_the_oracle_pairs(name):
     assert failing > 150
 
 
+def _seeded_maps(rep, count):
+    """The exact table's images, ``count`` seeded corruptions of them, and the constant map."""
+    n = rep.element_count
+    total = 1 << n
+    table = BijectionTable.build(rep, *canonical_signature_pair(rep))
+    base = [table.forward[m] for m in range(total)]
+    rng = random.Random(f"locate-{n}")
+    maps = [("exact", base)]
+    for i in range(count):
+        images = list(base)
+        if i % 2 == 0:
+            a, b = rng.sample(range(total), 2)
+            images[a], images[b] = images[b], images[a]
+        else:
+            for a in rng.sample(range(total), 3):
+                images[a] = rng.randrange(total)
+        maps.append((f"corrupted-{i}", images))
+    maps.append(("constant", [total - 1] * total))
+    return maps
+
+
+@pytest.mark.parametrize("name, count", [("triangle", 6), ("K4", 4), ("W4", 2)])
+def test_locator_matches_the_oracle_on_every_point_type(name, count):
+    rep = graph_to_rep({"triangle": lambda: _complete(3), "K4": lambda: _complete(4),
+                        "W4": lambda: _wheel(4)}[name]())
+    n = rep.element_count
+    half = Fraction(1, 2)
+    points = list(itertools.product((0, half, 1), repeat=n))
+    assert len(points) == 3 ** n
+    broken = 0
+    for label, images in _seeded_maps(rep, count):
+        fake = types.SimpleNamespace(rep=rep, forward=dict(enumerate(images)))
+        for complement in (False, True):
+            for point in points:
+                frac = sum(1 << e for e, x in enumerate(point) if x == half)
+                ones = sum(1 << e for e, x in enumerate(point) if x == 1)
+                got = bits_of(geometry._anchors_containing(fake, frac, ones, complement))
+                want = anchors_by_enumeration(images, n, point, complement)
+                assert got == want, (label, complement, point)
+                if label == "exact":
+                    assert len(want) == 1
+                broken += len(want) != 1
+    assert broken
+
+
+def test_locate_point_matches_the_oracle_on_w4():
+    rep = graph_to_rep(_wheel(4))
+    table = BijectionTable.build(rep, *canonical_signature_pair(rep))
+    images = [table.forward[m] for m in range(1 << 8)]
+    for point in itertools.product((0, Fraction(1, 3), 1), repeat=8):
+        for complement in (False, True):
+            (want,) = anchors_by_enumeration(images, 8, point, complement)
+            got = geometry.locate_point(rep, geometry.RationalPoint(point), table, complement)
+            assert got.mask == want
+
+
+def test_the_listing_runs_once_per_verification(monkeypatch):
+    rep = graph_to_rep(_complete(4))
+    sig, cosig = canonical_signature_pair(rep)
+    table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+    calls = []
+    listing = geometry._unseparated_pairs
+
+    def counted(images, n):
+        calls.append(n)
+        return listing(images, n)
+
+    monkeypatch.setattr(geometry, "_unseparated_pairs", counted)
+    assert run_verification(rep, sig, cosig, samples=20, table=table)["passed"]
+    assert len(calls) == 1
+    assert separation_violations(table) == []
+    assert len(calls) == 1
+    # a copied table with a new forward dict is indexed and listed afresh
+    corrupted = copy.copy(table)
+    corrupted.forward = dict(table.forward)
+    corrupted.forward[0], corrupted.forward[5] = table.forward[5], table.forward[0]
+    want = unseparated_pairs([corrupted.forward[m] for m in range(1 << 6)])
+    assert want
+    report = run_verification(rep, sig, cosig, samples=20, table=corrupted)
+    assert len(calls) == 2
+    assert not report["passed"]
+    assert separation_violations(corrupted) == want
+    assert separation_violations(table) == []
+    assert len(calls) == 3
+    # and so is a table whose forward dict is replaced in place
+    fake = types.SimpleNamespace(rep=rep, forward=table.forward)
+    assert separation_violations(fake) == []
+    fake.forward = corrupted.forward
+    assert separation_violations(fake) == want
+    assert len(calls) == 5
+
+
 # ---------------------------------------------------------------------------
 # the verify output is pinned to the pair-loop implementation's, the table
 # output to the inline-split, per-mask compatibility and standard-encoder one's,
@@ -134,6 +231,22 @@ def test_corrupted_triangle_report_is_unchanged(triangle_rep):
     report = run_verification(triangle_rep, sig, cosig, samples=50, table=corrupted)
     want = json.loads((DATA / "corrupted_triangle_report.json").read_text())
     assert json.loads(json.dumps(report)) == want
+
+
+def test_corrupted_w4_report_is_unchanged():
+    # two swapped images: many sampled points of the complement tiling fall
+    # in zero or two cells
+    rep = graph_to_rep(_wheel(4))
+    sig, cosig = canonical_signature_pair(rep)
+    table = BijectionTable.build(rep, sig, cosig)
+    corrupted = copy.copy(table)
+    corrupted.forward = dict(table.forward)
+    corrupted.forward[42], corrupted.forward[8] = table.forward[8], table.forward[42]
+    report = run_verification(rep, sig, cosig, samples=300, seed=7, table=corrupted)
+    want = json.loads((DATA / "corrupted_w4_report.json").read_text())
+    assert json.loads(json.dumps(report)) == want
+    tiling = next(s for s in want["suites"] if s["name"] == "tiling-sample")["detail"]
+    assert len(tiling["complement"]["point_violations"]) > 50
 
 
 @pytest.mark.parametrize("name, fmt, digest", [

@@ -2,7 +2,17 @@ import copy
 import json
 import random
 
-from oribij import BijectionTable, canonical_signature_pair
+import pytest
+
+from oribij import (
+    CIRCUIT,
+    BijectionTable,
+    Graph,
+    InputError,
+    canonical_signature_pair,
+    explicit_signature,
+    graph_to_rep,
+)
 from oribij.cli import main
 from oribij.verification import run_verification, separation_violations
 
@@ -46,6 +56,26 @@ def test_corrupted_table_fails_with_counterexample(triangle_rep):
     assert not separation["passed"]
     assert separation["detail"]["violations"]
     assert separation_violations(corrupted)
+
+
+def test_a_table_of_another_ground_set_is_refused(triangle_rep):
+    k4 = graph_to_rep(Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4))))
+    table = BijectionTable.build(k4, *canonical_signature_pair(k4))
+    sig, cosig = canonical_signature_pair(triangle_rep)
+    with pytest.raises(InputError):
+        run_verification(triangle_rep, sig, cosig, samples=20, table=table)
+
+
+def test_a_table_of_other_signatures_is_refused(triangle_rep):
+    sig, cosig = canonical_signature_pair(triangle_rep)
+    (chosen,) = sig.chosen
+    reversed_sig = explicit_signature(triangle_rep, CIRCUIT, [-chosen])
+    table = BijectionTable.build(triangle_rep, reversed_sig, cosig)
+    assert run_verification(triangle_rep, reversed_sig, cosig, samples=20, table=table)["passed"]
+    with pytest.raises(InputError):
+        run_verification(triangle_rep, sig, cosig, samples=20, table=table)
+    with pytest.raises(InputError):
+        run_verification(triangle_rep, reversed_sig, sig, samples=20, table=table)
 
 
 def test_cli_verify_n10_random_graph(capsys, tmp_path):
