@@ -122,29 +122,39 @@ class Graph:
         return tail == head
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Orientation:
-    """An orientation of the ground set, as signs against the reference arcs."""
+    """An orientation of ``size`` elements, stored as its mask (bit j: j agrees)."""
 
-    signs: tuple[bool, ...]
+    mask: int
+    size: int
+
+    def __init__(self, signs: Iterable[bool]):
+        signs = tuple(signs)
+        object.__setattr__(self, "mask", mask_of(j for j, s in enumerate(signs) if s))
+        object.__setattr__(self, "size", len(signs))
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Orientation":
-        return cls(tuple(bool(mask >> j & 1) for j in range(n)))
+        """The orientation of n elements given by the low n bits of mask."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "mask", mask & ~(-1 << n))
+        object.__setattr__(o, "size", n)
+        return o
 
     @classmethod
     def reference(cls, n: int) -> "Orientation":
-        return cls((True,) * n)
+        return cls.from_mask(n, -1)
 
-    @cached_property
-    def mask(self) -> int:
-        return mask_of(j for j, s in enumerate(self.signs) if s)
+    @property
+    def signs(self) -> tuple[bool, ...]:
+        return tuple(bool(self.mask >> j & 1) for j in range(self.size))
 
     def vector(self) -> tuple[int, ...]:
-        return tuple(1 if s else 0 for s in self.signs)
+        return tuple(self.mask >> j & 1 for j in range(self.size))
 
     def __len__(self) -> int:
-        return len(self.signs)
+        return self.size
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ their number is a popcount.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -96,7 +97,7 @@ class HalfOpenCell:
 
 def cell_contains(cell: HalfOpenCell, point: RationalPoint) -> bool:
     for e, x in enumerate(point.coords):
-        anchored = cell.anchor.signs[e]
+        anchored = cell.anchor.mask >> e & 1
         if e not in cell.generating_set:
             if x != (1 if anchored else 0):
                 return False
@@ -347,43 +348,41 @@ def verify_cube_tiling(
 # counting polynomials
 
 class MultilinearPolynomial:
-    """Integer combination of squarefree monomials, keyed by element subsets."""
+    """Integer combination of squarefree monomials, keyed by subsets stored as masks."""
 
     def __init__(self, coefficients: Mapping[frozenset[int], int] | None = None):
-        self._coeffs: dict[frozenset[int], int] = {}
-        for subset, coeff in (coefficients or {}).items():
-            if coeff:
-                self._coeffs[frozenset(subset)] = int(coeff)
+        self._coeffs: dict[int, int] = {
+            mask_of(s): int(c) for s, c in (coefficients or {}).items() if c
+        }
+
+    @classmethod
+    def _of_masks(cls, coeffs: Mapping[int, int]) -> "MultilinearPolynomial":
+        poly = cls()
+        poly._coeffs = {m: c for m, c in coeffs.items() if c}
+        return poly
 
     @classmethod
     def from_subsets(cls, subsets: Iterable[Iterable[int]]) -> "MultilinearPolynomial":
-        out: dict[frozenset[int], int] = {}
-        for s in subsets:
-            key = frozenset(s)
-            out[key] = out.get(key, 0) + 1
-        return cls(out)
+        return cls._of_masks(Counter(map(mask_of, subsets)))
 
     @classmethod
     def full_cube(cls, n: int) -> "MultilinearPolynomial":
         """The expansion of prod_e (1 + q_e): every subset once."""
-        subsets = []
-        for mask in range(1 << n):
-            subsets.append(frozenset(bits_of(mask)))
-        return cls.from_subsets(subsets)
+        return cls._of_masks(dict.fromkeys(range(1 << n), 1))
 
     def coefficient(self, subset: Iterable[int]) -> int:
-        return self._coeffs.get(frozenset(subset), 0)
+        return self._coeffs.get(mask_of(subset), 0)
 
     def monomials(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(
-            ((tuple(sorted(s)), c) for s, c in self._coeffs.items()),
+            ((tuple(bits_of(m)), c) for m, c in self._coeffs.items()),
             key=lambda item: (len(item[0]), item[0]),
         )
 
     def evaluate(self, values: Sequence[int | Fraction]):
         total = 0
-        for subset, coeff in self._coeffs.items():
-            total += coeff * reduce(lambda a, e: a * values[e], subset, 1)
+        for m, coeff in self._coeffs.items():
+            total += coeff * reduce(lambda a, e: a * values[e], bits_of(m), 1)
         return total
 
     def is_zero(self) -> bool:
@@ -391,9 +390,9 @@ class MultilinearPolynomial:
 
     def __sub__(self, other: "MultilinearPolynomial") -> "MultilinearPolynomial":
         out = dict(self._coeffs)
-        for subset, coeff in other._coeffs.items():
-            out[subset] = out.get(subset, 0) - coeff
-        return MultilinearPolynomial(out)
+        for m, coeff in other._coeffs.items():
+            out[m] = out.get(m, 0) - coeff
+        return MultilinearPolynomial._of_masks(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultilinearPolynomial):
@@ -412,9 +411,7 @@ def independent_set_polynomial(
 ) -> MultilinearPolynomial:
     """Sum over independent column subsets of their squarefree monomial."""
     _require_cap(rep, cap)
-    return MultilinearPolynomial.from_subsets(
-        frozenset(bits_of(m)) for m in rep._independent_masks
-    )
+    return MultilinearPolynomial._of_masks(Counter(rep._independent_masks))
 
 
 def cell_count_polynomial(
@@ -427,8 +424,8 @@ def cell_count_polynomial(
         masks = table.rep.orientation_universe()
     else:
         masks = (o if isinstance(o, int) else o.mask for o in orientations)
-    return MultilinearPolynomial.from_subsets(
-        frozenset(bits_of(_image_mask(table, m, complement))) for m in masks
+    return MultilinearPolynomial._of_masks(
+        Counter(_image_mask(table, m, complement) for m in masks)
     )
 
 

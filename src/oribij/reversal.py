@@ -45,7 +45,7 @@ def reverse(o: Orientation, vec: SignedSupportVector) -> Orientation:
     if not vec.in_orientation(o):
         raise InputError("vector is not contained in the orientation")
     mask = (o.mask & ~vec.pos_mask) | vec.neg_mask
-    return Orientation.from_mask(len(o.signs), mask)
+    return Orientation.from_mask(len(o), mask)
 
 
 def _representative_mask(

@@ -70,7 +70,7 @@ def load_signature_pair(rep: RegularMatroidRep, obj: dict) -> tuple[Signature, S
 
 
 def orientation_json(o: Orientation) -> list[int]:
-    return [1 if s else 0 for s in o.signs]
+    return _orientation_bits(o.mask, len(o))
 
 
 def _orientation_bits(m: int, n: int) -> list[int]:

@@ -79,10 +79,6 @@ class Signature:
             raise InputError(f"no circuit with support {bits_of(support)}") from None
 
     @cached_property
-    def chosen_masks(self) -> tuple[tuple[int, int], ...]:
-        return tuple((v.pos_mask, v.neg_mask) for v in self.chosen)
-
-    @cached_property
     def anti_masks(self) -> tuple[tuple[int, int], ...]:
         """(pos, neg) masks of the rejected direction of each support."""
         return tuple((v.neg_mask, v.pos_mask) for v in self.chosen)
