@@ -25,6 +25,7 @@ from .core import (
     bits_of,
     _basis_tableau,
     _image_part,
+    _orientation_mask,
     _require_cap,
     enumerate_bases,
     mask_of,
@@ -69,7 +70,7 @@ class BijectionTable:
     # -- queries -------------------------------------------------------------
 
     def subgraph_of(self, o: Orientation) -> frozenset[int]:
-        return frozenset(bits_of(self.forward[o.mask]))
+        return frozenset(bits_of(self.forward[_orientation_mask(o, self.rep.element_count)]))
 
     def orientation_of(self, subgraph: Iterable[int]) -> Orientation:
         m = mask_of(subgraph)
@@ -78,7 +79,7 @@ class BijectionTable:
         return Orientation.from_mask(self.rep.element_count, self.inverse[m])
 
     def tag_of(self, o: Orientation) -> Tag:
-        return self.tags[o.mask]
+        return self.tags[_orientation_mask(o, self.rep.element_count)]
 
     def mask_rows(self):
         """(orientation mask, sorted subgraph elements, tag), by increasing mask."""
@@ -237,11 +238,10 @@ def basis_from_orientation(
     rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature
 ) -> Basis:
     """Invert basis_to_orientation on a jointly compatible orientation."""
-    if len(o) != rep.element_count:
-        raise InputError("orientation length disagrees with the ground set")
-    if not (is_compatible(rep, o, sig) and is_compatible(rep, o, cosig)):
+    m = _orientation_mask(o, rep.element_count)
+    if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
         raise NotCompatibleError("orientation is not jointly compatible")
-    found = _basis_map(rep, sig, cosig)[1].get(o.mask)
+    found = _basis_map(rep, sig, cosig)[1].get(m)
     if found is None:
         raise InvariantViolationError("compatible orientation has no basis preimage")
     return Basis(found)

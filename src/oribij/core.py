@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * Edges/elements are indexed 0..n-1.  An orientation is a point of {0,1}^E;
   coordinate 1 means "agrees with the reference arc".  The reference
-  orientation itself is (1, 1, ..., 1).
+  orientation itself is (1, 1, ..., 1).  An ``Orientation`` is stored as its
+  mask and its length; its signs are derived from the mask.
 * A signed circuit is a {0,+1,-1} vector of support-minimal kernel type for
   the representation matrix; a signed cocircuit is the row-space analogue.
   On graphs these are exactly the directed cycles and directed minimal cuts.
@@ -97,7 +98,8 @@ class Graph:
         for tail, head in self.edges:
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
                 raise InputError(f"edge endpoint out of range: {(tail, head)}")
-        if not self._connected():
+        # fewer than vertex_count - 1 edges cannot connect; refuse before the union-find
+        if self.vertex_count > len(self.edges) + 1 or not self._connected():
             raise InputError("graph must be connected")
 
     def _connected(self) -> bool:
@@ -155,6 +157,17 @@ class Orientation:
 
     def __len__(self) -> int:
         return self.size
+
+
+def _orientation_mask(o: Orientation | int, n: int) -> int:
+    """The mask of o over n elements; another length, or a mask outside [0, 2^n), is refused."""
+    if isinstance(o, int):
+        if o < 0 or o >> n:
+            raise InputError("orientation mask lies outside the ground set")
+        return o
+    if len(o) != n:
+        raise InputError("orientation length disagrees with the ground set")
+    return o.mask
 
 
 @dataclass(frozen=True)

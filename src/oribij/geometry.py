@@ -43,6 +43,7 @@ from .core import (
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
+    _orientation_mask,
     _require_cap,
     bits_of,
     mask_of,
@@ -96,6 +97,8 @@ class HalfOpenCell:
 
 
 def cell_contains(cell: HalfOpenCell, point: RationalPoint) -> bool:
+    if len(point.coords) != len(cell.anchor):
+        raise InputError("point dimension disagrees with the cell's anchor")
     for e, x in enumerate(point.coords):
         anchored = cell.anchor.mask >> e & 1
         if e not in cell.generating_set:
@@ -423,7 +426,8 @@ def cell_count_polynomial(
     if orientations is None:
         masks = table.rep.orientation_universe()
     else:
-        masks = (o if isinstance(o, int) else o.mask for o in orientations)
+        n = table.rep.element_count
+        masks = (_orientation_mask(o, n) for o in orientations)
     return MultilinearPolynomial._of_masks(
         Counter(_image_mask(table, m, complement) for m in masks)
     )

@@ -20,6 +20,7 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
+    _orientation_mask,
     _require_cap,
     conformal_decompose,
     split_kernel_image,
@@ -121,9 +122,7 @@ def _class_split(
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
     n = rep.element_count
-    if len(o) != n:
-        raise InputError("orientation length disagrees with the ground set")
-    cp_mask = _joint_representative_mask(rep, o.mask, sig, cosig, rng)
+    cp_mask = _joint_representative_mask(rep, _orientation_mask(o, n), sig, cosig, rng)
     cp = Orientation.from_mask(n, cp_mask)
     d = [a - b for a, b in zip(cp.vector(), o.vector())]
     c, cstar = split_kernel_image(rep, d)
@@ -156,8 +155,8 @@ def same_class(
     rep: RegularMatroidRep, o1: Orientation, o2: Orientation, kind: Kind
 ) -> bool:
     """Whether two orientations differ by reversals of the given kind."""
-    if len(o1) != rep.element_count or len(o2) != rep.element_count:
-        raise InputError("orientation length disagrees with the ground set")
+    _orientation_mask(o1, rep.element_count)
+    _orientation_mask(o2, rep.element_count)
     d = [a - b for a, b in zip(o1.vector(), o2.vector())]
     if kind == "cycle":
         return rep.in_kernel(d)

@@ -20,6 +20,7 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
+    _orientation_mask,
     bits_of,
     enumerate_signed_circuits,
     enumerate_signed_cocircuits,
@@ -213,17 +214,18 @@ def directed_circuits_in(
     cap: int = DEFAULT_ELEMENT_CAP,
 ) -> list[SignedSupportVector]:
     """All signed circuits (or cocircuits) whose arcs all appear in o."""
+    m = _orientation_mask(o, rep.element_count)
     out = []
     for vec in _supports_for(rep, side, cap):
         for cand in (vec, -vec):
-            if cand.in_orientation(o):
+            if cand.in_orientation(m):
                 out.append(cand)
     return out
 
 
 def is_compatible(rep: RegularMatroidRep, o: Orientation | int, sig: Signature) -> bool:
     """True when every directed circuit in o is the chosen one for its support."""
-    m = o if isinstance(o, int) else o.mask
+    m = _orientation_mask(o, rep.element_count)
     for pos, neg in sig.anti_masks:
         if (pos & ~m) == 0 and (neg & m) == 0:
             return False

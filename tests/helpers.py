@@ -328,3 +328,51 @@ def table_oracle(matrix, n: int, circuits, cocircuits):
                 (False, True): "connected-spanning", (False, False): "general",
             }[sigma_ok[m], star_ok[m]]
     return forward, tags
+
+
+class SubsetPolynomial:
+    """Plain reference for ``MultilinearPolynomial``: coefficients keyed by frozenset.
+
+    Squarefree monomials are element subsets; zero coefficients are dropped.
+    """
+
+    def __init__(self, coefficients=None):
+        self.coeffs = {frozenset(s): int(c) for s, c in (coefficients or {}).items() if c}
+
+    @classmethod
+    def from_subsets(cls, subsets) -> "SubsetPolynomial":
+        out: dict[frozenset, int] = {}
+        for s in subsets:
+            out[frozenset(s)] = out.get(frozenset(s), 0) + 1
+        return cls(out)
+
+    @classmethod
+    def full_cube(cls, n: int) -> "SubsetPolynomial":
+        return cls.from_subsets(
+            s for size in range(n + 1) for s in itertools.combinations(range(n), size)
+        )
+
+    def coefficient(self, subset) -> int:
+        return self.coeffs.get(frozenset(subset), 0)
+
+    def monomials(self) -> list[tuple[tuple[int, ...], int]]:
+        return sorted(((tuple(sorted(s)), c) for s, c in self.coeffs.items()),
+                      key=lambda item: (len(item[0]), item[0]))
+
+    def evaluate(self, values):
+        total = 0
+        for s, c in self.coeffs.items():
+            term = c
+            for e in s:
+                term *= values[e]
+            total += term
+        return total
+
+    def __sub__(self, other: "SubsetPolynomial") -> "SubsetPolynomial":
+        out = dict(self.coeffs)
+        for s, c in other.coeffs.items():
+            out[s] = out.get(s, 0) - c
+        return SubsetPolynomial(out)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)

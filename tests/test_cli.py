@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from oribij import CIRCUIT, COCIRCUIT, RegularMatroidRep, canonical_weights, signature_from_weights
+from oribij import (
+    CIRCUIT,
+    COCIRCUIT,
+    Graph,
+    RegularMatroidRep,
+    canonical_weights,
+    signature_from_weights,
+)
 from oribij.cli import main
 
 from helpers import table_oracle
@@ -181,6 +188,18 @@ def test_out_file(capsys, tmp_path, triangle_file):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["passed"]
+
+
+def test_huge_vertex_count_exits_2_before_the_union_find(capsys, tmp_path, monkeypatch):
+    def union_find(self):
+        raise AssertionError("the union-find ran")
+
+    monkeypatch.setattr(Graph, "_connected", union_find)
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"vertices": 4 * 10 ** 6, "edges": [[0, 1]]}))
+    code, _, err = run(capsys, ["table", "--graph", str(path)])
+    assert code == 2
+    assert err == "error: graph must be connected\n"
 
 
 def test_single_vertex_graph_loops_fast_path(capsys, tmp_path):

@@ -81,6 +81,17 @@ def test_disconnected_graph_rejected():
         Graph(4, ((0, 1), (2, 3)))
 
 
+def test_too_few_edges_to_connect_are_refused_before_the_union_find(monkeypatch):
+    def union_find(self):
+        raise AssertionError("the union-find ran")
+
+    monkeypatch.setattr(Graph, "_connected", union_find)
+    with pytest.raises(InputError, match="graph must be connected"):
+        Graph(10 ** 12, ((0, 1),))
+    with pytest.raises(InputError, match="graph must be connected"):
+        Graph(3, ((0, 1),))
+
+
 def test_single_vertex_graph_signals_trivial_case():
     g = Graph(1, ((0, 0), (0, 0)))
     with pytest.raises(TrivialGraphError):

@@ -29,7 +29,7 @@ from oribij import (
     verify_cube_tiling,
 )
 
-from helpers import random_connected_multigraph, random_signature_pair
+from helpers import SubsetPolynomial, random_connected_multigraph, random_signature_pair
 
 
 DATA = Path(__file__).parent / "data"
@@ -252,6 +252,59 @@ def test_polynomial_arithmetic():
     assert diff.monomials() == [((), 1)]
     assert (a - a).is_zero()
     assert a.evaluate([3]) == 7
+
+
+def _random_subsets(rng, n):
+    subsets = []
+    for _ in range(rng.randint(0, 12)):
+        subset = [e for e in range(n) if rng.random() < 0.5]
+        subsets.append(subset + subset[:rng.randint(0, 1)])
+    return subsets
+
+
+def _agrees(poly, ref, n, rng):
+    assert poly.monomials() == ref.monomials()
+    assert len(poly) == len(ref)
+    assert poly.is_zero() == (len(ref) == 0)
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            assert poly.coefficient(subset) == ref.coefficient(subset)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+    assert poly.evaluate(values) == ref.evaluate(values)
+
+
+def test_polynomials_match_the_frozenset_reference():
+    # subsets may repeat an element; a repeat is the same squarefree monomial
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        lists = [_random_subsets(rng, n) for _ in range(2)]
+        polys = [MultilinearPolynomial.from_subsets(s) for s in lists]
+        refs = [SubsetPolynomial.from_subsets(s) for s in lists]
+        for poly, ref in zip(polys, refs):
+            _agrees(poly, ref, n, rng)
+        _agrees(polys[0] - polys[1], refs[0] - refs[1], n, rng)
+        assert (polys[0] == polys[1]) == (refs[0].coeffs == refs[1].coeffs)
+        assert polys[0] == MultilinearPolynomial.from_subsets(reversed(lists[0]))
+        assert (polys[0] - polys[0]) == MultilinearPolynomial()
+        coefficients = {frozenset(s): rng.randint(-2, 2) for s in lists[0]}
+        _agrees(MultilinearPolynomial(coefficients), SubsetPolynomial(coefficients), n, rng)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_full_cube_matches_the_frozenset_reference(n):
+    _agrees(MultilinearPolynomial.full_cube(n), SubsetPolynomial.full_cube(n), n,
+            random.Random(n))
+
+
+def test_constructor_takes_subset_keys_and_drops_zero_coefficients():
+    poly = MultilinearPolynomial({frozenset(): 0, frozenset({1}): 3, frozenset({0, 2}): -1,
+                                  frozenset({2}): 0})
+    assert poly.monomials() == [((1,), 3), ((0, 2), -1)]
+    assert len(poly) == 2
+    assert poly.coefficient([2, 0]) == -1 and poly.coefficient(()) == 0
+    assert poly == MultilinearPolynomial({(2, 0): -1, (1,): 3})
+    assert MultilinearPolynomial({frozenset({0}): 0}) == MultilinearPolynomial()
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,9 @@ def test_the_listing_runs_once_per_verification(monkeypatch):
 # ---------------------------------------------------------------------------
 # the verify output is pinned to the pair-loop implementation's, the table
 # output to the inline-split, per-mask compatibility and standard-encoder one's,
-# the classes output to the dot-product keys' and signature walk's, and the
-# single-query images to those of the queries that read the whole table
+# the classes output to the dot-product keys' and signature walk's, the
+# ehrhart output to the frozenset-keyed polynomials', and the single-query
+# images to those of the queries that read the whole table
 
 
 def _input_file(tmp_path, name):
@@ -275,6 +276,18 @@ def test_table_stdout_is_unchanged(capsys, tmp_path, name, fmt, digest):
 def test_classes_stdout_is_unchanged(capsys, tmp_path, name, kind, digest):
     flag, path = _input_file(tmp_path, name)
     code = main(["classes", flag, path, "--kind", kind])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("W4", "13f9f0abaef6ab6c9b5788568853a0eca4f2a5238478d55dd4547fd931a05c26"),
+    ("R10", "7f145b6129567de59118d0172a34e34e31cab15ae490c3e07bbe7297cd301f88"),
+])
+def test_ehrhart_stdout_is_unchanged(capsys, tmp_path, name, digest):
+    flag, path = _input_file(tmp_path, name)
+    code = main(["ehrhart", flag, path])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
