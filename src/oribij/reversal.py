@@ -80,7 +80,7 @@ def circuit_class_representative(
     """The unique sig-compatible orientation in o's circuit reversal class."""
     if sig.side != CIRCUIT:
         raise InputError("expected a circuit signature")
-    mask = _representative_mask(rep, o.mask, sig, rng)
+    mask = _representative_mask(rep, _orientation_mask(o, rep.element_count), sig, rng)
     return Orientation.from_mask(rep.element_count, mask)
 
 
@@ -91,7 +91,7 @@ def cocircuit_class_representative(
     """The unique sig-compatible orientation in o's cocircuit reversal class."""
     if sig.side != COCIRCUIT:
         raise InputError("expected a cocircuit signature")
-    mask = _representative_mask(rep, o.mask, sig, rng)
+    mask = _representative_mask(rep, _orientation_mask(o, rep.element_count), sig, rng)
     return Orientation.from_mask(rep.element_count, mask)
 
 

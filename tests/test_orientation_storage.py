@@ -21,6 +21,8 @@ from oribij import (
     canonical_signature_pair,
     cell_contains,
     cell_count_polynomial,
+    circuit_class_representative,
+    cocircuit_class_representative,
     directed_circuits_in,
     is_compatible,
 )
@@ -140,6 +142,15 @@ def test_cell_count_polynomial_refuses_a_wrong_length_orientation(triangle_setup
     for o in (SHORT, LONG, 8, -1):
         with pytest.raises(InputError):
             cell_count_polynomial(table, [Orientation.from_mask(3, 0), o])
+
+
+def test_class_representatives_refuse_a_wrong_length_orientation(triangle_setup):
+    rep, sig, cosig, _ = triangle_setup
+    for o in (SHORT, LONG):
+        with pytest.raises(InputError):
+            circuit_class_representative(rep, o, sig)
+        with pytest.raises(InputError):
+            cocircuit_class_representative(rep, o, cosig)
 
 
 def test_cell_contains_refuses_a_point_of_another_dimension():
