@@ -5,10 +5,12 @@ fundamental circuit (off the basis) and fundamental cocircuit (on it); that
 map is a bijection onto the jointly compatible orientations.  Extending by
 "add reversed circuit supports, remove reversed cocircuit supports" turns it
 into a bijection from all orientations to all subsets of the ground set.
-A forward single query needs only its orientation's class split and the
-basis map, which is read off the basis tableaux once per (rep, signatures)
-triple and cached; the whole 2^n table, also cached, serves the commands
-that need every row and the inverse maps.
+A forward single query needs only the basis map, which is read off the
+basis tableaux once per (rep, signatures) triple and cached with a map from
+class key to class representative: the key N o mod t (N/t the projection
+onto the row space) names o's joint reversal class, so one lookup finds
+the representative, with no reversal walk.  The whole 2^n table, also
+cached, serves the commands that need every row and the inverse maps.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     RegularMatroidRep,
     bits_of,
     _basis_tableau,
+    _class_key,
     _image_part,
     _orientation_mask,
     _require_cap,
@@ -36,7 +39,7 @@ from .errors import (
     NotCompatibleError,
     NotSameClassError,
 )
-from .reversal import _class_masks, _class_split
+from .reversal import _class_masks
 from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set, is_compatible
 
 Tag = Literal["basis", "forest", "connected-spanning", "general"]
@@ -103,7 +106,8 @@ class BijectionTable:
             return _TABLE_CACHE[key]
 
         n = rep.element_count
-        basis_orientations, orientation_bases = _basis_map(rep, sig, cosig, cap, use_cache)
+        # no key map: the build finds each class's representative itself
+        basis_orientations, orientation_bases = _orient_bases(rep, sig, cosig, cap)
 
         total = 1 << n
         sigma_ok = f"{_compatible_set(rep, sig):0{total}b}"[::-1]
@@ -126,18 +130,7 @@ class BijectionTable:
                 )
             tree_mask = mask_of(tree)
             for m in members:
-                pos, neg = cp & ~m, m & ~cp
-                try:
-                    image_part = _image_part(rep, ((pos, neg),))
-                except NotSameClassError as exc:
-                    raise InvariantViolationError("class split is not integral") from exc
-                image = 0
-                for j, star in image_part.items():
-                    bit = 1 << j
-                    if star != (1 if pos & bit else -1 if neg & bit else 0):
-                        raise InvariantViolationError("class split is not a sign split")
-                    image |= bit
-                forward[m] = (tree_mask | pos | neg) & ~image
+                forward[m] = _image_of(rep, cp, tree_mask, m)
                 tags[m] = tag_by_mask[m]
 
         if len(set(forward.values())) != 1 << n:
@@ -149,6 +142,30 @@ class BijectionTable:
         if use_cache:
             _TABLE_CACHE[key] = table
         return table
+
+
+def _image_of(rep: RegularMatroidRep, cp: int, tree_mask: int, m: int) -> int:
+    """The image of orientation m, whose class representative cp has basis tree_mask.
+
+    The image is the basis, plus the supports of the reversed circuits, minus
+    the supports of the reversed cocircuits.  The reversed circuits are
+    disjoint and sum to the kernel part c of d = cp - m (the cocircuits
+    likewise to the row-space part c*), so their supports are read off the
+    split without decomposing it.  The split must be integral and a sign
+    split: c* agrees with d wherever it is nonzero.
+    """
+    pos, neg = cp & ~m, m & ~cp
+    try:
+        image_part = _image_part(rep, ((pos, neg),))
+    except NotSameClassError as exc:
+        raise InvariantViolationError("class split is not integral") from exc
+    cosupport = 0
+    for j, star in image_part.items():
+        bit = 1 << j
+        if star != (1 if pos & bit else -1 if neg & bit else 0):
+            raise InvariantViolationError("class split is not a sign split")
+        cosupport |= bit
+    return (tree_mask | pos | neg) & ~cosupport
 
 
 def _check_tag(rep: RegularMatroidRep, tag: Tag, subgraph_mask: int):
@@ -192,22 +209,13 @@ def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> i
     return mask
 
 
-_BASIS_MAP_CACHE: dict[tuple, tuple[dict[frozenset[int], int], dict[int, frozenset[int]]]] = {}
-
-
-def _basis_map(
-    rep: RegularMatroidRep, sig: Signature, cosig: Signature,
-    cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
+def _orient_bases(
+    rep: RegularMatroidRep, sig: Signature, cosig: Signature, cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[dict[frozenset[int], int], dict[int, frozenset[int]]]:
     """(basis -> orientation mask, orientation mask -> basis) for one signature pair."""
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
     _require_cap(rep, cap)
-    # the graph flag keeps a graph rep and its equal matrix twin apart, so a
-    # hit matches its own signatures by identity, not vector by vector
-    key = (rep, sig, cosig, rep.graph is not None)
-    if use_cache and key in _BASIS_MAP_CACHE:
-        return _BASIS_MAP_CACHE[key]
     basis_orientations = {
         basis.elements: _orient_basis_mask(rep, basis, sig, cosig)
         for basis in enumerate_bases(rep, cap)
@@ -215,9 +223,43 @@ def _basis_map(
     orientation_bases = {m: b for b, m in basis_orientations.items()}
     if len(orientation_bases) != len(basis_orientations):
         raise InvariantViolationError("basis map is not injective")
-    if use_cache:
-        _BASIS_MAP_CACHE[key] = basis_orientations, orientation_bases
     return basis_orientations, orientation_bases
+
+
+_BASIS_MAP_CACHE: dict[tuple, tuple[
+    dict[frozenset[int], int], dict[int, frozenset[int]], dict[tuple[int, ...], int]
+]] = {}
+
+
+def _basis_map(
+    rep: RegularMatroidRep, sig: Signature, cosig: Signature,
+) -> tuple[dict[frozenset[int], int], dict[int, frozenset[int]], dict[tuple[int, ...], int]]:
+    """The two maps of ``_orient_bases`` plus class key -> representative mask, cached.
+
+    Checked: every basis orientation is jointly compatible, no two share a
+    class key, and the keys number t, the Gram determinant det(A A^T), which
+    is the number of bases (Cauchy-Binet, every basis determinant being +-1).
+    """
+    # the graph flag keeps a graph rep and its equal matrix twin apart, so a
+    # hit matches its own signatures by identity, not vector by vector
+    key = (rep, sig, cosig, rep.graph is not None)
+    if key in _BASIS_MAP_CACHE:
+        return _BASIS_MAP_CACHE[key]
+    basis_orientations, orientation_bases = _orient_bases(rep, sig, cosig)
+    representatives: dict[tuple[int, ...], int] = {}
+    for m in orientation_bases:
+        if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
+            raise InvariantViolationError("basis orientation is not jointly compatible")
+        representatives.setdefault(_class_key(rep, m), m)
+    if len(representatives) != len(orientation_bases):
+        raise InvariantViolationError("two basis orientations share a class key")
+    t = rep._packed_projection[1]
+    if len(representatives) != t:
+        raise InvariantViolationError(
+            f"{len(representatives)} class keys, not the Gram determinant {t}"
+        )
+    _BASIS_MAP_CACHE[key] = basis_orientations, orientation_bases, representatives
+    return _BASIS_MAP_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +294,17 @@ def _subgraph_and_tag(
 ) -> tuple[int, Tag]:
     """One row of the table, without the table: o's image mask and its tag.
 
-    The image is the representative's basis, plus the supports of the
-    reversed circuits, minus the supports of the reversed cocircuits.  The
-    reversed circuits are disjoint and sum to the kernel part of
-    representative - o (the cocircuits likewise to the row-space part), so
-    their supports are read off the split without decomposing it.  The row
-    is checked as the build checks each row: the tag must match the image.
+    o's class representative is looked up by its class key in the basis
+    map, and the image is computed (see ``_image_of``) and checked as the
+    build computes and checks each row: the tag must match the image.
     """
-    cp, c, cstar = _class_split(rep, o, sig, cosig)
-    basis = basis_from_orientation(rep, cp, sig, cosig)
-    image = (basis.mask | c.pos_mask | c.neg_mask) & ~(cstar.pos_mask | cstar.neg_mask)
-    tag = _TAGS[is_compatible(rep, o, sig), is_compatible(rep, o, cosig)]
+    m = _orientation_mask(o, rep.element_count)
+    _, orientation_bases, representatives = _basis_map(rep, sig, cosig)
+    cp = representatives.get(_class_key(rep, m))
+    if cp is None:
+        raise InvariantViolationError("class key missed by the basis map")
+    image = _image_of(rep, cp, mask_of(orientation_bases[cp]), m)
+    tag = _TAGS[is_compatible(rep, m, sig), is_compatible(rep, m, cosig)]
     _check_tag(rep, tag, image)
     return image, tag
 
@@ -270,7 +312,7 @@ def _subgraph_and_tag(
 def orientation_to_subgraph(
     rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature
 ) -> frozenset[int]:
-    """Map an orientation to a subgraph via its class split (see _subgraph_and_tag)."""
+    """Map an orientation to a subgraph via its class key (see _subgraph_and_tag)."""
     return frozenset(bits_of(_subgraph_and_tag(rep, o, sig, cosig)[0]))
 
 

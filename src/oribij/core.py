@@ -879,6 +879,29 @@ def _image_part(
     return nums
 
 
+def _class_key(rep: RegularMatroidRep, mask: int) -> tuple[int, ...]:
+    """N o mod t, field by field: the joint reversal class of orientation o.
+
+    o and o' share a class exactly when N (o - o') / t is integral, the test
+    ``_image_part`` makes, so they share a class exactly when their keys are
+    equal.  N o is the bias plus the packed columns of o's elements; a {0,1}
+    vector never borrows across fields.
+    """
+    columns, t, width, bias = rep._packed_projection
+    total = bias
+    rest = mask
+    while rest:
+        low = rest & -rest
+        total += columns[low.bit_length() - 1]
+        rest ^= low
+    field = (1 << width) - 1
+    half = 1 << (width - 1)
+    return tuple(
+        ((total >> shift & field) - half) % t
+        for shift in range(0, width * rep.element_count, width)
+    )
+
+
 def split_kernel_image(
     rep: RegularMatroidRep, d: Sequence[int]
 ) -> tuple[SignedSupportVector, SignedSupportVector]:

@@ -6,7 +6,9 @@ orientation; iterating "reverse an anti-chosen circuit" reaches it.
 
 The classes need no signature: cycle classes are the fibres of o -> A o,
 cocycle classes those of o -> K o (K the kernel basis), and joint classes
-the join of the two partitions.  ``_class_masks`` is the one partition.
+the join of the two partitions.  ``_class_masks`` is the one partition,
+and ``core._class_key`` the one test that two orientations share a joint
+class.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
+    _class_key,
     _orientation_mask,
     _require_cap,
     conformal_decompose,
     split_kernel_image,
 )
-from .errors import InputError, InvariantViolationError, NotSameClassError
+from .errors import InputError, InvariantViolationError
 from .signatures import CIRCUIT, COCIRCUIT, Signature
 
 Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
@@ -155,19 +158,15 @@ def same_class(
     rep: RegularMatroidRep, o1: Orientation, o2: Orientation, kind: Kind
 ) -> bool:
     """Whether two orientations differ by reversals of the given kind."""
-    _orientation_mask(o1, rep.element_count)
-    _orientation_mask(o2, rep.element_count)
-    d = [a - b for a, b in zip(o1.vector(), o2.vector())]
+    m1 = _orientation_mask(o1, rep.element_count)
+    m2 = _orientation_mask(o2, rep.element_count)
+    if kind == "cycle-cocycle":
+        return _class_key(rep, m1) == _class_key(rep, m2)
+    d = [(m1 >> j & 1) - (m2 >> j & 1) for j in range(rep.element_count)]
     if kind == "cycle":
         return rep.in_kernel(d)
     if kind == "cocycle":
         return rep.in_row_space(d)
-    if kind == "cycle-cocycle":  # same class iff d lies in ker(A) + row(A) over Z
-        try:
-            split_kernel_image(rep, d)
-        except NotSameClassError:
-            return False
-        return True
     raise InputError(f"unknown reversal kind {kind!r}")
 
 

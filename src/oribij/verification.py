@@ -9,7 +9,7 @@ counting-polynomial identities.
 from __future__ import annotations
 
 from .bijection import BijectionTable
-from .core import RegularMatroidRep
+from .core import RegularMatroidRep, closure_mask_partition
 from .errors import InputError
 from .geometry import (
     MultilinearPolynomial,
@@ -18,8 +18,8 @@ from .geometry import (
     independent_set_polynomial,
     verify_cube_tiling,
 )
-from .oracle import reversal_closure_classes, tutte
-from .reversal import KINDS, enumerate_classes
+from .oracle import tutte
+from .reversal import KINDS, _class_masks
 from .signatures import Signature
 
 
@@ -99,7 +99,7 @@ def run_verification(
 
     # both list each class sorted, and the classes by least member
     mismatched = [kind for kind in KINDS
-                  if enumerate_classes(rep, kind) != reversal_closure_classes(rep, kind)]
+                  if _class_masks(rep, kind) != closure_mask_partition(rep, kind)]
     suites.append(_suite("class-oracle", not mismatched, {"mismatched_kinds": mismatched}))
 
     product = cell_count_polynomial(table)

@@ -324,7 +324,10 @@ def test_only_the_oracle_calls_the_closure_and_nothing_calls_the_canonical_pair(
                         name = getattr(node.func, "id", getattr(node.func, "attr", None))
                         if name in ("closure_mask_partition", "canonical_signature_pair"):
                             callers.add((path.stem, fn.name, name))
-    assert callers == {("oracle", "reversal_closure_classes", "closure_mask_partition")}
+    assert callers == {
+        ("oracle", "reversal_closure_classes", "closure_mask_partition"),
+        ("verification", "run_verification", "closure_mask_partition"),
+    }
 
 
 def test_representatives_constant_on_classes(triangle_rep):

@@ -1,9 +1,9 @@
 """The table build and single queries against the Fraction oracle, and every way they refuse.
 
 ``BijectionTable.build`` splits cp - m through packed projection columns and
-gets its compatibility flags bit-parallel; single queries split one
-orientation the same way and read its representative's basis off the basis
-map, which orients each basis straight off its tableau.  These tests hold
+gets its compatibility flags bit-parallel; single queries look their
+class representative up by class key in the basis map, which orients each
+basis straight off its tableau, and split the same way.  These tests hold
 all of it to the plain definitions in ``helpers`` (exact Fraction
 projection, per-mask ``is_compatible``, fundamental signed vectors) and
 make each of the build's invariant checks fire.
@@ -31,7 +31,7 @@ from oribij import (
     orientation_to_subgraph_complement,
 )
 from oribij import bijection
-from oribij.core import _basis_tableau, bits_of
+from oribij.core import _basis_tableau, _class_key, bits_of
 from oribij.signatures import _compatible_set
 
 from helpers import (
@@ -152,16 +152,26 @@ def _with_projection(rep, scale):
     return fresh
 
 
-def test_split_that_is_not_a_sign_split_is_refused():
+def test_split_that_is_not_a_sign_split_is_refused(monkeypatch):
     clean = _k4()
     rep = _with_projection(clean, 2)
     sig, cosig = canonical_signature_pair(rep)
     with pytest.raises(InvariantViolationError, match="not a sign split"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
-    # a single query splits through the same columns: those that need a
-    # nonzero row-space part are refused, the others keep their clean image
+    # the scaled reps equal the clean one, so none may reuse another's basis map
+    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    # doubling N sends the classes of order 2 in the class group (of order
+    # t = 16) to the key of the identity, so single queries refuse the key map
+    with pytest.raises(InvariantViolationError, match="share a class key"):
+        orientation_to_subgraph(rep, Orientation.reference(rep.element_count), sig, cosig)
+    # tripling N keeps the keys apart (3 is a unit mod 16), and a single query
+    # splits through the same columns as the build: those that need a nonzero
+    # row-space part are refused, the others keep their clean image
+    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    rep = _with_projection(clean, 3)
     want = BijectionTable.build(clean, sig, cosig, use_cache=False)
     messages = set()
+    answered = 0
     for m in rep.orientation_universe():
         o = Orientation.from_mask(rep.element_count, m)
         try:
@@ -170,7 +180,9 @@ def test_split_that_is_not_a_sign_split_is_refused():
             messages.add(str(exc))
         else:
             assert image == want.subgraph_of(o)
-    assert "same-class split is not a sign vector" in messages
+            answered += 1
+    assert 0 < answered < 1 << rep.element_count
+    assert messages == {"class split is not a sign split"}
 
 
 def test_forward_map_that_is_not_a_bijection_is_refused():
@@ -267,3 +279,63 @@ def test_single_queries_never_build_the_table(monkeypatch, name):
         assert classify_specialization(rep, o, sig, cosig) == want.tag_of(o)
         if want.tag_of(o) == "basis":
             assert basis_from_orientation(rep, o, sig, cosig).elements == image
+
+
+# ---------------------------------------------------------------------------
+# the class key and the key map
+
+
+def test_class_keys_name_the_joint_classes():
+    cases = []
+    for g, rep, pairs in suite_instances():
+        cases += [(rep, *pairs[0]), (matrix_rep(rep), *pairs[0])]
+    r10 = RegularMatroidRep.from_rows(R10_MATRIX)
+    cases.append((r10, *canonical_signature_pair(r10)))
+    for rep, sig, cosig in cases:
+        classes = bijection._class_masks(rep, "cycle-cocycle")
+        keys = [{_class_key(rep, m) for m in members} for members in classes]
+        assert all(len(k) == 1 for k in keys)
+        assert len(set().union(*keys)) == len(classes)
+        _, orientation_bases, representatives = bijection._basis_map(rep, sig, cosig)
+        assert len(representatives) == rep._packed_projection[1] == len(rep._basis_masks)
+        assert sorted(representatives.values()) == sorted(orientation_bases)
+        assert all(_class_key(rep, m) == k for k, m in representatives.items())
+
+
+def test_basis_orientations_sharing_a_class_key_are_refused(monkeypatch):
+    rep = _k4()
+    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    monkeypatch.setattr(bijection, "_class_key", lambda rep, m: ())
+    with pytest.raises(InvariantViolationError, match="share a class key"):
+        orientation_to_subgraph(rep, Orientation.reference(6), *canonical_signature_pair(rep))
+
+
+def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
+    rep = _k4()
+    sig, cosig = canonical_signature_pair(rep)
+    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
+    monkeypatch.setattr(bijection, "_class_key", lambda rep, m: ())
+    with pytest.raises(InvariantViolationError, match="missed by the basis map"):
+        orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
+
+
+def test_incompatible_basis_orientation_is_refused_by_the_key_map(monkeypatch):
+    rep = _k4()
+    full = (1 << rep.element_count) - 1
+    orient = bijection._orient_basis_mask
+    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    monkeypatch.setattr(bijection, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
+    with pytest.raises(InvariantViolationError, match="not jointly compatible"):
+        orientation_to_subgraph(rep, Orientation.reference(6), *canonical_signature_pair(rep))
+
+
+def test_key_count_other_than_the_gram_determinant_is_refused(monkeypatch):
+    clean = _k4()
+    fresh = RegularMatroidRep.from_rows(clean.matrix, graph=clean.graph)
+    rows, t = clean._projection()
+    # the same projection N/t as 3N/3t, but 3t = 48 is not the number of bases
+    fresh.__dict__["_projection"] = lambda: (tuple(tuple(3 * x for x in r) for r in rows), 3 * t)
+    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    with pytest.raises(InvariantViolationError, match="16 class keys, not the Gram determinant 48"):
+        orientation_to_subgraph(fresh, Orientation.reference(6), *canonical_signature_pair(fresh))
