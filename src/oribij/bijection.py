@@ -5,12 +5,13 @@ fundamental circuit (off the basis) and fundamental cocircuit (on it); that
 map is a bijection onto the jointly compatible orientations.  Extending by
 "add reversed circuit supports, remove reversed cocircuit supports" turns it
 into a bijection from all orientations to all subsets of the ground set.
-A forward single query needs only the basis map, which is read off the
-basis tableaux once per (rep, signatures) triple and cached with a map from
-class key to class representative: the key N o mod t (N/t the projection
-onto the row space) names o's joint reversal class, so one lookup finds
-the representative, with no reversal walk.  The whole 2^n table, also
-cached, serves the commands that need every row and the inverse maps.
+A forward single query needs only the basis map, built per (rep,
+signatures) triple from the fundamental supports that the rep reads off its
+basis tableaux once, and cached with a map from class key to representative:
+the key N o mod t (N/t the projection onto the row space) names o's joint
+reversal class, so one lookup finds it, with no reversal walk.  The whole
+2^n table, also cached, serves the commands that need every row and the
+inverse maps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .core import (
     PartialOrientation,
     RegularMatroidRep,
     bits_of,
-    _basis_tableau,
+    _NOT_A_BASIS,
+    _basis_mask,
     _class_key,
     _image_part,
     _orientation_mask,
@@ -178,34 +180,18 @@ def _check_tag(rep: RegularMatroidRep, tag: Tag, subgraph_mask: int):
         )
 
 
-_UNIT = frozenset((-1, 0, 1))
-
-
 def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> int:
-    """The orientation of a basis, read off its tableau.
+    """The orientation of a basis: each element follows the chosen vector on its support.
 
-    Row i of the tableau is the fundamental cocircuit of the i-th basis
-    element b, with +1 at b; the fundamental circuit of e off the basis is
-    +1 at e and nonzero at the b whose row is nonzero at e.  Either way the
-    element is oriented forward when it is positive in the chosen vector on
-    that support.
+    The supports (fundamental cocircuits on the basis, circuits off it) are
+    looked up in the rep's one pass over the basis tableaux; a non-basis is refused.
     """
-    tableau = _basis_tableau(rep, basis.elements)
-    circuit_supports = [1 << e for e in range(rep.element_count)]
+    supports = rep._tableau_pass[2].get(_basis_mask(basis))
+    if supports is None:
+        raise InputError(_NOT_A_BASIS)
     mask = 0
-    for b, row in zip(sorted(basis.elements), tableau):
-        if not _UNIT.issuperset(row):
-            raise InputError("matrix is not totally unimodular")
-        support = 0
-        for e, x in enumerate(row):
-            if x:
-                support |= 1 << e
-                circuit_supports[e] |= 1 << b
-        mask |= cosig.chosen_pos_mask(support) & 1 << b
-    off = ~basis.mask
-    for e, support in enumerate(circuit_supports):
-        if off >> e & 1:
-            mask |= sig.chosen_pos_mask(support) & 1 << e
+    for e, support in enumerate(supports):
+        mask |= (cosig if basis.mask >> e & 1 else sig).chosen_pos_mask(support) & 1 << e
     return mask
 
 

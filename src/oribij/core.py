@@ -11,9 +11,10 @@ Conventions used throughout the package:
   On graphs these are exactly the directed cycles and directed minimal cuts.
 * All arithmetic is exact (ints and Fractions).  Bit masks over the element
   set are used in inner loops; bit j of a mask is element j.
-* Independence is decided over GF(2).  Every basis determinant of an
-  accepted matrix is +-1, hence odd, so the matrix and its reduction mod 2
-  have the same bases.
+* Only independence is decided over GF(2): every basis determinant of an
+  accepted matrix is +-1, hence odd, so A and A mod 2 have the same bases.
+  Circuits, cocircuits and each basis's fundamental supports (which orient
+  it) are read off one pivot of each basis tableau (``_tableau_pass``).
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ def bits_of(mask: int) -> list[int]:
         mask >>= 1
         i += 1
     return out
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def orientations_with_bit(n: int) -> list[int]:
@@ -138,15 +135,17 @@ class Orientation:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Orientation":
-        """The orientation of n elements given by the low n bits of mask."""
+        """The orientation of n elements given by mask; a mask outside [0, 2^n) is refused."""
+        if mask < 0 or mask >> n:
+            raise InputError("orientation mask lies outside the ground set")
         o = object.__new__(cls)
-        object.__setattr__(o, "mask", mask & ~(-1 << n))
+        object.__setattr__(o, "mask", mask)
         object.__setattr__(o, "size", n)
         return o
 
     @classmethod
     def reference(cls, n: int) -> "Orientation":
-        return cls.from_mask(n, -1)
+        return cls.from_mask(n, (1 << n) - 1)
 
     @property
     def signs(self) -> tuple[bool, ...]:
@@ -305,12 +304,12 @@ class RegularMatroidRep:
         """Integer rows spanning ker(A); empty when the columns are independent.
 
         The rows are the fundamental circuits of the first basis, one per
-        element outside it.
+        element outside it, read off the first tableau.
         """
-        basis = Basis(frozenset(self._first_tableau[0]))
+        pivots, tableau = self._first_tableau
         return tuple(
-            fundamental_circuit(self, basis, e).entries
-            for e in range(self.element_count) if e not in basis.elements
+            tuple(_circuit_entries(tableau, pivots, e, self.element_count))
+            for e in range(self.element_count) if e not in pivots
         )
 
     @cached_property
@@ -354,45 +353,54 @@ class RegularMatroidRep:
                 sub = (sub - 1) & free
         return frozenset(out)
 
-    def _extend_to_basis(self, start: int, avoid: int) -> Basis:
-        """Greedily extend the independent mask ``start`` by elements outside ``avoid``."""
-        mask = start
-        for j in range(self.element_count):
-            bit = 1 << j
-            if not (avoid | mask) & bit and mask | bit in self._independent_masks:
-                mask |= bit
-        return Basis(frozenset(bits_of(mask)))
-
     @cached_property
-    def _circuits(self) -> tuple[SignedSupportVector, ...]:
-        # circuit C through its lowest element e: C is the fundamental circuit
-        # of e for any basis containing C - e
-        vecs = []
-        for s in _minimal_dependent_masks(self._independent_masks, self.element_count):
-            e = _lowest_bit(s)
-            vecs.append(fundamental_circuit(self, self._extend_to_basis(s & ~(1 << e), s), e))
-        return tuple(sorted(vecs, key=lambda v: sorted(v.support)))
+    def _tableau_pass(self) -> tuple[tuple, tuple, dict[int, tuple[int, ...]]]:
+        """(circuits, cocircuits, fundamental supports by basis mask), one pivot per basis.
 
-    @cached_property
-    def _cocircuits(self) -> tuple[SignedSupportVector, ...]:
-        # cocircuits are the circuits of the dual, whose independent sets are
-        # the complements of spanning sets; cocircuit D through its lowest
-        # element e is the fundamental cocircuit of e for any basis meeting D
-        # in e alone
-        full = (1 << self.element_count) - 1
-        dual_independent = frozenset(full & ~s for s in self._spanning_masks)
-        vecs = []
-        for s in _minimal_dependent_masks(dual_independent, self.element_count):
-            e = _lowest_bit(s)
-            vecs.append(fundamental_cocircuit(self, self._extend_to_basis(1 << e, s), e))
-        for v in vecs:
-            if any(ratlin.dot(row, v.entries) for row in self.kernel_basis):
+        Every signed circuit (cocircuit) is the fundamental circuit (cocircuit)
+        of some element for some basis.  A support keeps its first vector,
+        scaled so its lowest entry is +1.  A basis's supports are, element by
+        element, e's tableau row (e in the basis) or e and column e (e off it).
+        """
+        n = self.element_count
+        circuits: dict[int, Sequence[int]] = {}
+        cocircuits: dict[int, Sequence[int]] = {}
+        supports: dict[int, tuple[int, ...]] = {}
+        for b in self._basis_masks:
+            tableau = _basis_tableau(self, b)
+            elements = bits_of(b)
+            fundamental = [1 << e for e in range(n)]
+            for element, row in zip(elements, tableau):
+                if not _UNIT.issuperset(row):
+                    raise InputError("matrix is not totally unimodular")
+                support = 0
+                for e, x in enumerate(row):
+                    if x:
+                        support |= 1 << e
+                        fundamental[e] |= 1 << element
+                # no other row is nonzero at element, so this entry stays put
+                fundamental[element] = support
+                cocircuits.setdefault(support, row)
+            for e in range(n):
+                if not b >> e & 1 and fundamental[e] not in circuits:
+                    circuits[fundamental[e]] = _circuit_entries(tableau, elements, e, n)
+            supports[b] = tuple(fundamental)
+        for entries in cocircuits.values():
+            if any(ratlin.dot(row, entries) for row in self.kernel_basis):
                 raise InvariantViolationError("cocircuit not orthogonal to the kernel")
-        return tuple(sorted(vecs, key=lambda v: sorted(v.support)))
 
-    @cached_property
-    def _tableaus(self) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
-        return {}
+        def vectors(found, side):
+            out = []
+            for s in sorted(found, key=bits_of):
+                # the lowest entry is +-1, so scaling by it turns the vector
+                lowest = found[s][(s & -s).bit_length() - 1]
+                out.append(SignedSupportVector(tuple(lowest * x for x in found[s]), side))
+            return tuple(out)
+
+        return vectors(circuits, "kernel"), vectors(cocircuits, "image"), supports
+
+    _circuits = property(lambda self: self._tableau_pass[0])
+    _cocircuits = property(lambda self: self._tableau_pass[1])
 
     def _projection(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Integer matrix N and scale t with row-space projection = N/t."""
@@ -581,22 +589,6 @@ def _independent_column_masks(columns: Sequence[int]) -> set[int]:
     return out
 
 
-def _minimal_dependent_masks(independent: frozenset[int], n: int) -> list[int]:
-    """Supports of circuits: dependent sets whose proper subsets are independent."""
-    found: set[int] = set()
-    for base in independent:
-        for j in range(n):
-            bit = 1 << j
-            if base & bit:
-                continue
-            cand = base | bit
-            if cand in independent or cand in found:
-                continue
-            if all((cand & ~(1 << f)) in independent for f in bits_of(cand)):
-                found.add(cand)
-    return sorted(found)
-
-
 def _require_cap(rep: RegularMatroidRep, cap: int):
     """Refuse past the element cap; past the default cap, check unimodularity first."""
     if rep.element_count > cap:
@@ -640,17 +632,29 @@ def enumerate_independent_sets(
 # ---------------------------------------------------------------------------
 # fundamental circuits / cocircuits
 
-def _basis_tableau(rep: RegularMatroidRep, basis: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    """Rows of A_b^{-1} A, pivoted from the first tableau: all pivots +-1 if A is unimodular."""
-    cached = rep._tableaus.get(basis)
-    if cached is not None:
-        return cached
-    cols = sorted(basis)
+_NOT_A_BASIS = "the set is not a basis of the matrix"
+_UNIT = frozenset((-1, 0, 1))
+
+
+def _basis_mask(basis: Basis) -> int:
+    """The mask of basis; a negative element is refused (larger ones fail as non-bases)."""
+    if min(basis.elements, default=0) < 0:
+        raise InputError(_NOT_A_BASIS)
+    return basis.mask
+
+
+def _basis_tableau(rep: RegularMatroidRep, basis: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of A_b^{-1} A for the basis mask b, by increasing element; a non-basis is refused.
+
+    Pivoted from the first tableau: all pivots +-1 if A is unimodular.
+    """
+    if basis >> rep.element_count or basis.bit_count() != rep.rank:
+        raise InputError(_NOT_A_BASIS)
     work = [list(row) for row in rep._first_tableau[1]]
-    for i, col in enumerate(cols):
+    for i, col in enumerate(bits_of(basis)):
         pivot = next((k for k in range(i, rep.rank) if work[k][col]), None)
         if pivot is None:
-            raise InputError("basis columns are dependent")
+            raise InputError(_NOT_A_BASIS)
         work[i], work[pivot] = work[pivot], work[i]
         if abs(work[i][col]) != 1:
             raise InputError("matrix is not totally unimodular")
@@ -660,25 +664,30 @@ def _basis_tableau(rep: RegularMatroidRep, basis: frozenset[int]) -> tuple[tuple
             f = work[k][col]
             if k != i and f:
                 work[k] = [a - f * b for a, b in zip(work[k], work[i])]
-    tableau = tuple(tuple(row) for row in work)
-    rep._tableaus[basis] = tableau
-    return tableau
+    return tuple(tuple(row) for row in work)
+
+
+def _circuit_entries(tableau, basis: Sequence[int], element: int, n: int) -> list[int]:
+    """The fundamental circuit of element off the basis (listed in row order), +1 at element."""
+    entries = [0] * n
+    entries[element] = 1
+    for b, row in zip(basis, tableau):
+        if abs(row[element]) > 1:
+            raise InputError("matrix is not totally unimodular")
+        entries[b] = -row[element]
+    return entries
 
 
 def fundamental_circuit(
     rep: RegularMatroidRep, basis: Basis, element: int, forward: bool = True
 ) -> SignedSupportVector:
     """The unique signed circuit inside basis + element, oriented at element."""
+    tableau = _basis_tableau(rep, _basis_mask(basis))
+    if not 0 <= element < rep.element_count:
+        raise InputError("element outside the ground set")
     if element in basis.elements:
         raise InputError("fundamental circuits need an element outside the basis")
-    tableau = _basis_tableau(rep, basis.elements)
-    entries = [0] * rep.element_count
-    entries[element] = 1
-    for i, b in enumerate(sorted(basis.elements)):
-        coeff = tableau[i][element]
-        if abs(coeff) > 1:
-            raise InputError("matrix is not totally unimodular")
-        entries[b] = -coeff
+    entries = _circuit_entries(tableau, bits_of(basis.mask), element, rep.element_count)
     if not forward:
         entries = [-x for x in entries]
     return SignedSupportVector(tuple(entries), "kernel")
@@ -688,12 +697,11 @@ def fundamental_cocircuit(
     rep: RegularMatroidRep, basis: Basis, element: int, forward: bool = True
 ) -> SignedSupportVector:
     """The unique signed cocircuit avoiding basis - element, oriented at element."""
+    tableau = _basis_tableau(rep, _basis_mask(basis))
     if element not in basis.elements:
         raise InputError("fundamental cocircuits need an element of the basis")
-    tableau = _basis_tableau(rep, basis.elements)
-    i = sorted(basis.elements).index(element)
-    entries = tableau[i]
-    if any(abs(x) > 1 for x in entries):
+    entries = tableau[bits_of(basis.mask).index(element)]
+    if not _UNIT.issuperset(entries):
         raise InputError("matrix is not totally unimodular")
     if not forward:
         entries = tuple(-x for x in entries)

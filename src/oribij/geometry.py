@@ -179,7 +179,7 @@ def _table_pairs(table: BijectionTable) -> list[tuple[int, int]]:
     """The table's unseparated pairs, listed at most once per table."""
     index = _table_index(table)
     if index.pairs is None:
-        index.pairs = _unseparated_pairs(index.images, index.n)
+        index.pairs = _index_pairs(index)
     return index.pairs
 
 
@@ -264,18 +264,22 @@ _PAIR_GROUP = 4
 
 
 def _unseparated_pairs(images: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Pairs a < b with no element where they disagree and exactly one image contains it.
+    """Pairs a < b with no element where they disagree and exactly one image contains it."""
+    return _index_pairs(_CellIndex(images, n))
 
-    Bit-parallel over b, from the per-element sets of ``_CellIndex``: b is
+
+def _index_pairs(index: _CellIndex) -> list[tuple[int, int]]:
+    """``_unseparated_pairs`` of the map that ``index`` indexes.
+
+    Bit-parallel over b, from the per-element sets of the index: b is
     separated from a at e when b's bit e is not a's and b's image differs
     from a's at e.  The elements go in groups of ``_PAIR_GROUP``, and each
     group's union of these sets is tabulated for every value of a's bits
     and its image's bits there, so one orientation costs a union per group.
     """
-    index = _CellIndex(images, n)
     groups = []
-    for start in range(0, n, _PAIR_GROUP):
-        width = min(_PAIR_GROUP, n - start)
+    for start in range(0, index.n, _PAIR_GROUP):
+        width = min(_PAIR_GROUP, index.n - start)
         sets = []
         for key in range(1 << 2 * width):
             separated = 0
@@ -286,7 +290,7 @@ def _unseparated_pairs(images: Sequence[int], n: int) -> list[tuple[int, int]]:
             sets.append(separated)
         groups.append((start, width, (1 << width) - 1, sets))
     pairs = []
-    for a, ia in enumerate(images):
+    for a, ia in enumerate(index.images):
         separated = 0
         for start, width, low, sets in groups:
             separated |= sets[(a >> start & low) << width | ia >> start & low]

@@ -240,7 +240,7 @@ def test_non_tu_matrix_cocycle_classes_exit_2(capsys, tmp_path):
     [[1, 0, 1, 1], [0, 1, 1, -1]],
 ])
 def test_non_tu_matrix_cycle_classes_exit_2(capsys, tmp_path, matrix):
-    # cycle classes never build a basis tableau, so only the check at load sees it
+    # the check at load refuses the matrix before any enumeration
     path = tmp_path / "non_tu.json"
     path.write_text(json.dumps({"matrix": matrix}))
     code, _, err = run(capsys, ["classes", "--matroid", str(path), "--kind", "cycle"])

@@ -14,6 +14,8 @@ from oribij import (
     RegularMatroidRep,
     SignedSupportVector,
     TrivialGraphError,
+    basis_to_orientation,
+    canonical_signature_pair,
     conformal_decompose,
     enumerate_bases,
     enumerate_independent_sets,
@@ -299,7 +301,7 @@ def _support_minimal_sign_vectors(n, member):
     return sorted(v for v, s in found.items() if not any(t < s for t in supports))
 
 
-def test_circuits_and_cocircuits_match_brute_force():
+def test_circuits_and_cocircuits_match_brute_force(triangle_loop, triangle_bridge):
     reps = []
     for g, rep, _ in suite_instances():
         if g.edge_count <= 8:
@@ -307,6 +309,9 @@ def test_circuits_and_cocircuits_match_brute_force():
     reps.append(RegularMatroidRep.from_rows(R10_MATRIX))
     # unimodular but not TU: every basis tableau is pivoted from the first one
     reps.append(RegularMatroidRep.from_rows([[0, 1, 1, -1], [-1, -1, 1, 0], [-1, -1, 0, 0]]))
+    # rank 0 (one empty basis), a loop, a coloop, and parallel edges
+    reps += [loops_only_rep(3), graph_to_rep(triangle_loop), graph_to_rep(triangle_bridge),
+             graph_to_rep(Graph(3, ((0, 1), (1, 0), (1, 2), (2, 0), (2, 0))))]
     for rep in reps:
         n = rep.element_count
         circuits = _support_minimal_sign_vectors(
@@ -317,6 +322,9 @@ def test_circuits_and_cocircuits_match_brute_force():
         got_d = enumerate_signed_cocircuits(rep)
         assert sorted(v.entries for v in got_c) == circuits
         assert sorted(v.entries for v in got_d) == cocircuits
+        for got in (got_c, got_d):
+            supports = [sorted(v.support) for v in got]
+            assert supports == sorted(supports)
         assert all(v.side == "kernel" for v in got_c)
         assert all(v.side == "image" for v in got_d)
 
@@ -342,9 +350,26 @@ def test_fundamental_circuit_of_loop(triangle_loop):
     assert fundamental_circuit(rep, b, 3).entries == (0, 0, 0, 1)
 
 
-def test_fundamental_circuit_rejects_basis_element(triangle_rep):
+def test_fundamental_circuit_rejects_basis_element(triangle_rep, triangle_loop):
     with pytest.raises(InputError):
         fundamental_circuit(triangle_rep, Basis(frozenset({0, 1})), 0)
+    # a set that is not a basis is refused the same way by every reader of one:
+    # outside the ground set, too small, too large, or dependent (with a loop)
+    loop_rep = graph_to_rep(triangle_loop)
+    sig, cosig = canonical_signature_pair(triangle_rep)
+    loop_sig, loop_cosig = canonical_signature_pair(loop_rep)
+    for rep, elements, pairs in (
+        (triangle_rep, {5}, (sig, cosig)), (triangle_rep, {0}, (sig, cosig)),
+        (triangle_rep, {0, 1, 2}, (sig, cosig)), (triangle_rep, {-1, 0}, (sig, cosig)),
+        (loop_rep, {0, 3}, (loop_sig, loop_cosig)),
+    ):
+        basis = Basis(frozenset(elements))
+        for element in range(rep.element_count):
+            for read in (fundamental_circuit, fundamental_cocircuit):
+                with pytest.raises(InputError, match="not a basis"):
+                    read(rep, basis, element)
+        with pytest.raises(InputError, match="not a basis"):
+            basis_to_orientation(rep, basis, *pairs)
 
 
 def test_fundamental_cocircuit_triangle(triangle_rep):

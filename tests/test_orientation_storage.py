@@ -58,9 +58,12 @@ def test_constructor_takes_any_iterable_of_signs():
     assert Orientation(s for s in (False, True)) == Orientation.from_mask(2, 2)
 
 
-def test_from_mask_reads_the_low_bits():
-    assert Orientation.from_mask(2, 5) == Orientation.from_mask(2, 1)
-    assert Orientation.from_mask(3, -1) == Orientation.reference(3)
+def test_from_mask_refuses_a_mask_outside_the_ground_set():
+    for n, mask in ((2, 5), (2, 4), (3, -1), (0, 1)):
+        with pytest.raises(InputError, match="outside the ground set"):
+            Orientation.from_mask(n, mask)
+    assert Orientation.reference(3) == Orientation.from_mask(3, 7)
+    assert Orientation.reference(0) == Orientation(())
 
 
 def test_equal_masks_of_different_lengths_are_unequal():

@@ -330,6 +330,32 @@ def test_only_the_oracle_calls_the_closure_and_nothing_calls_the_canonical_pair(
     }
 
 
+def test_no_module_item_assigns_into_another_objects_attribute():
+    # a per-rep cache written as rep._cache[key] = value would hide mutable
+    # state inside the frozen RegularMatroidRep; module caches are dicts bound
+    # to a module name instead
+    writes = set()
+    for path in sorted(Path(oribij.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            while targets:
+                item = targets.pop()
+                if isinstance(item, (ast.Tuple, ast.List)):
+                    targets += item.elts
+                    continue
+                base = item
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                if base is not item and isinstance(base, ast.Attribute):
+                    writes.add((path.stem, node.lineno, ast.unparse(item)))
+    assert writes == set()
+
+
 def test_representatives_constant_on_classes(triangle_rep):
     sig, cosig = canonical_signature_pair(triangle_rep)
     for members in enumerate_classes(triangle_rep, "cycle-cocycle"):

@@ -3,7 +3,8 @@
 ``BijectionTable.build`` splits cp - m through packed projection columns and
 gets its compatibility flags bit-parallel; single queries look their
 class representative up by class key in the basis map, which orients each
-basis straight off its tableau, and split the same way.  These tests hold
+basis by the supports its tableau gave the rep's one pass over the bases,
+and split the same way.  These tests hold
 all of it to the plain definitions in ``helpers`` (exact Fraction
 projection, per-mask ``is_compatible``, fundamental signed vectors) and
 make each of the build's invariant checks fire.
@@ -24,14 +25,15 @@ from oribij import (
     canonical_signature_pair,
     classify_specialization,
     enumerate_bases,
+    enumerate_signed_circuits,
     explicit_signature,
     graph_to_rep,
     is_compatible,
     orientation_to_subgraph,
     orientation_to_subgraph_complement,
 )
-from oribij import bijection
-from oribij.core import _basis_tableau, _class_key, bits_of
+from oribij import bijection, core
+from oribij.core import _class_key, bits_of
 from oribij.signatures import _compatible_set
 
 from helpers import (
@@ -244,19 +246,46 @@ def test_tableau_orientation_equals_the_vector_definition():
     assert bases > 1000
 
 
-def test_tableau_orientation_refuses_what_the_vectors_refuse():
+def test_tableau_orientation_refuses_what_the_vectors_refuse(monkeypatch):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
     basis = enumerate_bases(rep)[0]
     triangle = graph_to_rep(Graph(3, ((0, 1), (1, 2), (2, 0))))
     with pytest.raises(InputError, match="no circuit with support"):
         bijection._orient_basis_mask(rep, basis, *canonical_signature_pair(triangle))
+    # plant a 2 in the first basis's tableau, off the basis, through the pivot
     fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
-    rows = [list(row) for row in _basis_tableau(fresh, basis.elements)]
-    rows[0][next(e for e in range(rep.element_count) if e not in basis.elements)] = 2
-    fresh._tableaus[basis.elements] = tuple(tuple(row) for row in rows)
+    pivot = core._basis_tableau
+    off = next(e for e in range(rep.element_count) if e not in basis.elements)
+
+    def planted(rep, mask):
+        rows = [list(row) for row in pivot(rep, mask)]
+        if mask == basis.mask:
+            rows[0][off] = 2
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(core, "_basis_tableau", planted)
     with pytest.raises(InputError, match="matrix is not totally unimodular"):
         bijection._orient_basis_mask(fresh, basis, sig, cosig)
+
+
+@pytest.mark.parametrize("name", ["K4", "R10"])
+def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name):
+    rep = _k4() if name == "K4" else RegularMatroidRep.from_rows(R10_MATRIX)
+    sig, cosig = canonical_signature_pair(rep)
+    enumerate_signed_circuits(rep)
+
+    def refuse(*args):
+        raise AssertionError("a basis tableau was pivoted again")
+
+    # wherever a module binds the pivot
+    for module in (core, bijection):
+        monkeypatch.setattr(module, "_basis_tableau", refuse, raising=False)
+    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+    basis_orientations, _, representatives = bijection._basis_map(rep, sig, cosig)
+    assert basis_orientations == table.basis_orientations
+    assert len(representatives) == len(rep._basis_masks)
 
 
 @pytest.mark.parametrize("name", ["K4", "R10"])

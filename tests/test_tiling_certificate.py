@@ -159,13 +159,20 @@ def test_the_listing_runs_once_per_verification(monkeypatch):
     sig, cosig = canonical_signature_pair(rep)
     table = BijectionTable.build(rep, sig, cosig, use_cache=False)
     calls = []
-    listing = geometry._unseparated_pairs
+    listing = geometry._index_pairs
+    built = []
+    index_class = geometry._CellIndex
 
-    def counted(images, n):
-        calls.append(n)
-        return listing(images, n)
+    def counted(index):
+        calls.append(index.n)
+        return listing(index)
 
-    monkeypatch.setattr(geometry, "_unseparated_pairs", counted)
+    def indexed(images, n):
+        built.append(n)
+        return index_class(images, n)
+
+    monkeypatch.setattr(geometry, "_index_pairs", counted)
+    monkeypatch.setattr(geometry, "_CellIndex", indexed)
     assert run_verification(rep, sig, cosig, samples=20, table=table)["passed"]
     assert len(calls) == 1
     assert separation_violations(table) == []
@@ -188,6 +195,8 @@ def test_the_listing_runs_once_per_verification(monkeypatch):
     fake.forward = corrupted.forward
     assert separation_violations(fake) == want
     assert len(calls) == 5
+    # each listing reads the one index its table already built
+    assert built == calls
 
 
 # ---------------------------------------------------------------------------
