@@ -11,7 +11,9 @@ basis tableaux once, and cached with a map from class key to representative:
 the key N o mod t (N/t the projection onto the row space) names o's joint
 reversal class, so one lookup finds it, with no reversal walk.  The whole
 2^n table, also cached, serves the commands that need every row and the
-inverse maps.
+inverse maps; its build packs N o for all 2^n orientations in one doubling
+pass, so each row's split N (cp - m) is one subtraction.  A single query and
+the build read and check the split with the same ``_image_of``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from .core import (
     _NOT_A_BASIS,
     _basis_mask,
     _class_key,
-    _image_part,
     _orientation_mask,
+    _packed_sum,
     _require_cap,
+    _subset_sums,
     enumerate_bases,
     mask_of,
 )
@@ -39,7 +42,6 @@ from .errors import (
     InputError,
     InvariantViolationError,
     NotCompatibleError,
-    NotSameClassError,
 )
 from .reversal import _class_masks
 from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set, is_compatible
@@ -116,6 +118,9 @@ class BijectionTable:
         star_ok = f"{_compatible_set(rep, cosig):0{total}b}"[::-1]
         tag_by_mask = [_TAGS[a == "1", b == "1"] for a, b in zip(sigma_ok, star_ok)]
 
+        # packed[m] = bias + N m, so packed[cp] + bias - packed[m] = bias + N (cp - m)
+        columns, _, _, bias = rep._packed_projection
+        packed = _subset_sums(columns, bias)
         forward: dict[int, int] = {}
         tags: dict[int, Tag] = {}
         for members in _class_masks(rep, "cycle-cocycle"):
@@ -131,8 +136,9 @@ class BijectionTable:
                     "compatible orientation missed by the basis map"
                 )
             tree_mask = mask_of(tree)
+            shifted = packed[cp] + bias
             for m in members:
-                forward[m] = _image_of(rep, cp, tree_mask, m)
+                forward[m] = _image_of(rep, cp, tree_mask, m, shifted - packed[m])
                 tags[m] = tag_by_mask[m]
 
         if len(set(forward.values())) != 1 << n:
@@ -146,27 +152,38 @@ class BijectionTable:
         return table
 
 
-def _image_of(rep: RegularMatroidRep, cp: int, tree_mask: int, m: int) -> int:
+def _image_of(rep: RegularMatroidRep, cp: int, tree_mask: int, m: int, nd: int) -> int:
     """The image of orientation m, whose class representative cp has basis tree_mask.
 
     The image is the basis, plus the supports of the reversed circuits, minus
     the supports of the reversed cocircuits.  The reversed circuits are
     disjoint and sum to the kernel part c of d = cp - m (the cocircuits
-    likewise to the row-space part c*), so their supports are read off the
-    split without decomposing it.  The split must be integral and a sign
-    split: c* agrees with d wherever it is nonzero.
+    likewise to the row-space part c* = N d / t), so their supports are read
+    off the split without decomposing it.  nd is bias + N d in the packed
+    layout of ``rep._packed_projection``; d is a {0,+-1} vector, so no field
+    borrows from the next, and only the nonzero fields are read.  The split
+    must be integral and a sign split: c* agrees with d wherever it is nonzero.
     """
+    _, t, width, bias = rep._packed_projection
     pos, neg = cp & ~m, m & ~cp
-    try:
-        image_part = _image_part(rep, ((pos, neg),))
-    except NotSameClassError as exc:
-        raise InvariantViolationError("class split is not integral") from exc
+    field = (1 << width) - 1
+    half = 1 << (width - 1)
+    nonzero = nd ^ bias
     cosupport = 0
-    for j, star in image_part.items():
-        bit = 1 << j
-        if star != (1 if pos & bit else -1 if neg & bit else 0):
-            raise InvariantViolationError("class split is not a sign split")
+    sign_split = True
+    while nonzero:
+        shift = (nonzero & -nonzero).bit_length() - 1
+        shift -= shift % width
+        nonzero &= ~(field << shift)
+        value = (nd >> shift & field) - half  # t c*_j, never 0 here
+        bit = 1 << shift // width
+        if value != (t if pos & bit else -t if neg & bit else 0):
+            if value % t:
+                raise InvariantViolationError("class split is not integral")
+            sign_split = False  # reported once every field is known integral
         cosupport |= bit
+    if not sign_split:
+        raise InvariantViolationError("class split is not a sign split")
     return (tree_mask | pos | neg) & ~cosupport
 
 
@@ -289,7 +306,9 @@ def _subgraph_and_tag(
     cp = representatives.get(_class_key(rep, m))
     if cp is None:
         raise InvariantViolationError("class key missed by the basis map")
-    image = _image_of(rep, cp, mask_of(orientation_bases[cp]), m)
+    # bias + N cp - N m, summed over the elements where cp and m differ
+    nd = _packed_sum(rep, cp & ~m) + rep._packed_projection[3] - _packed_sum(rep, m & ~cp)
+    image = _image_of(rep, cp, mask_of(orientation_bases[cp]), m, nd)
     tag = _TAGS[is_compatible(rep, m, sig), is_compatible(rep, m, cosig)]
     _check_tag(rep, tag, image)
     return image, tag

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .bijection import BijectionTable
-from .core import RegularMatroidRep, rep_for
+from .core import DEFAULT_ELEMENT_CAP, RegularMatroidRep, _require_cap, rep_for
 from .errors import (
     CapExceededError,
     InputError,
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .geometry import independent_set_polynomial, cell_count_polynomial
 from .oracle import tutte
-from .reversal import enumerate_classes
+from .reversal import _class_masks
 from .signatures import (
     CIRCUIT,
     COCIRCUIT,
@@ -31,7 +32,7 @@ from .signatures import (
 )
 from .serialize import (
     classes_json_obj,
-    dump_json,
+    json_pieces,
     load_graph_obj,
     load_matroid_obj,
     load_signature_pair,
@@ -109,12 +110,13 @@ def _load_signatures(rep, args):
     return sig, cosig
 
 
-def _emit(args, text: str):
+def _emit(args, pieces: Iterable[str]):
+    """Write the output text, given in pieces, to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _cmd_table(args) -> int:
@@ -122,11 +124,11 @@ def _cmd_table(args) -> int:
     sig, cosig = _load_signatures(rep, args)
     table = BijectionTable.build(rep, sig, cosig)
     if args.format == "dot":
-        _emit(args, table_dot(table))
+        _emit(args, [table_dot(table)])
     elif args.format == "csv":
-        _emit(args, table_csv(table))
+        _emit(args, [table_csv(table)])
     else:
-        _emit(args, dump_json(table_json_obj(table)))
+        _emit(args, json_pieces(table_json_obj(table)))
     return EXIT_OK
 
 
@@ -134,19 +136,19 @@ def _cmd_verify(args) -> int:
     rep = _load_rep(args)
     sig, cosig = _load_signatures(rep, args)
     report = run_verification(rep, sig, cosig, samples=args.samples, seed=args.seed)
-    _emit(args, dump_json(report))
+    _emit(args, json_pieces(report))
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
 def _cmd_classes(args) -> int:
     rep = _load_rep(args)
-    classes = enumerate_classes(rep, args.kind)
-    obj = classes_json_obj(classes)
+    _require_cap(rep, DEFAULT_ELEMENT_CAP)
+    obj = classes_json_obj(_class_masks(rep, args.kind), rep.element_count)
     obj["kind"] = args.kind
     if rep.graph is not None:
         point = {"cycle": (2, 1), "cocycle": (1, 2), "cycle-cocycle": (1, 1)}[args.kind]
         obj["tutte_count"] = tutte(rep.graph, *point)
-    _emit(args, dump_json(obj))
+    _emit(args, json_pieces(obj))
     if "tutte_count" in obj and obj["tutte_count"] != obj["count"]:
         return EXIT_VERIFICATION
     return EXIT_OK
@@ -161,7 +163,7 @@ def _cmd_ehrhart(args) -> int:
                   if table.tags[m] in ("basis", "forest")]
     restricted = cell_count_polynomial(table, compatible)
     diff = restricted - independent
-    _emit(args, dump_json({
+    _emit(args, json_pieces({
         "independent_set_polynomial": polynomial_json_obj(independent),
         "restricted_cell_polynomial": polynomial_json_obj(restricted),
         "difference": polynomial_json_obj(diff),
@@ -182,7 +184,7 @@ def _cmd_signature_check(args) -> int:
             "supports": len(s.chosen),
         }
         ok = ok and result.acyclic
-    _emit(args, dump_json(out))
+    _emit(args, json_pieces(out))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

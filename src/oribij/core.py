@@ -433,7 +433,7 @@ class RegularMatroidRep:
 
     @cached_property
     def _packed_projection(self) -> tuple[tuple[int, ...], int, int, int]:
-        """The columns of N packed into ints, for ``_image_part``.
+        """The columns of N packed into ints, for ``_image_part`` and ``_packed_sum``.
 
         The rep keeps these, not N.  Column k holds n signed fields of
         ``width`` bits, field j being N[j][k].  A field of a signed sum of
@@ -895,19 +895,40 @@ def _class_key(rep: RegularMatroidRep, mask: int) -> tuple[int, ...]:
     equal.  N o is the bias plus the packed columns of o's elements; a {0,1}
     vector never borrows across fields.
     """
-    columns, t, width, bias = rep._packed_projection
-    total = bias
-    rest = mask
-    while rest:
-        low = rest & -rest
-        total += columns[low.bit_length() - 1]
-        rest ^= low
+    _, t, width, _ = rep._packed_projection
+    total = _packed_sum(rep, mask)
     field = (1 << width) - 1
     half = 1 << (width - 1)
     return tuple(
         ((total >> shift & field) - half) % t
         for shift in range(0, width * rep.element_count, width)
     )
+
+
+def _packed_sum(rep: RegularMatroidRep, mask: int) -> int:
+    """bias + N o, packed: the bias plus the packed columns of o's elements.
+
+    ``_subset_sums(columns, bias)[mask]`` for one mask, without the 2^n list.
+    """
+    columns, _, _, total = rep._packed_projection
+    rest = mask
+    while rest:
+        low = rest & -rest
+        total += columns[low.bit_length() - 1]
+        rest ^= low
+    return total
+
+
+def _subset_sums(columns: Sequence[int], start: int = 0) -> list[int]:
+    """start plus the sum of columns[j] over the bits j of m, for every m < 2^len(columns).
+
+    By doubling: the sums of the masks with top bit j are those of the masks
+    below 2^j plus column j.
+    """
+    sums = [start]
+    for column in columns:
+        sums += [s + column for s in sums]
+    return sums
 
 
 def split_kernel_image(

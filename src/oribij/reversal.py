@@ -25,6 +25,7 @@ from .core import (
     _class_key,
     _orientation_mask,
     _require_cap,
+    _subset_sums,
     conformal_decompose,
     split_kernel_image,
 )
@@ -183,11 +184,8 @@ def _fibre_labels(rows: tuple[tuple[int, ...], ...], n: int) -> list[int]:
         for j, x in enumerate(row):
             columns[j] += x << shift
         shift += sum(map(abs, row)).bit_length() + 1
-    keys = [0]
-    for column in columns:
-        keys += [key + column for key in keys]
     number: dict[int, int] = {}
-    return [number.setdefault(key, len(number)) for key in keys]
+    return [number.setdefault(key, len(number)) for key in _subset_sums(columns)]
 
 
 def _class_masks(rep: RegularMatroidRep, kind: Kind) -> tuple[tuple[int, ...], ...]:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bijection import BijectionTable
-from .core import Graph, Orientation, RegularMatroidRep
+from .core import Graph, RegularMatroidRep, bits_of
 from .errors import InputError
 from .geometry import MultilinearPolynomial
 from .signatures import CIRCUIT, COCIRCUIT, Signature, explicit_signature, signature_from_weights
@@ -69,30 +69,45 @@ def load_signature_pair(rep: RegularMatroidRep, obj: dict) -> tuple[Signature, S
     return load_signature_obj(rep, circuit), load_signature_obj(rep, cocircuit)
 
 
-def orientation_json(o: Orientation) -> list[int]:
-    return _orientation_bits(o.mask, len(o))
-
-
 def _orientation_bits(m: int, n: int) -> list[int]:
-    """``orientation_json`` of the orientation with mask m over n elements."""
+    """The orientation with mask m over n elements as JSON: bit j of m, for each j < n."""
     return [m >> j & 1 for j in range(n)]
 
 
 def table_json_obj(table: BijectionTable) -> dict:
+    """{"elements": n, "rows": [...]}, one row dict per orientation, by increasing mask.
+
+    A row holds the orientation's bits, its image's sorted elements and its
+    tag.  Both lists are read off two half-mask tables, one for the low
+    h = n // 2 bits and one for the rest, and concatenated, so every row gets
+    lists of its own.
+    """
     n = table.rep.element_count
-    rows = [
-        {"orientation": _orientation_bits(m, n), "subgraph": subgraph, "tag": tag}
-        for m, subgraph, tag in table.mask_rows()
-    ]
+    h = n // 2
+    low = (1 << h) - 1
+    bits_low = [_orientation_bits(m, h) for m in range(1 << h)]
+    bits_high = [_orientation_bits(m, n - h) for m in range(1 << (n - h))]
+    elements_low = [bits_of(s) for s in range(1 << h)]
+    elements_high = [[e + h for e in bits_of(s)] for s in range(1 << (n - h))]
+    forward, tags = table.forward, table.tags
+    rows = []
+    for m in range(1 << n):
+        s = forward[m]
+        rows.append({
+            "orientation": bits_low[m & low] + bits_high[m >> h],
+            "subgraph": elements_low[s & low] + elements_high[s >> h],
+            "tag": tags[m],
+        })
     return {"elements": n, "rows": rows}
 
 
-def classes_json_obj(classes: Sequence[Sequence[Orientation]]) -> dict:
+def classes_json_obj(classes: Sequence[Sequence[int]], n: int) -> dict:
+    """Reversal classes, given as orientation masks over n elements, least member first."""
     out = []
     for members in classes:
         out.append({
-            "representative": orientation_json(members[0]),
-            "members": [orientation_json(o) for o in members],
+            "representative": _orientation_bits(members[0], n),
+            "members": [_orientation_bits(m, n) for m in members],
         })
     return {"count": len(out), "classes": out}
 
@@ -144,40 +159,110 @@ def table_dot(table: BijectionTable) -> str:
 
 
 _INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+# json_pieces joins its pieces up to this many characters, so a writer makes
+# few calls and holds little of the text at once
+_PIECE_CHARS = 1 << 16
 
 
 def dump_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
-    The standard library writes indented JSON in pure Python, one chunk per
-    token.  Here dicts with string keys and lists are laid out directly, a
-    list of plain ints in one join; every other value (scalars, non-string
-    keys, container subclasses) is encoded by ``json`` and re-indented.
+    The text is the join of ``json_pieces(obj)``.
     """
-    out: list[str] = []
-    _write_json(obj, "", out)
-    out.append("\n")
-    return "".join(out)
+    return "".join(json_pieces(obj))
 
 
-def _write_json(obj, indent: str, out: list[str]):
+def json_pieces(obj) -> Iterator[str]:
+    """The text of ``dump_json(obj)``, in pieces, for a writer's ``writelines``.
+
+    The standard library writes indented JSON in pure Python, one chunk per
+    token.  Here dicts with string keys and lists are laid out directly, and
+    each flat value in them (see ``_flat``) is written in one go, a flat
+    record such as a row of ``table_json_obj`` included; every other value
+    (scalars, non-string keys, container subclasses) is encoded by ``json``
+    and re-indented.  The pieces are joined up to ``_PIECE_CHARS`` each.
+    """
+    chunk: list[str] = []
+    size = 0
+    for piece in _pieces(obj, "", {}, _IntTexts()):
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _PIECE_CHARS:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    chunk.append("\n")
+    yield "".join(chunk)
+
+
+def _pieces(obj, indent: str, layouts: dict, ints: _IntTexts) -> Iterator[str]:
     inner = indent + "  "
     kind = type(obj)
     if kind is dict and obj and set(map(type, obj)) == {str}:
-        lead = "{\n"
-        for key, value in sorted(obj.items()):
-            out.append(f"{lead}{inner}{_INDENTED.encode(key)}: ")
-            _write_json(value, inner, out)
-            lead = ",\n"
-        out.append(f"\n{indent}}}")
-    elif (kind is list or kind is tuple) and set(map(type, obj)) == {int}:
-        out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{indent}]")
+        items = ((f"{inner}{_encode_str(key)}: ", value) for key, value in sorted(obj.items()))
+        opening, closing = "{\n", f"\n{indent}}}"
     elif (kind is list or kind is tuple) and obj:
-        lead = "[\n"
-        for value in obj:
-            out.append(lead + inner)
-            _write_json(value, inner, out)
-            lead = ",\n"
-        out.append(f"\n{indent}]")
+        items = ((inner, value) for value in obj)
+        opening, closing = "[\n", f"\n{indent}]"
     else:
-        out.append(_INDENTED.encode(obj).replace("\n", "\n" + indent))
+        yield _INDENTED.encode(obj).replace("\n", "\n" + indent)
+        return
+    lead = opening
+    for head, value in items:
+        text = _flat(value, inner, layouts, ints)
+        if text is None:
+            yield lead + head
+            yield from _pieces(value, inner, layouts, ints)
+        else:
+            yield lead + head + text
+        lead = ",\n"
+    yield closing
+
+
+class _IntTexts(dict):
+    """int -> its decimal text, filled as ints are met."""
+
+    def __missing__(self, value: int) -> str:
+        self[value] = text = str(value)
+        return text
+
+
+def _flat(
+    value, indent: str, layouts: dict[tuple[str, ...], list[tuple[str, str]]], ints: _IntTexts,
+) -> str | None:
+    """The text of value at ``indent`` if it is flat, else None.
+
+    Flat are strings, empty lists and tuples, lists and tuples of plain
+    ints, and flat records: non-empty dicts with string keys whose values
+    are flat but no dict.  One dump keeps the text of each int it meets in
+    ``ints`` and, per key tuple, the sorted keys with their text in
+    ``layouts``, since records mostly repeat both.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) != {int}:
+            return None
+        return f"[\n{inner}" + f",\n{inner}".join(map(ints.__getitem__, value)) + f"\n{indent}]"
+    if kind is not dict or not value:
+        return None
+    keys = tuple(value)
+    if set(map(type, keys)) != {str}:
+        return None
+    layout = layouts.get(keys)
+    if layout is None:
+        layout = layouts[keys] = [(key, f"{_encode_str(key)}: ") for key in sorted(keys)]
+    fields = []
+    for key, head in layout:
+        field = value[key]
+        text = None if type(field) is dict else _flat(field, inner, layouts, ints)
+        if text is None:
+            return None
+        fields.append(inner + head + text)
+    return "{\n" + ",\n".join(fields) + f"\n{indent}}}"

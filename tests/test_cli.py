@@ -98,6 +98,16 @@ def test_cap_exceeded_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", ["cycle", "cocycle", "cycle-cocycle"])
+def test_classes_past_the_cap_exits_3(capsys, tmp_path, kind):
+    # classes partitions masks without enumerate_classes, so the CLI checks the cap
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]] * 17}))
+    code, out, err = run(capsys, ["classes", "--graph", str(path), "--kind", kind])
+    assert (code, out) == (3, "")
+    assert "enumeration cap" in err
+
+
 def test_verify_triangle(capsys, triangle_file):
     code, out, _ = run(capsys, [
         "verify", "--graph", triangle_file, "--samples", "300", "--seed", "5",
@@ -178,6 +188,16 @@ def test_csv_output(capsys, triangle_file):
     lines = out.strip().splitlines()
     assert lines[0] == "orientation,subgraph,tag"
     assert len(lines) == 9
+
+
+def test_table_out_file_equals_stdout(capsys, tmp_path, triangle_file):
+    target = tmp_path / "table.json"
+    code, out, _ = run(capsys, ["table", "--graph", triangle_file])
+    assert code == 0
+    code, nothing, _ = run(capsys, ["table", "--graph", triangle_file, "--out", str(target)])
+    assert (code, nothing) == (0, "")
+    assert target.read_text(encoding="utf-8") == out == json.dumps(
+        json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_out_file(capsys, tmp_path, triangle_file):

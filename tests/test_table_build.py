@@ -10,6 +10,8 @@ projection, per-mask ``is_compatible``, fundamental signed vectors) and
 make each of the build's invariant checks fire.
 """
 
+import json
+
 import pytest
 
 from oribij import (
@@ -29,11 +31,13 @@ from oribij import (
     explicit_signature,
     graph_to_rep,
     is_compatible,
+    loops_only_rep,
     orientation_to_subgraph,
     orientation_to_subgraph_complement,
 )
 from oribij import bijection, core
 from oribij.core import _class_key, bits_of
+from oribij.serialize import dump_json, table_json_obj
 from oribij.signatures import _compatible_set
 
 from helpers import (
@@ -203,6 +207,61 @@ def test_wrong_tag_is_refused(monkeypatch):
     )
     with pytest.raises(InvariantViolationError, match="mapped to a subgraph with"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
+
+
+def test_the_build_reads_the_packed_list(monkeypatch):
+    # the rows are split off one packed N o per orientation, with no column
+    # sum per row
+    for rep in (_k4(), RegularMatroidRep.from_rows(R10_MATRIX)):
+        sig, cosig = canonical_signature_pair(rep)
+        want = _oracle(rep, sig, cosig)
+
+        def refuse(*args):
+            raise AssertionError("the build summed packed columns per row")
+
+        # wherever a module binds the per-row sums
+        for module in (core, bijection):
+            monkeypatch.setattr(module, "_image_part", refuse, raising=False)
+        monkeypatch.setattr(bijection, "_packed_sum", refuse)
+        table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+        assert (table.forward, table.tags) == want
+        monkeypatch.undo()
+
+
+def _table_json_by_the_row_formula(table):
+    n = table.rep.element_count
+    rows = [
+        {"orientation": [m >> j & 1 for j in range(n)],
+         "subgraph": bits_of(table.forward[m]), "tag": table.tags[m]}
+        for m in sorted(table.forward)
+    ]
+    return {"elements": n, "rows": rows}
+
+
+@pytest.mark.parametrize(
+    "name", ["single edge", "one loop", "three loops", "triangle", "K4", "R10"],
+)
+def test_table_json_equals_the_row_formula(name):
+    # odd n, n = 1 (no low half), rank 0, and every table's empty subgraph
+    rep = {
+        "single edge": lambda: graph_to_rep(Graph(2, ((0, 1),))),
+        "one loop": lambda: loops_only_rep(1),
+        "three loops": lambda: loops_only_rep(3),
+        "triangle": lambda: graph_to_rep(Graph(3, ((2, 0), (0, 1), (1, 2)))),
+        "K4": _k4,
+        "R10": lambda: RegularMatroidRep.from_rows(R10_MATRIX),
+    }[name]()
+    table = BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
+    obj = table_json_obj(table)
+    assert obj == _table_json_by_the_row_formula(table)
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    rows = obj["rows"]
+    assert any(row["subgraph"] == [] for row in rows)
+    # plain, mutable rows that share no list
+    assert all(type(row) is dict for row in rows)
+    lists = [row[key] for row in rows for key in ("orientation", "subgraph")]
+    assert all(type(x) is list for x in lists)
+    assert len({id(x) for x in lists}) == len(lists)
 
 
 # ---------------------------------------------------------------------------
