@@ -403,33 +403,38 @@ class RegularMatroidRep:
     _cocircuits = property(lambda self: self._tableau_pass[1])
 
     def _projection(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Integer matrix N and scale t with row-space projection = N/t."""
+        """Integer matrix N and scale t with row-space projection = N/t.
+
+        t = det(G) for the Gram matrix G = A A^T, and N = A^T adj(G) A.  One
+        fraction-free (Bareiss) Gauss-Jordan pass over [G | A] ends with
+        t I on the left and adj(G) A on the right: every entry it forms is a
+        minor of [G | A], so each division is exact.
+        """
+        n = self.element_count
         if self.rank == 0:
-            zero = tuple(tuple(0 for _ in range(self.element_count))
-                         for _ in range(self.element_count))
-            return zero, 1
-        gram = [
-            [sum(a * b for a, b in zip(ri, rj)) for rj in self.matrix]
+            return tuple((0,) * n for _ in range(n)), 1
+        work = [
+            [sum(a * b for a, b in zip(ri, rj)) for rj in self.matrix] + list(ri)
             for ri in self.matrix
         ]
-        t = ratlin.determinant_int(gram)
-        if t <= 0:
-            raise InvariantViolationError("Gram determinant must be positive")
-        inv = ratlin.invert(gram)
-        n = self.element_count
-        # N = t * A^T inv(A A^T) A, entrywise integral because t*inv is the adjugate
-        half = [[sum(inv[i][k] * self.matrix[k][j] for k in range(self.rank))
-                 for j in range(n)] for i in range(self.rank)]
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = t * sum(self.matrix[k][i] * half[k][j] for k in range(self.rank))
-                if val.denominator != 1:
-                    raise InvariantViolationError("projection scale is not integral")
-                row.append(int(val))
-            out.append(tuple(row))
-        return tuple(out), t
+        prev = 1
+        for k, pivot_row in enumerate(work):
+            pivot = pivot_row[k]
+            # G is positive definite, so its leading minors, the pivots, are positive
+            if pivot <= 0:
+                raise InvariantViolationError("Gram determinant must be positive")
+            for i, row in enumerate(work):
+                if i != k:
+                    f = row[k]
+                    work[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            prev = pivot
+        r = self.rank
+        half = [row[r:] for row in work]
+        out = tuple(
+            tuple(sum(self.matrix[k][i] * half[k][j] for k in range(r)) for j in range(n))
+            for i in range(n)
+        )
+        return out, prev
 
     @cached_property
     def _packed_projection(self) -> tuple[tuple[int, ...], int, int, int]:
@@ -803,11 +808,17 @@ def conformal_decompose(
 
 
 def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int, ...], ...]:
-    """Reversal classes by breadth-first closure over single reversal moves.
+    """Reversal classes as the components of the single-reversal move graph.
 
     The class oracle's alone (kept in core for the benchmark's tracer); the only
     moves are "reverse one directed circuit" and/or "reverse one directed
-    cocircuit".  Returns sorted tuples of orientation masks, by least member.
+    cocircuit".  For each signed support, the orientations in which it is
+    directed along its signs are one AND of per-element 2^n-bit sets; each
+    such m is joined with m ^ support, the orientation in which it is directed
+    the other way round.  One flat list serves as the union-find, whose roots
+    are least members, and then as the chains of the classes' members, so no
+    list per class or per mask is kept.  Nothing here reads the linear class
+    keys.  Returns sorted tuples of orientation masks, by least member.
     """
     pools = {
         "cycle": (rep._circuits,),
@@ -816,32 +827,59 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     }
     if kind not in pools:
         raise InputError(f"unknown reversal kind {kind!r}")
-    # a support is directed in m either way round exactly when m restricted
-    # to it is one of its two sign patterns; reversing it flips the support
-    moves = [
-        (vec.pos_mask | vec.neg_mask, (vec.pos_mask, vec.neg_mask))
-        for pool in pools[kind] for vec in pool
-    ]
-    total = 1 << rep.element_count
-    seen = [False] * total
+    n = rep.element_count
+    total = 1 << n
+    forward = orientations_with_bit(n)
+    parent = list(range(total))
+    for pool in pools[kind]:
+        for vec in pool:
+            directed = (1 << total) - 1
+            for e in bits_of(vec.pos_mask):
+                directed &= forward[e]
+            for e in bits_of(vec.neg_mask):
+                directed &= ~forward[e]
+            support = vec.pos_mask | vec.neg_mask
+            bits = format(directed, "b")[::-1]  # character m is bit m
+            m = bits.find("1")
+            while m >= 0:
+                # path halving keeps every parent at or below its child
+                a = m
+                while (p := parent[a]) != a:
+                    parent[a] = a = parent[p]
+                b = m ^ support
+                while (p := parent[b]) != b:
+                    parent[b] = b = parent[p]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+                m = bits.find("1", m + 1)
+    # every parent lies at or below its child, so in increasing order one
+    # step reaches the root, the least member of the class
+    for m in range(total):
+        parent[m] = parent[parent[m]]
+    # in decreasing order, thread each class through the same list: a member's
+    # entry becomes the next member up (-1 past the last), and its root's entry
+    # the lowest member above the root seen so far
+    roots = []
+    for m in range(total - 1, -1, -1):
+        r = parent[m]
+        if r < m:
+            head = parent[r]
+            parent[m] = -1 if head == r else head
+            parent[r] = m
+        else:
+            if r == m:
+                parent[m] = -1
+            roots.append(m)
     classes = []
-    for start in range(total):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members = [start]
-        queue = [start]
-        while queue:
-            m = queue.pop()
-            for supp, directed in moves:
-                if (m & supp) in directed:
-                    nxt = m ^ supp
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        members.append(nxt)
-                        queue.append(nxt)
-        classes.append(tuple(sorted(members)))
-    return tuple(sorted(classes, key=lambda c: c[0]))
+    for m in reversed(roots):
+        members = []
+        while m >= 0:
+            members.append(m)
+            m = parent[m]
+        classes.append(tuple(members))
+    return tuple(classes)
 
 
 def _image_part(

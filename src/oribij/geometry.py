@@ -52,6 +52,8 @@ from .core import (
 from .errors import CapExceededError, InputError, InvariantViolationError
 
 SAMPLE_DENOMINATORS = (2, 3, 5, 7)
+# (d, bit length of d + 1): randint(0, d) draws below d + 1
+_DENOMINATOR_DRAWS = tuple((d, (d + 1).bit_length()) for d in SAMPLE_DENOMINATORS)
 DEFAULT_RANK_CAP = 3
 DEFAULT_BOX_CAP = 2_000_000
 
@@ -114,16 +116,35 @@ def cell_contains(cell: HalfOpenCell, point: RationalPoint) -> bool:
 
 
 def _draw_coordinates(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    """n seeded coordinates k/d as pairs (k, d), d drawn from SAMPLE_DENOMINATORS."""
-    choice, randint = rng.choice, rng.randint
+    """n seeded coordinates k/d as pairs (k, d), d drawn from SAMPLE_DENOMINATORS.
+
+    Each draw is ``Random._randbelow``'s rejection loop over ``getrandbits``
+    (redraw a k-bit r while r >= bound, k the bound's bit length), so the
+    pairs are exactly ``d = rng.choice(SAMPLE_DENOMINATORS)`` then
+    ``rng.randint(0, d)``.
+    """
+    getrandbits = rng.getrandbits
+    count = len(SAMPLE_DENOMINATORS)
+    width = count.bit_length()
     coords = []
     for _ in range(n):
-        d = choice(SAMPLE_DENOMINATORS)
-        coords.append((randint(0, d), d))
+        i = getrandbits(width)
+        while i >= count:
+            i = getrandbits(width)
+        d, bits = _DENOMINATOR_DRAWS[i]
+        k = getrandbits(bits)
+        while k > d:
+            k = getrandbits(bits)
+        coords.append((k, d))
     return coords
 
 
 def random_rational_point(n: int, rng: random.Random) -> RationalPoint:
+    """A seeded point of [0, 1]^n with coordinates k/d, d in SAMPLE_DENOMINATORS.
+
+    Drawn through ``rng.getrandbits``, the same stream ``rng.choice`` and
+    ``rng.randint`` would read.
+    """
     return RationalPoint(tuple(Fraction(k, d) for k, d in _draw_coordinates(n, rng)))
 
 

@@ -1,10 +1,11 @@
 """Independent brute-force ground truth.
 
-Everything here is deliberately naive: deletion-contraction for Tutte
-evaluations, union-find subgraph classification, breadth-first closure for
-reversal classes, and a generic bijection auditor.  Nothing in this module
-consults signatures or the bijection tables it is used to check, and the
-closure shares no code with the linear keys that partition the classes.
+Everything here is deliberately direct: deletion-contraction for Tutte
+evaluations, union-find subgraph classification, the components of the
+single-reversal move graph for reversal classes, and a generic bijection
+auditor.  Nothing in this module consults signatures or the bijection tables
+it is used to check, and the closure shares no code with the linear keys that
+partition the classes.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def audit_bijection(
 def reversal_closure_classes(
     rep: RegularMatroidRep, kind: str, cap: int = DEFAULT_ELEMENT_CAP
 ) -> tuple[tuple[Orientation, ...], ...]:
-    """Reversal classes by BFS over single-reversal moves (signature-free)."""
+    """Reversal classes as the components of the single-reversal move graph (signature-free)."""
     _require_cap(rep, cap)
     n = rep.element_count
     return tuple(

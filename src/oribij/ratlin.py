@@ -40,17 +40,6 @@ def matrix_rank(rows: Iterable[Row], width: int) -> int:
     return len(row_reduce(rows, width)[1])
 
 
-def invert(matrix: Sequence[Row]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    reduced, pivots = row_reduce(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
 def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
     """Integer determinant via fraction-free (Bareiss) elimination."""
     n = len(matrix)

@@ -2,7 +2,7 @@
 
 Each suite is an independent certificate: separation, sampled half-open
 tilings, Tutte (or direct enumeration) counts for the specialization tags,
-reversal classes against the breadth-first oracle, and the two
+reversal classes against the single-reversal closure oracle, and the two
 counting-polynomial identities.
 """
 

@@ -29,6 +29,31 @@ R10_MATRIX = (
 )
 
 
+def wheel(rim: int) -> Graph:
+    """Hub 0 and rim 1..rim: the rim cycle first, then the spokes."""
+    edges = [(i, i % rim + 1) for i in range(1, rim + 1)] + [(0, i) for i in range(1, rim + 1)]
+    return Graph(rim + 1, tuple(edges))
+
+
+def complete_graph(k: int) -> Graph:
+    return Graph(k, tuple((i, j) for i in range(k) for j in range(i + 1, k)))
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
+def ladder_reps() -> dict[str, RegularMatroidRep]:
+    """The benchmark's instance ladder, n = 6 to 16, by name."""
+    reps = {f"K{k}": graph_to_rep(complete_graph(k)) for k in (4, 5)}
+    reps.update((f"W{k}", graph_to_rep(wheel(k))) for k in (4, 6, 7, 8))
+    reps["R10"] = RegularMatroidRep.from_rows(R10_MATRIX)
+    reps["grid3x3"] = graph_to_rep(grid(3, 3))
+    return reps
+
+
 def random_connected_multigraph(rng: random.Random, n_edges: int) -> Graph:
     """A connected multigraph with loops and parallel edges sprinkled in."""
     v = rng.randint(2, max(2, min(6, n_edges + 1)))
@@ -155,6 +180,37 @@ def orient_basis_by_vectors(
 
 # ---------------------------------------------------------------------------
 # reference implementations; none of them calls into the package
+
+
+def bfs_reversal_classes(n: int, moves) -> list[tuple[int, ...]]:
+    """Reversal classes by breadth-first closure over single reversal moves.
+
+    ``moves`` holds the (pos, neg) sign masks of the signed vectors that may
+    be reversed.  A vector is directed in m either way round exactly when m
+    restricted to its support is pos or neg; reversing it flips the support.
+    Returns each class sorted, the classes by least member.
+    """
+    moves = [(pos | neg, (pos, neg)) for pos, neg in moves]
+    total = 1 << n
+    seen = [False] * total
+    classes = []
+    for start in range(total):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        queue = [start]
+        while queue:
+            m = queue.pop()
+            for supp, directed in moves:
+                if (m & supp) in directed:
+                    nxt = m ^ supp
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        members.append(nxt)
+                        queue.append(nxt)
+        classes.append(tuple(sorted(members)))
+    return classes
 
 
 def fraction_independent_masks(columns, height: int) -> set[int]:
@@ -299,21 +355,8 @@ def table_oracle(matrix, n: int, circuits, cocircuits):
     assert len(orientation_of_basis) == len(bases)
 
     projection = row_space_projection(matrix, n)
-    seen = [False] * total
     forward, tags = {}, {}
-    for start in range(total):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members, queue = [start], [start]
-        while queue:
-            m = queue.pop()
-            for (pos, neg), s in zip((*anti[0], *anti[1]), supports):
-                if m & s in (pos, neg):
-                    if not seen[m ^ s]:
-                        seen[m ^ s] = True
-                        members.append(m ^ s)
-                        queue.append(m ^ s)
+    for members in bfs_reversal_classes(n, (*anti[0], *anti[1])):
         (cp,) = [m for m in members if sigma_ok[m] and star_ok[m]]
         basis = orientation_of_basis[cp]
         for m in members:

@@ -33,13 +33,14 @@ from oribij import core
 from oribij.core import _minors_are_unit
 from oribij.geometry import independent_set_polynomial
 from oribij.oracle import reversal_closure_classes
-from oribij.ratlin import dot
+from oribij.ratlin import determinant_int, dot
 from oribij.reversal import enumerate_classes
 
 from helpers import (
     R10_MATRIX,
     fraction_independent_masks,
     fraction_split,
+    ladder_reps,
     matrix_rep,
     minors_are_unit_from_scratch,
     random_connected_multigraph,
@@ -608,18 +609,25 @@ def test_split_signals_non_integral(triangle_rep):
         split_kernel_image(triangle_rep, (1, 0, 0))
 
 
+def test_projection_is_the_scaled_fraction_projection():
+    reps = list(ladder_reps().values()) + [rep for _, rep, _ in suite_instances()][:40]
+    reps.append(loops_only_rep(3))  # rank 0
+    for rep in reps:
+        rows, t = rep._projection()
+        gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rep.matrix] for ri in rep.matrix]
+        assert t == determinant_int(gram) > 0
+        want = [[t * x for x in row]
+                for row in row_space_projection(rep.matrix, rep.element_count)]
+        assert [list(row) for row in rows] == want
+        assert all(type(x) is int for row in rows for x in row)
+
+
 def test_gf2_independent_sets_match_the_fraction_pass():
     reps = []
     for _, rep, _ in suite_instances():
         reps += [rep, matrix_rep(rep)]
-    wheel = [(i, i % 6 + 1) for i in range(1, 7)] + [(0, i) for i in range(1, 7)]
-    grid = [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
-    grid += [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)]
-    reps += [
-        RegularMatroidRep.from_rows(R10_MATRIX),
-        graph_to_rep(Graph(7, tuple(wheel))),
-        graph_to_rep(Graph(9, tuple(grid))),
-    ]
+    ladder = ladder_reps()
+    reps += [ladder["R10"], ladder["W6"], ladder["grid3x3"]]
     for rep in reps:
         assert rep._independent_masks == fraction_independent_masks(rep.columns, rep.rank)
 

@@ -28,6 +28,7 @@ from oribij import (
     tutte,
     verify_cube_tiling,
 )
+from oribij import geometry
 
 from helpers import SubsetPolynomial, random_connected_multigraph, random_signature_pair
 
@@ -146,6 +147,20 @@ def test_random_points_are_pinned():
     rng = random.Random(0)
     got = [[str(x) for x in random_rational_point(5, rng).coords] for _ in range(50)]
     assert got == json.loads((DATA / "rational_points_seed0.json").read_text())
+
+
+def test_coordinate_draws_follow_choice_and_randint():
+    # the formula the sampler used to call, written out: a denominator by
+    # choice, then a numerator by randint
+    for seed in range(21):
+        for n in range(17):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            want = []
+            for _ in range(n):
+                d = theirs.choice(geometry.SAMPLE_DENOMINATORS)
+                want.append((theirs.randint(0, d), d))
+            assert geometry._draw_coordinates(n, ours) == want, (seed, n)
+            assert ours.getstate() == theirs.getstate()
 
 
 # ---------------------------------------------------------------------------

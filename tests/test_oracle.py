@@ -5,16 +5,30 @@ import pytest
 from oribij import (
     CapExceededError,
     Graph,
+    RegularMatroidRep,
     audit_bijection,
     classify_subset,
     enumerate_bases,
     graph_to_rep,
+    rep_for,
     reversal_closure_classes,
     tutte,
 )
+from oribij.core import closure_mask_partition
 from oribij.ratlin import determinant_int
 
-from helpers import random_connected_multigraph
+from helpers import (
+    R10_MATRIX,
+    bfs_reversal_classes,
+    ladder_reps,
+    matrix_rep,
+    random_connected_multigraph,
+    suite_instances,
+)
+
+KINDS = ("cycle", "cocycle", "cycle-cocycle")
+# unimodular but not TU: naive pivoting from A meets a 2 on basis {1, 2, 3}
+UNIMODULAR_3X4 = ((0, 1, 1, -1), (-1, -1, 1, 0), (-1, -1, 0, 0))
 
 
 def test_triangle_tutte_values(triangle):
@@ -119,3 +133,48 @@ def test_every_orientation_has_a_move_under_joint_kind():
         for vec in circuits + cocircuits:
             covered |= vec.support
         assert covered == set(range(g.edge_count))
+
+
+def _moves(rep, kind):
+    pool = {"cycle": rep._circuits, "cocycle": rep._cocircuits,
+            "cycle-cocycle": rep._circuits + rep._cocircuits}[kind]
+    return [(vec.pos_mask, vec.neg_mask) for vec in pool]
+
+
+def test_closure_partition_equals_the_bfs_reference(triangle_loop, triangle_bridge):
+    reps = [rep for _, rep, _ in suite_instances()]
+    # n = 0, n = 1 (a bridge, a loop), two bridges, an antiparallel pair, rank 0,
+    # parallel edges, a triangle with a loop and one with a bridge
+    small = [Graph(1, ()), Graph(2, ((0, 1),)), Graph(1, ((0, 0),)), Graph(3, ((0, 1), (2, 1))),
+             Graph(2, ((0, 1), (1, 0))), Graph(1, ((0, 0),) * 3), Graph(2, ((0, 1),) * 4),
+             triangle_loop, triangle_bridge]
+    reps += [rep_for(g) for g in small]
+    reps += [matrix_rep(rep) for rep in reps[-len(small):]]
+    reps += [RegularMatroidRep.from_rows(R10_MATRIX), RegularMatroidRep.from_rows(UNIMODULAR_3X4)]
+    assert {rep.element_count for rep in reps} >= set(range(11))
+    assert any(rep.rank == 0 for rep in reps)
+    for rep in reps:
+        for kind in KINDS:
+            want = tuple(bfs_reversal_classes(rep.element_count, _moves(rep, kind)))
+            assert closure_mask_partition(rep, kind) == want, (rep.matrix, kind)
+
+
+# Gioan: T(2,1) cycle-reversal, T(1,2) cocycle-reversal and T(1,1) joint classes
+@pytest.mark.parametrize("name, counts", [
+    ("W8", (18_462, 18_462, 2_205)),
+    ("grid3x3", (3_102, 431, 192)),
+    ("R10", (533, 533, 162)),
+])
+def test_class_counts_are_gioans(name, counts):
+    rep = ladder_reps()[name]
+    assert tuple(len(closure_mask_partition(rep, kind)) for kind in KINDS) == counts
+    if rep.graph is not None:
+        g = rep.graph
+        assert counts == (tutte(g, 2, 1), tutte(g, 1, 2), tutte(g, 1, 1))
+
+
+def test_class_counts_on_the_acceptance_pool():
+    for _, rep, _ in suite_instances():
+        for r in (rep, matrix_rep(rep)):
+            want = (len(r._independent_masks), len(r._spanning_masks), len(r._basis_masks))
+            assert tuple(len(closure_mask_partition(r, kind)) for kind in KINDS) == want

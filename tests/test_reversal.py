@@ -36,6 +36,7 @@ from oribij import bijection, core, oracle, reversal, signatures
 
 from helpers import (
     R10_MATRIX,
+    complete_graph,
     matrix_rep,
     random_connected_multigraph,
     random_signature_pair,
@@ -238,14 +239,10 @@ def test_class_counts_match_tutte():
             assert len(enumerate_classes(rep, kind)) == tutte(g, x, y)
 
 
-def _complete(k):
-    return Graph(k, tuple((i, j) for i in range(k) for j in range(i + 1, k)))
-
-
 def test_classes_match_bfs_oracle(triangle_loop, triangle_bridge):
     rng = random.Random(37)
     reps = [graph_to_rep(random_connected_multigraph(rng, rng.randint(3, 8))) for _ in range(6)]
-    reps += [graph_to_rep(g) for g in (_complete(5), triangle_loop, triangle_bridge)]
+    reps += [graph_to_rep(g) for g in (complete_graph(5), triangle_loop, triangle_bridge)]
     reps.append(rep_for(Graph(1, ((0, 0), (0, 0), (0, 0)))))
     reps += [matrix_rep(rep) for rep in reps]
     reps.append(RegularMatroidRep.from_rows(R10_MATRIX))
@@ -291,7 +288,10 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("name", ["K4", "R10"])
 def test_partitions_consult_neither_the_oracle_nor_signatures(monkeypatch, name):
-    rep = graph_to_rep(_complete(4)) if name == "K4" else RegularMatroidRep.from_rows(R10_MATRIX)
+    if name == "K4":
+        rep = graph_to_rep(complete_graph(4))
+    else:
+        rep = RegularMatroidRep.from_rows(R10_MATRIX)
     n = rep.element_count
     weights = [3 ** j for j in range(n)]
     sig = signature_from_weights(rep, weights, CIRCUIT)

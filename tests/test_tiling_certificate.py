@@ -22,7 +22,6 @@ import pytest
 
 from oribij import (
     BijectionTable,
-    Graph,
     Orientation,
     RegularMatroidRep,
     canonical_signature_pair,
@@ -35,18 +34,16 @@ from oribij.cli import main
 from oribij.core import bits_of
 from oribij.verification import run_verification, separation_violations
 
-from helpers import R10_MATRIX, anchors_by_enumeration, matrix_rep, unseparated_pairs
+from helpers import (
+    R10_MATRIX,
+    anchors_by_enumeration,
+    complete_graph,
+    matrix_rep,
+    unseparated_pairs,
+    wheel,
+)
 
 DATA = Path(__file__).parent / "data"
-
-
-def _wheel(rim: int) -> Graph:
-    edges = [(i, i % rim + 1) for i in range(1, rim + 1)] + [(0, i) for i in range(1, rim + 1)]
-    return Graph(rim + 1, tuple(edges))
-
-
-def _complete(k: int) -> Graph:
-    return Graph(k, tuple((i, j) for i in range(k) for j in range(i + 1, k)))
 
 
 def test_every_small_map_lists_the_oracle_pairs():
@@ -61,9 +58,9 @@ def test_every_small_map_lists_the_oracle_pairs():
 @pytest.mark.parametrize("name", ["K4", "W4", "K5", "R10"])
 def test_corrupted_tables_list_the_oracle_pairs(name):
     rep = {
-        "K4": lambda: graph_to_rep(_complete(4)),
-        "W4": lambda: graph_to_rep(_wheel(4)),
-        "K5": lambda: graph_to_rep(_complete(5)),
+        "K4": lambda: graph_to_rep(complete_graph(4)),
+        "W4": lambda: graph_to_rep(wheel(4)),
+        "K5": lambda: graph_to_rep(complete_graph(5)),
         "R10": lambda: RegularMatroidRep.from_rows(R10_MATRIX),
     }[name]()
     n = rep.element_count
@@ -121,8 +118,8 @@ def _seeded_maps(rep, count):
 
 @pytest.mark.parametrize("name, count", [("triangle", 6), ("K4", 4), ("W4", 2)])
 def test_locator_matches_the_oracle_on_every_point_type(name, count):
-    rep = graph_to_rep({"triangle": lambda: _complete(3), "K4": lambda: _complete(4),
-                        "W4": lambda: _wheel(4)}[name]())
+    rep = graph_to_rep({"triangle": lambda: complete_graph(3), "K4": lambda: complete_graph(4),
+                        "W4": lambda: wheel(4)}[name]())
     n = rep.element_count
     half = Fraction(1, 2)
     points = list(itertools.product((0, half, 1), repeat=n))
@@ -144,7 +141,7 @@ def test_locator_matches_the_oracle_on_every_point_type(name, count):
 
 
 def test_locate_point_matches_the_oracle_on_w4():
-    rep = graph_to_rep(_wheel(4))
+    rep = graph_to_rep(wheel(4))
     table = BijectionTable.build(rep, *canonical_signature_pair(rep))
     images = [table.forward[m] for m in range(1 << 8)]
     for point in itertools.product((0, Fraction(1, 3), 1), repeat=8):
@@ -155,7 +152,7 @@ def test_locate_point_matches_the_oracle_on_w4():
 
 
 def test_the_listing_runs_once_per_verification(monkeypatch):
-    rep = graph_to_rep(_complete(4))
+    rep = graph_to_rep(complete_graph(4))
     sig, cosig = canonical_signature_pair(rep)
     table = BijectionTable.build(rep, sig, cosig, use_cache=False)
     calls = []
@@ -209,7 +206,7 @@ def test_the_listing_runs_once_per_verification(monkeypatch):
 
 def _input_file(tmp_path, name):
     if name == "W4":
-        g = _wheel(4)
+        g = wheel(4)
         doc = {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
         flag = "--graph"
     else:
@@ -246,7 +243,7 @@ def test_corrupted_triangle_report_is_unchanged(triangle_rep):
 def test_corrupted_w4_report_is_unchanged():
     # two swapped images: many sampled points of the complement tiling fall
     # in zero or two cells
-    rep = graph_to_rep(_wheel(4))
+    rep = graph_to_rep(wheel(4))
     sig, cosig = canonical_signature_pair(rep)
     table = BijectionTable.build(rep, sig, cosig)
     corrupted = copy.copy(table)
@@ -304,7 +301,7 @@ def test_ehrhart_stdout_is_unchanged(capsys, tmp_path, name, digest):
 
 @pytest.mark.parametrize("twin", [False, True])
 def test_single_query_images_are_unchanged(twin):
-    rep = graph_to_rep(_wheel(4))
+    rep = graph_to_rep(wheel(4))
     if twin:
         rep = matrix_rep(rep)
     sig, cosig = canonical_signature_pair(rep)

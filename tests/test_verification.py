@@ -13,10 +13,11 @@ from oribij import (
     explicit_signature,
     graph_to_rep,
 )
+from oribij import verification
 from oribij.cli import main
 from oribij.verification import run_verification, separation_violations
 
-from helpers import matrix_rep, random_connected_multigraph
+from helpers import matrix_rep, random_connected_multigraph, wheel
 
 
 def test_battery_passes_on_triangle(triangle_rep):
@@ -56,6 +57,31 @@ def test_corrupted_table_fails_with_counterexample(triangle_rep):
     assert not separation["passed"]
     assert separation["detail"]["violations"]
     assert separation_violations(corrupted)
+
+
+def _merge_first_two(classes):
+    return (tuple(sorted(classes[0] + classes[1])), *classes[2:])
+
+
+def _split_off_the_last_member(classes):
+    i = max(range(len(classes)), key=lambda i: len(classes[i]))
+    rest, last = classes[i][:-1], classes[i][-1:]
+    return tuple(sorted((*classes[:i], rest, last, *classes[i + 1:])))
+
+
+@pytest.mark.parametrize("corrupt", [_merge_first_two, _split_off_the_last_member])
+@pytest.mark.parametrize("kind", ["cycle", "cocycle", "cycle-cocycle"])
+def test_class_oracle_suite_fails_on_a_corrupted_partition(monkeypatch, kind, corrupt):
+    rep = graph_to_rep(wheel(4))
+    sig, cosig = canonical_signature_pair(rep)
+    table = BijectionTable.build(rep, sig, cosig)
+    keyed = verification._class_masks
+    monkeypatch.setattr(verification, "_class_masks",
+                        lambda r, k: corrupt(keyed(r, k)) if k == kind else keyed(r, k))
+    report = run_verification(rep, sig, cosig, samples=20, table=table)
+    (suite,) = [s for s in report["suites"] if s["name"] == "class-oracle"]
+    assert not report["passed"] and not suite["passed"]
+    assert suite["detail"] == {"mismatched_kinds": [kind]}
 
 
 def test_a_table_of_another_ground_set_is_refused(triangle_rep):
