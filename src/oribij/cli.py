@@ -95,6 +95,11 @@ def _load_rep(args) -> RegularMatroidRep:
 
 
 def _load_signatures(rep, args):
+    """The signature pair, plus a side -> Acyclicity map of its explicit sides.
+
+    An explicit side that is not acyclic is refused; weight-derived sides are
+    acyclic by construction and are not checked here.
+    """
     if args.signature:
         with open(args.signature, encoding="utf-8") as fh:
             sig, cosig = load_signature_pair(rep, json.load(fh))
@@ -104,10 +109,13 @@ def _load_signatures(rep, args):
         dw = parse_weights(args.cocycle_weights) if args.cocycle_weights else default
         sig = signature_from_weights(rep, cw, CIRCUIT)
         cosig = signature_from_weights(rep, dw, COCIRCUIT)
+    checked = {}
     for s in (sig, cosig):
-        if s.provenance == "explicit" and not is_acyclic(rep, s).acyclic:
-            raise InputError(f"signature not acyclic ({s.side} side)")
-    return sig, cosig
+        if s.provenance == "explicit":
+            checked[s.side] = is_acyclic(rep, s)
+            if not checked[s.side].acyclic:
+                raise InputError(f"signature not acyclic ({s.side} side)")
+    return sig, cosig, checked
 
 
 def _emit(args, pieces: Iterable[str]):
@@ -121,7 +129,7 @@ def _emit(args, pieces: Iterable[str]):
 
 def _cmd_table(args) -> int:
     rep = _load_rep(args)
-    sig, cosig = _load_signatures(rep, args)
+    sig, cosig, _ = _load_signatures(rep, args)
     table = BijectionTable.build(rep, sig, cosig)
     if args.format == "dot":
         _emit(args, [table_dot(table)])
@@ -134,7 +142,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     rep = _load_rep(args)
-    sig, cosig = _load_signatures(rep, args)
+    sig, cosig, _ = _load_signatures(rep, args)
     report = run_verification(rep, sig, cosig, samples=args.samples, seed=args.seed)
     _emit(args, json_pieces(report))
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
@@ -156,7 +164,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_ehrhart(args) -> int:
     rep = _load_rep(args)
-    sig, cosig = _load_signatures(rep, args)
+    sig, cosig, _ = _load_signatures(rep, args)
     table = BijectionTable.build(rep, sig, cosig)
     independent = independent_set_polynomial(rep)
     compatible = [m for m in rep.orientation_universe()
@@ -173,11 +181,11 @@ def _cmd_ehrhart(args) -> int:
 
 def _cmd_signature_check(args) -> int:
     rep = _load_rep(args)
-    sig, cosig = _load_signatures(rep, args)
+    sig, cosig, checked = _load_signatures(rep, args)
     out = {}
     ok = True
     for s in (sig, cosig):
-        result = is_acyclic(rep, s)
+        result = checked[s.side] if s.side in checked else is_acyclic(rep, s)
         out[s.side] = {
             "acyclic": result.acyclic,
             "witness": [str(w) for w in result.witness] if result.witness else None,

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from . import fourier_motzkin as fm
@@ -203,8 +205,11 @@ def is_acyclic(
     if sup is None or sup <= 0:
         return Acyclicity(False, None)
     witness = tuple(point[:n])
+    # over one common denominator the strict check is integer dot products
+    scale = lcm(*(w.denominator for w in witness))
+    scaled = [w.numerator * (scale // w.denominator) for w in witness]
     for vec in sig.chosen:
-        if sum(a * b for a, b in zip(witness, vec.entries)) <= 0:
+        if sum(map(mul, scaled, vec.entries)) <= 0:
             raise InvariantViolationError("witness does not separate strictly")
     return Acyclicity(True, witness)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from oribij import (
     CIRCUIT,
@@ -18,6 +19,8 @@ from oribij import (
     graph_to_rep,
     signature_from_weights,
 )
+from oribij import fourier_motzkin
+from oribij.errors import CapExceededError, InvariantViolationError
 
 # standard 5x10 representation: identity block plus a signed circulant
 R10_MATRIX = (
@@ -419,3 +422,129 @@ class SubsetPolynomial:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin with one tuple per row pair and Fraction back-substitution:
+# the plain kernel the packed one replaced, kept as its oracle.  It reads
+# ``fourier_motzkin.ROW_LIMIT`` and raises its ``Infeasible``, so a test that
+# lowers the limit lowers it for both.
+
+
+def _reference_normalized(row: tuple[int, ...]) -> tuple[int, ...]:
+    g = 0
+    for x in row:
+        g = gcd(g, abs(x))
+    if g > 1:
+        return tuple(x // g for x in row)
+    return row
+
+
+def _reference_trivial(row: tuple[int, ...]) -> bool:
+    if any(row[:-1]):
+        return False
+    if row[-1] < 0:
+        raise fourier_motzkin.Infeasible
+    return True
+
+
+def reference_eliminate(rows, var: int) -> list[tuple[int, ...]]:
+    pos, neg, rest = [], [], []
+    for row in rows:
+        a = row[var]
+        if a > 0:
+            pos.append(row)
+        elif a < 0:
+            neg.append(row)
+        else:
+            rest.append(row)
+    if len(pos) * len(neg) + len(rest) > fourier_motzkin.ROW_LIMIT:
+        raise CapExceededError("Fourier-Motzkin row limit exceeded")
+    out = set(rest)
+    for p in pos:
+        ap = p[var]
+        for q in neg:
+            aq = -q[var]
+            combined = _reference_normalized(tuple(aq * x + ap * y for x, y in zip(p, q)))
+            if not _reference_trivial(combined):
+                out.add(combined)
+    return sorted(out)
+
+
+def _reference_order(rows, candidates: list[int]) -> int:
+    best, best_cost = candidates[0], None
+    for v in candidates:
+        p = sum(1 for row in rows if row[v] > 0)
+        n = sum(1 for row in rows if row[v] < 0)
+        cost = p * n - p - n
+        if best_cost is None or cost < best_cost:
+            best, best_cost = v, cost
+    return best
+
+
+def _reference_start(rows) -> list[tuple[int, ...]]:
+    return sorted({_reference_normalized(tuple(r)) for r in rows
+                   if not _reference_trivial(tuple(r))})
+
+
+def reference_project(rows, nvars: int, keep) -> list[tuple[int, ...]]:
+    current = _reference_start(rows)
+    remaining = [v for v in range(nvars) if v not in set(keep)]
+    while remaining:
+        v = _reference_order(current, remaining)
+        remaining.remove(v)
+        current = reference_eliminate(current, v)
+    return current
+
+
+def reference_maximize(rows, nvars: int, objective: int):
+    current = _reference_start(rows)
+    steps = []
+    remaining = [v for v in range(nvars) if v != objective]
+    while remaining:
+        v = _reference_order(current, remaining)
+        remaining.remove(v)
+        steps.append((v, current))
+        current = reference_eliminate(current, v)
+
+    upper = lower = None
+    for row in current:
+        a, c = row[objective], row[-1]
+        if a == 0:
+            continue
+        bound = Fraction(-c, a)
+        if a > 0:
+            lower = bound if lower is None else max(lower, bound)
+        else:
+            upper = bound if upper is None else min(upper, bound)
+    if lower is not None and upper is not None and lower > upper:
+        raise fourier_motzkin.Infeasible
+
+    assignment = [Fraction(0)] * nvars
+    if upper is not None:
+        assignment[objective] = upper
+    elif lower is not None:
+        assignment[objective] = lower
+    for var, rows_before in reversed(steps):
+        lo = hi = None
+        for row in rows_before:
+            a = row[var]
+            if a == 0:
+                continue
+            rest = row[-1] + sum(
+                row[j] * assignment[j] for j in range(nvars) if j != var and row[j]
+            )
+            bound = Fraction(-rest, a)
+            if a > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None and hi is not None:
+            if lo > hi:
+                raise InvariantViolationError("back-substitution interval is empty")
+            assignment[var] = (lo + hi) / 2
+        elif lo is not None:
+            assignment[var] = lo
+        elif hi is not None:
+            assignment[var] = hi
+    return upper, assignment

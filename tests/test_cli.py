@@ -8,6 +8,7 @@ from oribij import (
     Graph,
     RegularMatroidRep,
     canonical_weights,
+    is_acyclic,
     signature_from_weights,
 )
 from oribij.cli import main
@@ -82,6 +83,39 @@ def test_non_acyclic_signature_exits_2(capsys, tmp_path, theta_file):
     code, _, err = run(capsys, ["table", "--graph", theta_file, "--signature", str(sig)])
     assert code == 2
     assert "signature not acyclic" in err
+
+
+@pytest.mark.parametrize("last_signs, code", [([1, -1], 0), ([-1, 1], 2)])
+def test_signature_check_decides_each_side_once(
+    capsys, tmp_path, theta_file, monkeypatch, last_signs, code
+):
+    from oribij import cli
+
+    sides = []
+
+    def counted(rep, sig):
+        sides.append(sig.side)
+        return is_acyclic(rep, sig)
+
+    monkeypatch.setattr(cli, "is_acyclic", counted)
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({
+        "circuit": {"explicit": [
+            {"support": [0, 1], "signs": [1, -1]},
+            {"support": [1, 2], "signs": [1, -1]},
+            {"support": [0, 2], "signs": last_signs},
+        ]},
+        "cocircuit": {"explicit": [{"support": [0, 1, 2], "signs": [1, 1, 1]}]},
+    }))
+    got, out, err = run(capsys, ["signature-check", "--graph", theta_file, "--signature", str(sig)])
+    assert got == code
+    if code == 0:
+        assert sides == ["circuit", "cocircuit"]
+        assert json.loads(out)["circuit"]["witness"] is not None
+    else:
+        # the cyclic circuit side is refused before the cocircuit side is checked
+        assert sides == ["circuit"]
+        assert out == "" and "signature not acyclic" in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -200,8 +200,9 @@ def test_the_listing_runs_once_per_verification(monkeypatch):
 # the verify output is pinned to the pair-loop implementation's, the table
 # output to the inline-split, per-mask compatibility and standard-encoder one's,
 # the classes output to the dot-product keys' and signature walk's, the
-# ehrhart output to the frozenset-keyed polynomials', and the single-query
-# images to those of the queries that read the whole table
+# ehrhart output to the frozenset-keyed polynomials', the signature-check
+# output to the per-pair Fourier-Motzkin kernel's, and the single-query images
+# to those of the queries that read the whole table
 
 
 def _input_file(tmp_path, name):
@@ -209,6 +210,9 @@ def _input_file(tmp_path, name):
         g = wheel(4)
         doc = {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
         flag = "--graph"
+    elif name == "W4-matrix":
+        doc = {"matrix": [list(row) for row in graph_to_rep(wheel(4)).matrix]}
+        flag = "--matroid"
     else:
         doc = {"matrix": [list(row) for row in R10_MATRIX]}
         flag = "--matroid"
@@ -297,6 +301,36 @@ def test_ehrhart_stdout_is_unchanged(capsys, tmp_path, name, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _explicit_signature_file(tmp_path, rep):
+    """The canonical signature pair of rep as an ``explicit`` --signature file."""
+    doc = {}
+    for sig in canonical_signature_pair(rep):
+        doc[sig.side] = {"explicit": [
+            {"support": sorted(v.support), "signs": [v.entries[e] for e in sorted(v.support)]}
+            for v in sig.chosen
+        ]}
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# the witnesses ("-1/16", "-5/16", ...) come from Fourier-Motzkin alone; the
+# digest is the per-pair kernel's, and one explicit pair prints what its
+# weights print
+@pytest.mark.parametrize("name", ["W4", "W4-matrix"])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_signature_check_stdout_is_unchanged(capsys, tmp_path, name, explicit):
+    flag, path = _input_file(tmp_path, name)
+    args = ["signature-check", flag, path]
+    if explicit:
+        args += ["--signature", _explicit_signature_file(tmp_path, graph_to_rep(wheel(4)))]
+    code = main(args)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1753b7c495596b5497b9cf7880748760deedd009d9d697308301854309c3b39f")
 
 
 @pytest.mark.parametrize("twin", [False, True])
