@@ -5,15 +5,16 @@ fundamental circuit (off the basis) and fundamental cocircuit (on it); that
 map is a bijection onto the jointly compatible orientations.  Extending by
 "add reversed circuit supports, remove reversed cocircuit supports" turns it
 into a bijection from all orientations to all subsets of the ground set.
-A forward single query needs only the basis map, built per (rep,
-signatures) triple from the fundamental supports that the rep reads off its
-basis tableaux once, and cached with a map from class key to representative:
-the key N o mod t (N/t the projection onto the row space) names o's joint
-reversal class, so one lookup finds it, with no reversal walk.  The whole
-2^n table, also cached, serves the commands that need every row and the
-inverse maps; its build packs N o for all 2^n orientations in one doubling
-pass, so each row's split N (cp - m) is one subtraction.  A single query and
-the build read and check the split with the same ``_image_of``.
+A forward single query needs only the signature pair's basis map
+(``reversal._basis_map``), built from the fundamental supports that the rep
+reads off its basis tableaux once, with a map from class key to
+representative: the key N o mod t (N/t the projection onto the row space)
+names o's joint reversal class, so one lookup finds it, with no reversal
+walk.  The whole 2^n table, kept with the map in one bounded cache, serves
+the commands that need every row and the inverse maps; its build packs N o
+for all 2^n orientations in one doubling pass, so each row's split N (cp - m)
+is one subtraction.  A single query and the build read and check the split
+with the same ``_image_of``.
 """
 
 from __future__ import annotations
@@ -28,14 +29,9 @@ from .core import (
     PartialOrientation,
     RegularMatroidRep,
     bits_of,
-    _NOT_A_BASIS,
-    _basis_mask,
-    _class_key,
     _orientation_mask,
     _packed_sum,
-    _require_cap,
     _subset_sums,
-    enumerate_bases,
     mask_of,
 )
 from .errors import (
@@ -43,12 +39,16 @@ from .errors import (
     InvariantViolationError,
     NotCompatibleError,
 )
-from .reversal import _class_masks
-from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set, is_compatible
+from .reversal import (
+    _TABLE_CACHE,  # the one pair cache, also read from this module
+    _basis_map,
+    _class_masks,
+    _joint_representative,
+    _orient_basis_mask,
+)
+from .signatures import Signature, _compatible_set, is_compatible
 
 Tag = Literal["basis", "forest", "connected-spanning", "general"]
-
-_TABLE_CACHE: dict[tuple, "BijectionTable"] = {}
 
 # tag by (compatible with the circuit signature, with the cocircuit signature),
 # which is also (image independent, image spanning)
@@ -64,7 +64,7 @@ class BijectionTable:
     """Frozen forward/inverse tables of the subgraph map for one signature pair."""
 
     def __init__(self, rep, circuit_signature, cocircuit_signature, forward, tags,
-                 basis_orientations, orientation_bases):
+                 basis_orientations, orientation_bases, classes):
         self.rep = rep
         self.circuit_signature = circuit_signature
         self.cocircuit_signature = cocircuit_signature
@@ -73,6 +73,8 @@ class BijectionTable:
         self.basis_orientations: dict[frozenset[int], int] = basis_orientations
         self.orientation_bases: dict[int, frozenset[int]] = orientation_bases
         self.inverse: dict[int, int] = {s: m for m, s in forward.items()}
+        # the joint reversal classes the table was built from, as _class_masks lists them
+        self.classes: tuple[tuple[int, ...], ...] = classes
 
     # -- queries -------------------------------------------------------------
 
@@ -105,15 +107,13 @@ class BijectionTable:
         cls, rep: RegularMatroidRep, sig: Signature, cosig: Signature,
         cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
     ) -> "BijectionTable":
-        key = (rep, sig, cosig, rep.graph is not None)
-        if use_cache and key in _TABLE_CACHE:
-            return _TABLE_CACHE[key]
+        entry = _basis_map(rep, sig, cosig, cap, use_cache)
+        if entry[1] is not None:
+            return entry[1]
+        # each class's representative must be one of the checked basis orientations
+        basis_orientations, orientation_bases, _ = entry[0]
 
-        n = rep.element_count
-        # no key map: the build finds each class's representative itself
-        basis_orientations, orientation_bases = _orient_bases(rep, sig, cosig, cap)
-
-        total = 1 << n
+        total = 1 << rep.element_count
         sigma_ok = f"{_compatible_set(rep, sig):0{total}b}"[::-1]
         star_ok = f"{_compatible_set(rep, cosig):0{total}b}"[::-1]
         tag_by_mask = [_TAGS[a == "1", b == "1"] for a, b in zip(sigma_ok, star_ok)]
@@ -123,7 +123,8 @@ class BijectionTable:
         packed = _subset_sums(columns, bias)
         forward: dict[int, int] = {}
         tags: dict[int, Tag] = {}
-        for members in _class_masks(rep, "cycle-cocycle"):
+        classes = _class_masks(rep, "cycle-cocycle")
+        for members in classes:
             compatible = [m for m in members if tag_by_mask[m] == "basis"]
             if len(compatible) != 1:
                 raise InvariantViolationError(
@@ -141,15 +142,16 @@ class BijectionTable:
                 forward[m] = _image_of(rep, cp, tree_mask, m, shifted - packed[m])
                 tags[m] = tag_by_mask[m]
 
-        if len(set(forward.values())) != 1 << n:
+        if len(set(forward.values())) != total:
             raise InvariantViolationError("forward map is not a bijection")
+        independent = rep._independent_masks
+        spanning = f"{rep._spanning_bits:0{total}b}"[::-1]
         for m, s in forward.items():
-            _check_tag(rep, tags[m], s)
+            _check_tag(tags[m], s in independent, spanning[s] == "1")
 
-        table = cls(rep, sig, cosig, forward, tags, basis_orientations, orientation_bases)
-        if use_cache:
-            _TABLE_CACHE[key] = table
-        return table
+        entry[1] = cls(rep, sig, cosig, forward, tags, basis_orientations, orientation_bases,
+                       classes)
+        return entry[1]
 
 
 def _image_of(rep: RegularMatroidRep, cp: int, tree_mask: int, m: int, nd: int) -> int:
@@ -187,82 +189,13 @@ def _image_of(rep: RegularMatroidRep, cp: int, tree_mask: int, m: int, nd: int) 
     return (tree_mask | pos | neg) & ~cosupport
 
 
-def _check_tag(rep: RegularMatroidRep, tag: Tag, subgraph_mask: int):
-    independent = subgraph_mask in rep._independent_masks
-    spanning = subgraph_mask in rep._spanning_masks
+def _check_tag(tag: Tag, independent: bool, spanning: bool):
+    """Refuse a tag that disagrees with its image being independent and spanning."""
     if _TAGS[independent, spanning] != tag:
         raise InvariantViolationError(
             f"{tag} orientation mapped to a subgraph with "
             f"(independent, spanning) = {(independent, spanning)}"
         )
-
-
-def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> int:
-    """The orientation of a basis: each element follows the chosen vector on its support.
-
-    The supports (fundamental cocircuits on the basis, circuits off it) are
-    looked up in the rep's one pass over the basis tableaux; a non-basis is refused.
-    """
-    supports = rep._tableau_pass[2].get(_basis_mask(basis))
-    if supports is None:
-        raise InputError(_NOT_A_BASIS)
-    mask = 0
-    for e, support in enumerate(supports):
-        mask |= (cosig if basis.mask >> e & 1 else sig).chosen_pos_mask(support) & 1 << e
-    return mask
-
-
-def _orient_bases(
-    rep: RegularMatroidRep, sig: Signature, cosig: Signature, cap: int = DEFAULT_ELEMENT_CAP,
-) -> tuple[dict[frozenset[int], int], dict[int, frozenset[int]]]:
-    """(basis -> orientation mask, orientation mask -> basis) for one signature pair."""
-    if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
-        raise InputError("need a circuit signature and a cocircuit signature")
-    _require_cap(rep, cap)
-    basis_orientations = {
-        basis.elements: _orient_basis_mask(rep, basis, sig, cosig)
-        for basis in enumerate_bases(rep, cap)
-    }
-    orientation_bases = {m: b for b, m in basis_orientations.items()}
-    if len(orientation_bases) != len(basis_orientations):
-        raise InvariantViolationError("basis map is not injective")
-    return basis_orientations, orientation_bases
-
-
-_BASIS_MAP_CACHE: dict[tuple, tuple[
-    dict[frozenset[int], int], dict[int, frozenset[int]], dict[tuple[int, ...], int]
-]] = {}
-
-
-def _basis_map(
-    rep: RegularMatroidRep, sig: Signature, cosig: Signature,
-) -> tuple[dict[frozenset[int], int], dict[int, frozenset[int]], dict[tuple[int, ...], int]]:
-    """The two maps of ``_orient_bases`` plus class key -> representative mask, cached.
-
-    Checked: every basis orientation is jointly compatible, no two share a
-    class key, and the keys number t, the Gram determinant det(A A^T), which
-    is the number of bases (Cauchy-Binet, every basis determinant being +-1).
-    """
-    # the graph flag keeps a graph rep and its equal matrix twin apart, so a
-    # hit matches its own signatures by identity, not vector by vector
-    key = (rep, sig, cosig, rep.graph is not None)
-    if key in _BASIS_MAP_CACHE:
-        return _BASIS_MAP_CACHE[key]
-    basis_orientations, orientation_bases = _orient_bases(rep, sig, cosig)
-    representatives: dict[tuple[int, ...], int] = {}
-    for m in orientation_bases:
-        if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
-            raise InvariantViolationError("basis orientation is not jointly compatible")
-        representatives.setdefault(_class_key(rep, m), m)
-    if len(representatives) != len(orientation_bases):
-        raise InvariantViolationError("two basis orientations share a class key")
-    t = rep._packed_projection[1]
-    if len(representatives) != t:
-        raise InvariantViolationError(
-            f"{len(representatives)} class keys, not the Gram determinant {t}"
-        )
-    _BASIS_MAP_CACHE[key] = basis_orientations, orientation_bases, representatives
-    return _BASIS_MAP_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +219,7 @@ def basis_from_orientation(
     m = _orientation_mask(o, rep.element_count)
     if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
         raise NotCompatibleError("orientation is not jointly compatible")
-    found = _basis_map(rep, sig, cosig)[1].get(m)
+    found = _basis_map(rep, sig, cosig)[0][1].get(m)
     if found is None:
         raise InvariantViolationError("compatible orientation has no basis preimage")
     return Basis(found)
@@ -302,15 +235,12 @@ def _subgraph_and_tag(
     build computes and checks each row: the tag must match the image.
     """
     m = _orientation_mask(o, rep.element_count)
-    _, orientation_bases, representatives = _basis_map(rep, sig, cosig)
-    cp = representatives.get(_class_key(rep, m))
-    if cp is None:
-        raise InvariantViolationError("class key missed by the basis map")
+    cp, tree = _joint_representative(rep, m, sig, cosig)
     # bias + N cp - N m, summed over the elements where cp and m differ
     nd = _packed_sum(rep, cp & ~m) + rep._packed_projection[3] - _packed_sum(rep, m & ~cp)
-    image = _image_of(rep, cp, mask_of(orientation_bases[cp]), m, nd)
+    image = _image_of(rep, cp, mask_of(tree), m, nd)
     tag = _TAGS[is_compatible(rep, m, sig), is_compatible(rep, m, cosig)]
-    _check_tag(rep, tag, image)
+    _check_tag(tag, image in rep._independent_masks, bool(rep._spanning_bits >> image & 1))
     return image, tag
 
 

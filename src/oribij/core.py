@@ -36,6 +36,8 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 16
 DEFAULT_TU_CAP = 12
+# entries each bounded cache keeps, least recently used evicted first
+CACHE_SIZE = 16
 # square minors is_totally_unimodular may visit: C(r + n, r) - 1 for r x n
 TU_MINOR_CAP = 10 ** 6
 
@@ -340,18 +342,17 @@ class RegularMatroidRep:
         return tuple(sorted(m for m in self._independent_masks if m.bit_count() == r))
 
     @cached_property
-    def _spanning_masks(self) -> frozenset[int]:
-        full = (1 << self.element_count) - 1
-        out: set[int] = set()
+    def _spanning_bits(self) -> int:
+        """The spanning sets as one 2^n-bit set (bit s is set s): the up-closure of the bases.
+
+        Element by element, each set lacking e also spans with e added, at s + 2^e.
+        """
+        bits = 0
         for b in self._basis_masks:
-            free = full & ~b
-            sub = free
-            while True:
-                out.add(b | sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-        return frozenset(out)
+            bits |= 1 << b
+        for e, with_e in enumerate(orientations_with_bit(self.element_count)):
+            bits |= (bits & ~with_e) << (1 << e)
+        return bits
 
     @cached_property
     def _tableau_pass(self) -> tuple[tuple, tuple, dict[int, tuple[int, ...]]]:

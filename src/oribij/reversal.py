@@ -9,28 +9,38 @@ cocycle classes those of o -> K o (K the kernel basis), and joint classes
 the join of the two partitions.  ``_class_masks`` is the one partition,
 and ``core._class_key`` the one test that two orientations share a joint
 class.
+
+The jointly compatible orientation of a joint class is a basis orientation,
+found by one lookup of the class key in the pair's checked basis map, with
+no walk; the map, and the pair's table once built, share one bounded cache.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Literal
 
 from .core import (
+    Basis,
+    CACHE_SIZE,
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
+    _NOT_A_BASIS,
+    _basis_mask,
     _class_key,
     _orientation_mask,
     _require_cap,
     _subset_sums,
     conformal_decompose,
+    enumerate_bases,
     split_kernel_image,
 )
 from .errors import InputError, InvariantViolationError
-from .signatures import CIRCUIT, COCIRCUIT, Signature
+from .signatures import CIRCUIT, COCIRCUIT, Signature, is_compatible
 
 Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
 KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
@@ -99,42 +109,84 @@ def cocircuit_class_representative(
     return Orientation.from_mask(rep.element_count, mask)
 
 
-def _joint_representative_mask(
-    rep: RegularMatroidRep, mask: int, sig: Signature, cosig: Signature,
-    rng: random.Random | None = None,
-) -> int:
-    guard = (1 << rep.element_count) + 1
-    for _ in range(guard):
-        mask = _representative_mask(rep, mask, sig, rng)
-        nxt = _representative_mask(rep, mask, cosig, rng)
-        if nxt == mask:
-            return mask
-        mask = nxt
-    raise InvariantViolationError("alternating reversal passes did not stabilize")
+# ---------------------------------------------------------------------------
+# the basis map: joint representatives by class key
+
+# (rep, sig, cosig, graph flag) -> [basis map, table or None], least recently used
+# first; the graph flag keeps a graph rep and its equal matrix twin apart
+_TABLE_CACHE: OrderedDict[tuple, list] = OrderedDict()
 
 
-def _class_split(
-    rep: RegularMatroidRep, o: Orientation, sig: Signature, cosig: Signature,
-    rng: random.Random | None = None,
-) -> tuple[Orientation, SignedSupportVector, SignedSupportVector]:
-    """The representative cp of o's joint class and the split of cp - o.
+def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> int:
+    """The orientation of a basis: each element follows the chosen vector on its support.
 
-    The difference splits exactly into a kernel part c and a row-space part
-    c*, both {0,+-1} with disjoint supports: c is the sum of the reversed
-    circuits and c* the sum of the reversed cocircuits.
+    The supports (fundamental cocircuits on the basis, circuits off it) are
+    looked up in the rep's one pass over the basis tableaux; a non-basis is refused.
+    """
+    supports = rep._tableau_pass[2].get(_basis_mask(basis))
+    if supports is None:
+        raise InputError(_NOT_A_BASIS)
+    mask = 0
+    for e, support in enumerate(supports):
+        mask |= (cosig if basis.mask >> e & 1 else sig).chosen_pos_mask(support) & 1 << e
+    return mask
+
+
+def _basis_map(
+    rep: RegularMatroidRep, sig: Signature, cosig: Signature,
+    cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
+) -> list:
+    """The pair's cache entry [basis map, table or None]; the cap is checked first.
+
+    The map is (basis -> orientation mask, orientation mask -> basis, class
+    key -> representative mask).  Checked: the orientations are distinct and
+    jointly compatible, no two share a class key, and the keys number t, the
+    Gram determinant det(A A^T), which is the number of bases (Cauchy-Binet,
+    every basis determinant being +-1).
     """
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
-    n = rep.element_count
-    cp_mask = _joint_representative_mask(rep, _orientation_mask(o, n), sig, cosig, rng)
-    cp = Orientation.from_mask(n, cp_mask)
-    d = [a - b for a, b in zip(cp.vector(), o.vector())]
-    c, cstar = split_kernel_image(rep, d)
-    if not (c.is_sign_vector() and cstar.is_sign_vector()):
-        raise InvariantViolationError("same-class split is not a sign vector")
-    if (c.pos_mask | c.neg_mask) & (cstar.pos_mask | cstar.neg_mask):
-        raise InvariantViolationError("kernel and image parts overlap")
-    return cp, c, cstar
+    _require_cap(rep, cap)
+    key = (rep, sig, cosig, rep.graph is not None)
+    # one pop and one insert, so a concurrent eviction cannot fail the lookup
+    if use_cache and (entry := _TABLE_CACHE.pop(key, None)) is not None:
+        _TABLE_CACHE[key] = entry
+        return entry
+    basis_orientations = {
+        basis.elements: _orient_basis_mask(rep, basis, sig, cosig)
+        for basis in enumerate_bases(rep, cap)
+    }
+    orientation_bases = {m: b for b, m in basis_orientations.items()}
+    if len(orientation_bases) != len(basis_orientations):
+        raise InvariantViolationError("basis map is not injective")
+    representatives: dict[tuple[int, ...], int] = {}
+    for m in orientation_bases:
+        if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
+            raise InvariantViolationError("basis orientation is not jointly compatible")
+        representatives.setdefault(_class_key(rep, m), m)
+    if len(representatives) != len(orientation_bases):
+        raise InvariantViolationError("two basis orientations share a class key")
+    keys, t = len(representatives), rep._packed_projection[1]
+    if keys != t:
+        raise InvariantViolationError(f"{keys} class keys, not the Gram determinant {t}")
+    entry = [(basis_orientations, orientation_bases, representatives), None]
+    if use_cache:
+        _TABLE_CACHE[key] = entry
+        if len(_TABLE_CACHE) > CACHE_SIZE:
+            _TABLE_CACHE.popitem(last=False)
+    return entry
+
+
+def _joint_representative(
+    rep: RegularMatroidRep, mask: int, sig: Signature, cosig: Signature,
+    cap: int = DEFAULT_ELEMENT_CAP,
+) -> tuple[int, frozenset[int]]:
+    """The jointly compatible orientation of mask's joint class, and its basis."""
+    _, orientation_bases, representatives = _basis_map(rep, sig, cosig, cap)[0]
+    cp = representatives.get(_class_key(rep, mask))
+    if cp is None:
+        raise InvariantViolationError("class key missed by the basis map")
+    return cp, orientation_bases[cp]
 
 
 def compatible_decomposition(
@@ -143,10 +195,22 @@ def compatible_decomposition(
 ) -> ClassDecomposition:
     """Representative of o's joint class plus the disjoint reversals producing o.
 
-    Each part of the class split (see ``_class_split``) decomposes
-    conformally into the reversed circuits, resp. cocircuits.
+    The representative cp is the unique jointly compatible orientation of o's
+    class, looked up by class key in the basis map; being unique, it does not
+    depend on ``rng``, which is accepted and unused.  The difference cp - o
+    splits exactly into a kernel part c and a row-space part c*, both {0,+-1}
+    with disjoint supports, which decompose conformally into the reversed
+    circuits, resp. cocircuits.
     """
-    cp, c, cstar = _class_split(rep, o, sig, cosig, rng)
+    n = rep.element_count
+    # the lookup needs only the bases, so it refuses no ground set for its size
+    cp_mask, _ = _joint_representative(rep, _orientation_mask(o, n), sig, cosig, cap=n)
+    cp = Orientation.from_mask(n, cp_mask)
+    c, cstar = split_kernel_image(rep, [a - b for a, b in zip(cp.vector(), o.vector())])
+    if not (c.is_sign_vector() and cstar.is_sign_vector()):
+        raise InvariantViolationError("same-class split is not a sign vector")
+    if (c.pos_mask | c.neg_mask) & (cstar.pos_mask | cstar.neg_mask):
+        raise InvariantViolationError("kernel and image parts overlap")
     cycles = conformal_decompose(rep, c) if c.support else ()
     cocycles = conformal_decompose(rep, cstar) if cstar.support else ()
     for piece in (*cycles, *cocycles):

@@ -18,6 +18,7 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 
 from . import fourier_motzkin as fm
 from .core import (
+    CACHE_SIZE,
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
@@ -265,7 +266,7 @@ def canonical_weights(n: int) -> tuple[int, ...]:
     return tuple(3 ** j for j in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def canonical_signature_pair(rep: RegularMatroidRep) -> tuple[Signature, Signature]:
     """The deterministic weight-induced signature pair used as a default."""
     w = canonical_weights(rep.element_count)

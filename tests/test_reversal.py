@@ -9,8 +9,10 @@ from oribij import (
     BijectionTable,
     CIRCUIT,
     COCIRCUIT,
+    CapExceededError,
     Graph,
     InputError,
+    InvariantViolationError,
     Orientation,
     SignedSupportVector,
     basis_from_orientation,
@@ -282,6 +284,72 @@ def test_joint_classes_honour_the_callers_cap():
     assert not same_class(rep, ref, Orientation.from_mask(20, 1), "cycle-cocycle")
 
 
+def test_decomposition_past_the_default_cap():
+    rep = _parallel(17)
+    weights = [3 ** j for j in range(17)]
+    sig = signature_from_weights(rep, weights, CIRCUIT, cap=17)
+    cosig = signature_from_weights(rep, weights, COCIRCUIT, cap=17)
+    o = Orientation.from_mask(17, 0b10110)
+    dec = compatible_decomposition(rep, o, sig, cosig)
+    # the heavier edge of each 2-cycle leads, so the compatible member of a
+    # class (the orientations with as many forward edges) leads on the top ones
+    assert dec.representative == Orientation.from_mask(17, 0b111 << 14)
+    current = dec.representative
+    for piece in (*dec.cycles, *dec.cocycles):
+        current = reverse(current, piece)
+    assert current == o
+    # single queries refuse the same pair at the default cap, before and
+    # after the decomposition left its basis map in the cache
+    with pytest.raises(CapExceededError):
+        orientation_to_subgraph(rep, o, sig, cosig)
+    assert compatible_decomposition(rep, o, sig, cosig) == dec
+    with pytest.raises(CapExceededError):
+        orientation_to_subgraph(rep, o, sig, cosig)
+
+
+def _walked_representative(rep, o, sig, cosig):
+    """The joint representative by alternating the two one-sided reversal walks."""
+    while True:
+        o = circuit_class_representative(rep, o, sig)
+        nxt = cocircuit_class_representative(rep, o, cosig)
+        if nxt == o:
+            return o
+        o = nxt
+
+
+def test_decomposition_looks_its_representative_up(monkeypatch):
+    cases = [(rep, *pairs[0]) for _, rep, pairs in suite_instances()]
+    r10 = RegularMatroidRep.from_rows(R10_MATRIX)
+    cases.append((r10, *canonical_signature_pair(r10)))
+    rng = random.Random(41)
+    samples = []
+    for rep, sig, cosig in cases:
+        n = rep.element_count
+        for m in rng.sample(range(1 << n), min(1 << n, 24)):
+            o = Orientation.from_mask(n, m)
+            samples.append((rep, o, sig, cosig, _walked_representative(rep, o, sig, cosig)))
+
+    def refuse(*args):
+        raise AssertionError("a reversal walk was taken")
+
+    monkeypatch.setattr(reversal, "_representative_mask", refuse)
+    for rep, o, sig, cosig, walked in samples:
+        dec = compatible_decomposition(rep, o, sig, cosig, rng=random.Random(0))
+        assert dec.representative == walked
+        assert compatible_decomposition(rep, o, sig, cosig) == dec
+        current = dec.representative
+        for piece in (*dec.cycles, *dec.cocycles):
+            current = reverse(current, piece)
+        assert current == o
+
+
+def test_decomposition_refuses_a_cyclic_pair(theta_rep):
+    cyclic = explicit_signature(theta_rep, CIRCUIT, [(1, -1, 0), (0, 1, -1), (-1, 0, 1)])
+    cosig = explicit_signature(theta_rep, COCIRCUIT, [(1, 1, 1)])
+    with pytest.raises(InvariantViolationError):
+        compatible_decomposition(theta_rep, Orientation((True, False, False)), cyclic, cosig)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the oracle or a signature was consulted")
 
@@ -298,8 +366,7 @@ def test_partitions_consult_neither_the_oracle_nor_signatures(monkeypatch, name)
     cosig = signature_from_weights(rep, weights, COCIRCUIT)
     # every module that binds one of these names, not only the defining one
     for module in (oribij, core, oracle, reversal, signatures, bijection):
-        for attr in ("closure_mask_partition", "_joint_representative_mask",
-                     "canonical_signature_pair"):
+        for attr in ("closure_mask_partition", "canonical_signature_pair"):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, _refuse)
     table = BijectionTable.build(rep, sig, cosig, use_cache=False)
@@ -356,6 +423,39 @@ def test_no_module_item_assigns_into_another_objects_attribute():
     assert writes == set()
 
 
+def _unbounded_caches(source: str) -> list[str]:
+    """``lru_cache(maxsize=None)`` (or ``lru_cache(None)``) and ``functools.cache`` uses."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "lru_cache":
+            sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and getattr(node.value, "id", None) == "functools"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"from functools import {a.name}" for a in node.names if a.name == "cache"]
+    return found
+
+
+def test_no_module_cache_is_unbounded():
+    # a long-lived process must not grow a cache without bound
+    assert _unbounded_caches("@lru_cache(maxsize=None)\ndef f(): pass") != []
+    assert _unbounded_caches("@functools.lru_cache(None)\ndef f(): pass") != []
+    assert _unbounded_caches("@functools.cache\ndef f(): pass") != []
+    assert _unbounded_caches("from functools import cache") != []
+    assert _unbounded_caches("@lru_cache(maxsize=16)\ndef f(): pass") == []
+    found = {
+        (path.stem, use)
+        for path in sorted(Path(oribij.__file__).parent.glob("*.py"))
+        for use in _unbounded_caches(path.read_text())
+    }
+    assert found == set()
+    assert signatures.canonical_signature_pair.cache_info().maxsize == core.CACHE_SIZE
+
+
 def test_representatives_constant_on_classes(triangle_rep):
     sig, cosig = canonical_signature_pair(triangle_rep)
     for members in enumerate_classes(triangle_rep, "cycle-cocycle"):
@@ -369,7 +469,5 @@ def test_representatives_constant_on_classes(triangle_rep):
 def test_non_acyclic_signature_reversal_guard(theta_rep):
     cyclic = explicit_signature(theta_rep, CIRCUIT, [(1, -1, 0), (0, 1, -1), (-1, 0, 1)])
     # starting from (1,0,0) the anti-chosen reversals cycle forever
-    from oribij import InvariantViolationError
-
     with pytest.raises(InvariantViolationError):
         circuit_class_representative(theta_rep, Orientation((True, False, False)), cyclic)

@@ -11,6 +11,7 @@ make each of the build's invariant checks fire.
 """
 
 import json
+from collections import OrderedDict
 
 import pytest
 
@@ -26,6 +27,7 @@ from oribij import (
     basis_from_orientation,
     canonical_signature_pair,
     classify_specialization,
+    compatible_decomposition,
     enumerate_bases,
     enumerate_signed_circuits,
     explicit_signature,
@@ -35,7 +37,7 @@ from oribij import (
     orientation_to_subgraph,
     orientation_to_subgraph_complement,
 )
-from oribij import bijection, core
+from oribij import bijection, core, reversal
 from oribij.core import _class_key, bits_of
 from oribij.serialize import dump_json, table_json_obj
 from oribij.signatures import _compatible_set
@@ -119,7 +121,7 @@ def test_class_with_two_compatible_orientations_is_refused(monkeypatch):
 
 def test_non_injective_basis_map_is_refused(monkeypatch):
     rep = _k4()
-    monkeypatch.setattr(bijection, "_orient_basis_mask", lambda *args: 0)
+    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: 0)
     with pytest.raises(InvariantViolationError, match="basis map is not injective"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
@@ -127,9 +129,12 @@ def test_non_injective_basis_map_is_refused(monkeypatch):
 def test_basis_map_missing_a_representative_is_refused(monkeypatch):
     rep = _k4()
     full = (1 << rep.element_count) - 1
-    orient = bijection._orient_basis_mask
+    orient = reversal._orient_basis_mask
     # reversing a compatible orientation makes every chosen vector in it anti-chosen
-    monkeypatch.setattr(bijection, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
+    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
+    # the key map refuses incompatible basis orientations first; past that
+    # check, the build's own check must refuse the map
+    monkeypatch.setattr(reversal, "is_compatible", lambda *args: True)
     with pytest.raises(InvariantViolationError, match="missed by the basis map"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
@@ -162,19 +167,23 @@ def test_split_that_is_not_a_sign_split_is_refused(monkeypatch):
     clean = _k4()
     rep = _with_projection(clean, 2)
     sig, cosig = canonical_signature_pair(rep)
-    with pytest.raises(InvariantViolationError, match="not a sign split"):
-        BijectionTable.build(rep, sig, cosig, use_cache=False)
     # the scaled reps equal the clean one, so none may reuse another's basis map
-    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     # doubling N sends the classes of order 2 in the class group (of order
-    # t = 16) to the key of the identity, so single queries refuse the key map
+    # t = 16) to the key of the identity, so the build and single queries
+    # refuse the key map
+    with pytest.raises(InvariantViolationError, match="share a class key"):
+        BijectionTable.build(rep, sig, cosig, use_cache=False)
     with pytest.raises(InvariantViolationError, match="share a class key"):
         orientation_to_subgraph(rep, Orientation.reference(rep.element_count), sig, cosig)
-    # tripling N keeps the keys apart (3 is a unit mod 16), and a single query
-    # splits through the same columns as the build: those that need a nonzero
-    # row-space part are refused, the others keep their clean image
-    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    # tripling N keeps the keys apart (3 is a unit mod 16), so the build
+    # reaches the split; a single query splits through the same columns as
+    # the build: those that need a nonzero row-space part are refused, the
+    # others keep their clean image
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     rep = _with_projection(clean, 3)
+    with pytest.raises(InvariantViolationError, match="not a sign split"):
+        BijectionTable.build(rep, sig, cosig, use_cache=False)
     want = BijectionTable.build(clean, sig, cosig, use_cache=False)
     messages = set()
     answered = 0
@@ -191,8 +200,11 @@ def test_split_that_is_not_a_sign_split_is_refused(monkeypatch):
     assert messages == {"class split is not a sign split"}
 
 
-def test_forward_map_that_is_not_a_bijection_is_refused():
+def test_forward_map_that_is_not_a_bijection_is_refused(monkeypatch):
     rep = _with_projection(_k4(), 0)
+    # a zero N gives every orientation one class key, which the key map
+    # refuses first; keyed apart, the build splits every row with c* = 0
+    monkeypatch.setattr(reversal, "_class_key", lambda rep, m: m)
     with pytest.raises(InvariantViolationError, match="not a bijection"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
@@ -340,9 +352,9 @@ def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name):
     # wherever a module binds the pivot
     for module in (core, bijection):
         monkeypatch.setattr(module, "_basis_tableau", refuse, raising=False)
-    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     table = BijectionTable.build(rep, sig, cosig, use_cache=False)
-    basis_orientations, _, representatives = bijection._basis_map(rep, sig, cosig)
+    (basis_orientations, _, representatives), _ = bijection._basis_map(rep, sig, cosig)
     assert basis_orientations == table.basis_orientations
     assert len(representatives) == len(rep._basis_masks)
 
@@ -384,7 +396,7 @@ def test_class_keys_name_the_joint_classes():
         keys = [{_class_key(rep, m) for m in members} for members in classes]
         assert all(len(k) == 1 for k in keys)
         assert len(set().union(*keys)) == len(classes)
-        _, orientation_bases, representatives = bijection._basis_map(rep, sig, cosig)
+        (_, orientation_bases, representatives), _ = bijection._basis_map(rep, sig, cosig)
         assert len(representatives) == rep._packed_projection[1] == len(rep._basis_masks)
         assert sorted(representatives.values()) == sorted(orientation_bases)
         assert all(_class_key(rep, m) == k for k, m in representatives.items())
@@ -392,8 +404,8 @@ def test_class_keys_name_the_joint_classes():
 
 def test_basis_orientations_sharing_a_class_key_are_refused(monkeypatch):
     rep = _k4()
-    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
-    monkeypatch.setattr(bijection, "_class_key", lambda rep, m: ())
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    monkeypatch.setattr(reversal, "_class_key", lambda rep, m: ())
     with pytest.raises(InvariantViolationError, match="share a class key"):
         orientation_to_subgraph(rep, Orientation.reference(6), *canonical_signature_pair(rep))
 
@@ -401,9 +413,9 @@ def test_basis_orientations_sharing_a_class_key_are_refused(monkeypatch):
 def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
-    monkeypatch.setattr(bijection, "_class_key", lambda rep, m: ())
+    monkeypatch.setattr(reversal, "_class_key", lambda rep, m: ())
     with pytest.raises(InvariantViolationError, match="missed by the basis map"):
         orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
 
@@ -411,9 +423,9 @@ def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
 def test_incompatible_basis_orientation_is_refused_by_the_key_map(monkeypatch):
     rep = _k4()
     full = (1 << rep.element_count) - 1
-    orient = bijection._orient_basis_mask
-    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
-    monkeypatch.setattr(bijection, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
+    orient = reversal._orient_basis_mask
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
     with pytest.raises(InvariantViolationError, match="not jointly compatible"):
         orientation_to_subgraph(rep, Orientation.reference(6), *canonical_signature_pair(rep))
 
@@ -424,6 +436,55 @@ def test_key_count_other_than_the_gram_determinant_is_refused(monkeypatch):
     rows, t = clean._projection()
     # the same projection N/t as 3N/3t, but 3t = 48 is not the number of bases
     fresh.__dict__["_projection"] = lambda: (tuple(tuple(3 * x for x in r) for r in rows), 3 * t)
-    monkeypatch.setattr(bijection, "_BASIS_MAP_CACHE", {})
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     with pytest.raises(InvariantViolationError, match="16 class keys, not the Gram determinant 48"):
         orientation_to_subgraph(fresh, Orientation.reference(6), *canonical_signature_pair(fresh))
+
+
+# ---------------------------------------------------------------------------
+# the one pair cache
+
+
+def test_the_pair_cache_keeps_at_most_its_bound():
+    # the bench reads the cache through the bijection module
+    assert bijection._TABLE_CACHE is reversal._TABLE_CACHE
+    cases = [(rep, *pairs[0]) for _, rep, pairs in suite_instances()[:core.CACHE_SIZE + 4]]
+    assert len({(rep, sig, cosig) for rep, sig, cosig in cases}) == len(cases)
+    first = BijectionTable.build(*cases[0])
+    for rep, sig, cosig in cases:
+        # a table, single queries and a decomposition per pair
+        table = BijectionTable.build(rep, sig, cosig)
+        o = Orientation.reference(rep.element_count)
+        assert orientation_to_subgraph(rep, o, sig, cosig) == table.subgraph_of(o)
+        assert classify_specialization(rep, o, sig, cosig) == table.tag_of(o)
+        dec = compatible_decomposition(rep, o, sig, cosig)
+        assert table.tag_of(dec.representative) == "basis"
+        assert len(bijection._TABLE_CACHE) <= core.CACHE_SIZE
+    # the least recently used pairs went first; a hit makes its pair the most
+    # recent, so rebuilding the first pair evicts the second oldest
+    keys = [(rep, sig, cosig, True) for rep, sig, cosig in cases]
+    size = core.CACHE_SIZE
+    assert list(bijection._TABLE_CACHE) == keys[-size:]
+    BijectionTable.build(*cases[-size])
+    again = BijectionTable.build(*cases[0])
+    assert list(bijection._TABLE_CACHE) == [*keys[2 - size:], keys[-size], keys[0]]
+    assert again is not first
+    assert (again.forward, again.tags, again.classes) == (first.forward, first.tags, first.classes)
+    assert (again.basis_orientations, again.orientation_bases) == (
+        first.basis_orientations, first.orientation_bases)
+    assert BijectionTable.build(*cases[0]) is again
+    assert len(bijection._TABLE_CACHE) <= core.CACHE_SIZE
+
+
+def test_the_table_and_the_queries_share_one_basis_map(monkeypatch):
+    rep = _k4()
+    sig, cosig = canonical_signature_pair(rep)
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
+    maps = reversal._basis_map(rep, sig, cosig)[0]
+    table = BijectionTable.build(rep, sig, cosig)
+    assert list(reversal._TABLE_CACHE.values()) == [[maps, table]]
+    assert table.basis_orientations is maps[0] and table.orientation_bases is maps[1]
+    # without the cache, the build reads and writes none
+    assert BijectionTable.build(rep, sig, cosig, use_cache=False) is not table
+    assert list(reversal._TABLE_CACHE.values()) == [[maps, table]]

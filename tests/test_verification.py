@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -13,7 +14,7 @@ from oribij import (
     explicit_signature,
     graph_to_rep,
 )
-from oribij import verification
+from oribij import bijection, reversal, verification
 from oribij.cli import main
 from oribij.verification import run_verification, separation_violations
 
@@ -75,13 +76,35 @@ def test_class_oracle_suite_fails_on_a_corrupted_partition(monkeypatch, kind, co
     rep = graph_to_rep(wheel(4))
     sig, cosig = canonical_signature_pair(rep)
     table = BijectionTable.build(rep, sig, cosig)
-    keyed = verification._class_masks
-    monkeypatch.setattr(verification, "_class_masks",
-                        lambda r, k: corrupt(keyed(r, k)) if k == kind else keyed(r, k))
+    if kind == "cycle-cocycle":
+        # the suite reads the joint classes off the table, which was built from them
+        monkeypatch.setattr(table, "classes", corrupt(table.classes))
+    else:
+        keyed = verification._class_masks
+        monkeypatch.setattr(verification, "_class_masks",
+                            lambda r, k: corrupt(keyed(r, k)) if k == kind else keyed(r, k))
     report = run_verification(rep, sig, cosig, samples=20, table=table)
     (suite,) = [s for s in report["suites"] if s["name"] == "class-oracle"]
     assert not report["passed"] and not suite["passed"]
     assert suite["detail"] == {"mismatched_kinds": [kind]}
+
+
+def test_a_verification_partitions_the_joint_classes_once(monkeypatch):
+    rep = graph_to_rep(wheel(4))
+    sig, cosig = canonical_signature_pair(rep)
+    kinds = []
+    keyed = reversal._class_masks
+
+    def counted(r, kind):
+        kinds.append(kind)
+        return keyed(r, kind)
+
+    for module in (bijection, verification):
+        monkeypatch.setattr(module, "_class_masks", counted)
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    assert run_verification(rep, sig, cosig, samples=20)["passed"]
+    # the build's partition serves the class-oracle suite
+    assert sorted(kinds) == ["cocycle", "cycle", "cycle-cocycle"]
 
 
 def test_a_table_of_another_ground_set_is_refused(triangle_rep):
