@@ -108,10 +108,10 @@ class BijectionTable:
         cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
     ) -> "BijectionTable":
         entry = _basis_map(rep, sig, cosig, cap, use_cache)
-        if entry[1] is not None:
-            return entry[1]
+        if entry.table is not None:
+            return entry.table
         # each class's representative must be one of the checked basis orientations
-        basis_orientations, orientation_bases, _ = entry[0]
+        orientation_bases = entry.orientation_bases
 
         total = 1 << rep.element_count
         sigma_ok = f"{_compatible_set(rep, sig):0{total}b}"[::-1]
@@ -149,9 +149,9 @@ class BijectionTable:
         for m, s in forward.items():
             _check_tag(tags[m], s in independent, spanning[s] == "1")
 
-        entry[1] = cls(rep, sig, cosig, forward, tags, basis_orientations, orientation_bases,
-                       classes)
-        return entry[1]
+        entry.table = cls(rep, sig, cosig, forward, tags, entry.basis_orientations,
+                          orientation_bases, classes)
+        return entry.table
 
 
 def _image_of(rep: RegularMatroidRep, cp: int, tree_mask: int, m: int, nd: int) -> int:
@@ -219,7 +219,7 @@ def basis_from_orientation(
     m = _orientation_mask(o, rep.element_count)
     if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
         raise NotCompatibleError("orientation is not jointly compatible")
-    found = _basis_map(rep, sig, cosig)[0][1].get(m)
+    found = _basis_map(rep, sig, cosig).orientation_bases.get(m)
     if found is None:
         raise InvariantViolationError("compatible orientation has no basis preimage")
     return Basis(found)

@@ -36,8 +36,9 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 16
 DEFAULT_TU_CAP = 12
-# entries each bounded cache keeps, least recently used evicted first
-CACHE_SIZE = 16
+# entries each bounded cache keeps, least recently used evicted first; two serve
+# a caller that alternates two pairs, such as a graph rep and its matrix twin
+CACHE_SIZE = 2
 # square minors is_totally_unimodular may visit: C(r + n, r) - 1 for r x n
 TU_MINOR_CAP = 10 ** 6
 
@@ -895,22 +896,12 @@ def _image_part(
     read.  Elements left out of the result are 0; for a one-digit d, so is
     no element kept.  Raises NotSameClassError when c* is not integral.
     """
-    columns, t, width, bias = rep._packed_projection
+    _, t, width, bias = rep._packed_projection
     field = (1 << width) - 1
     half = 1 << (width - 1)
     nums: dict[int, int] = {}
     for b, (pos, neg) in enumerate(digits):
-        total = bias
-        rest = pos
-        while rest:
-            low = rest & -rest
-            total += columns[low.bit_length() - 1]
-            rest ^= low
-        rest = neg
-        while rest:
-            low = rest & -rest
-            total -= columns[low.bit_length() - 1]
-            rest ^= low
+        total = _packed_sum(rep, pos) + bias - _packed_sum(rep, neg)
         nonzero = total ^ bias  # the fields of N d that are not zero
         while nonzero:
             shift = (nonzero & -nonzero).bit_length() - 1

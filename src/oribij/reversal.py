@@ -112,9 +112,19 @@ def cocircuit_class_representative(
 # ---------------------------------------------------------------------------
 # the basis map: joint representatives by class key
 
-# (rep, sig, cosig, graph flag) -> [basis map, table or None], least recently used
-# first; the graph flag keeps a graph rep and its equal matrix twin apart
-_TABLE_CACHE: OrderedDict[tuple, list] = OrderedDict()
+@dataclass(eq=False)
+class _BasisMap:
+    """A signature pair's checked basis map, and its table once built."""
+
+    basis_orientations: dict[frozenset[int], int]  # basis -> orientation mask
+    orientation_bases: dict[int, frozenset[int]]  # orientation mask -> basis
+    representatives: dict[tuple[int, ...], int]  # class key -> representative mask
+    table: object = None  # the pair's bijection.BijectionTable, set by its build
+
+
+# (rep, sig, cosig, graph flag) -> _BasisMap, least recently used first; the
+# graph flag keeps a graph rep and its equal matrix twin apart
+_TABLE_CACHE: OrderedDict[tuple, _BasisMap] = OrderedDict()
 
 
 def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> int:
@@ -135,14 +145,13 @@ def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> i
 def _basis_map(
     rep: RegularMatroidRep, sig: Signature, cosig: Signature,
     cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
-) -> list:
-    """The pair's cache entry [basis map, table or None]; the cap is checked first.
+) -> _BasisMap:
+    """The pair's checked basis map, from the cache if there; the cap is checked first.
 
-    The map is (basis -> orientation mask, orientation mask -> basis, class
-    key -> representative mask).  Checked: the orientations are distinct and
-    jointly compatible, no two share a class key, and the keys number t, the
-    Gram determinant det(A A^T), which is the number of bases (Cauchy-Binet,
-    every basis determinant being +-1).
+    Checked: the orientations are distinct and jointly compatible, no two
+    share a class key, and the keys number t, the Gram determinant
+    det(A A^T), which is the number of bases (Cauchy-Binet, every basis
+    determinant being +-1).
     """
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
@@ -169,7 +178,7 @@ def _basis_map(
     keys, t = len(representatives), rep._packed_projection[1]
     if keys != t:
         raise InvariantViolationError(f"{keys} class keys, not the Gram determinant {t}")
-    entry = [(basis_orientations, orientation_bases, representatives), None]
+    entry = _BasisMap(basis_orientations, orientation_bases, representatives)
     if use_cache:
         _TABLE_CACHE[key] = entry
         if len(_TABLE_CACHE) > CACHE_SIZE:
@@ -182,11 +191,11 @@ def _joint_representative(
     cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[int, frozenset[int]]:
     """The jointly compatible orientation of mask's joint class, and its basis."""
-    _, orientation_bases, representatives = _basis_map(rep, sig, cosig, cap)[0]
-    cp = representatives.get(_class_key(rep, mask))
+    entry = _basis_map(rep, sig, cosig, cap)
+    cp = entry.representatives.get(_class_key(rep, mask))
     if cp is None:
         raise InvariantViolationError("class key missed by the basis map")
-    return cp, orientation_bases[cp]
+    return cp, entry.orientation_bases[cp]
 
 
 def compatible_decomposition(

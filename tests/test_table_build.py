@@ -354,9 +354,9 @@ def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name):
         monkeypatch.setattr(module, "_basis_tableau", refuse, raising=False)
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     table = BijectionTable.build(rep, sig, cosig, use_cache=False)
-    (basis_orientations, _, representatives), _ = bijection._basis_map(rep, sig, cosig)
-    assert basis_orientations == table.basis_orientations
-    assert len(representatives) == len(rep._basis_masks)
+    entry = bijection._basis_map(rep, sig, cosig)
+    assert entry.basis_orientations == table.basis_orientations
+    assert len(entry.representatives) == len(rep._basis_masks)
 
 
 @pytest.mark.parametrize("name", ["K4", "R10"])
@@ -396,9 +396,10 @@ def test_class_keys_name_the_joint_classes():
         keys = [{_class_key(rep, m) for m in members} for members in classes]
         assert all(len(k) == 1 for k in keys)
         assert len(set().union(*keys)) == len(classes)
-        (_, orientation_bases, representatives), _ = bijection._basis_map(rep, sig, cosig)
+        entry = bijection._basis_map(rep, sig, cosig)
+        representatives = entry.representatives
         assert len(representatives) == rep._packed_projection[1] == len(rep._basis_masks)
-        assert sorted(representatives.values()) == sorted(orientation_bases)
+        assert sorted(representatives.values()) == sorted(entry.orientation_bases)
         assert all(_class_key(rep, m) == k for k, m in representatives.items())
 
 
@@ -467,7 +468,7 @@ def test_the_pair_cache_keeps_at_most_its_bound():
     assert list(bijection._TABLE_CACHE) == keys[-size:]
     BijectionTable.build(*cases[-size])
     again = BijectionTable.build(*cases[0])
-    assert list(bijection._TABLE_CACHE) == [*keys[2 - size:], keys[-size], keys[0]]
+    assert list(bijection._TABLE_CACHE) == [*keys[len(keys) + 2 - size:], keys[-size], keys[0]]
     assert again is not first
     assert (again.forward, again.tags, again.classes) == (first.forward, first.tags, first.classes)
     assert (again.basis_orientations, again.orientation_bases) == (
@@ -481,10 +482,12 @@ def test_the_table_and_the_queries_share_one_basis_map(monkeypatch):
     sig, cosig = canonical_signature_pair(rep)
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
-    maps = reversal._basis_map(rep, sig, cosig)[0]
+    entry = reversal._basis_map(rep, sig, cosig)
+    assert entry.table is None
     table = BijectionTable.build(rep, sig, cosig)
-    assert list(reversal._TABLE_CACHE.values()) == [[maps, table]]
-    assert table.basis_orientations is maps[0] and table.orientation_bases is maps[1]
+    assert list(reversal._TABLE_CACHE.values()) == [entry] and entry.table is table
+    assert table.basis_orientations is entry.basis_orientations
+    assert table.orientation_bases is entry.orientation_bases
     # without the cache, the build reads and writes none
     assert BijectionTable.build(rep, sig, cosig, use_cache=False) is not table
-    assert list(reversal._TABLE_CACHE.values()) == [[maps, table]]
+    assert list(reversal._TABLE_CACHE.values()) == [entry] and entry.table is table
