@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * A signed circuit is a {0,+1,-1} vector of support-minimal kernel type for
   the representation matrix; a signed cocircuit is the row-space analogue.
   On graphs these are exactly the directed cycles and directed minimal cuts.
-* All arithmetic is exact (ints and Fractions).  Bit masks over the element
-  set are used in inner loops; bit j of a mask is element j.
+* All arithmetic is exact and integral; ``_gauss_jordan`` is the one
+  elimination.  Bit masks over the element set are used in inner loops;
+  bit j of a mask is element j.
 * Only independence is decided over GF(2): every basis determinant of an
   accepted matrix is +-1, hence odd, so A and A mod 2 have the same bases.
   Circuits, cocircuits and each basis's fundamental supports (which orient
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal, Mapping, Sequence
 
-from . import ratlin
 from .errors import (
     CapExceededError,
     InputError,
@@ -261,7 +261,7 @@ class RegularMatroidRep:
         cls, rows: Sequence[Sequence[int]], *, element_count: int | None = None,
         graph: Graph | None = None,
     ) -> "RegularMatroidRep":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         if rows:
             n = len(rows[0])
             if any(len(row) != n for row in rows):
@@ -272,10 +272,10 @@ class RegularMatroidRep:
             n = element_count
         if element_count is not None and element_count != n:
             raise InputError("element_count disagrees with the matrix width")
-        for row in rows:
-            if any(x not in (-1, 0, 1) for x in row):
-                raise InputError("matrix entries must be 0 or +-1")
-        if ratlin.matrix_rank(rows, n) != len(rows):
+        if any(x not in _UNIT for row in rows for x in row):
+            raise InputError("matrix entries must be 0 or +-1")
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        if len(_gauss_jordan(rows, n)[1]) != len(rows):
             raise InputError("matrix must have full row rank")
         rep = cls(matrix=rows, element_count=n, rank=len(rows), graph=graph)
         if n <= DEFAULT_ELEMENT_CAP and not rep._unimodular:
@@ -294,13 +294,14 @@ class RegularMatroidRep:
     def _first_tableau(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The first basis (A's pivot columns) and A's tableau [I | D] on it.
 
-        Entries are ratios of basis determinants (Cramer), so +-1 or 0 if A is unimodular.
+        ``_gauss_jordan`` gives d times the tableau, with |d| the first basis
+        determinant; entries are ratios of basis determinants (Cramer), so
+        d is +-1 and every entry +-1 or 0 if A is unimodular.
         """
-        rows, pivots = ratlin.row_reduce(self.matrix, self.element_count)
-        first = ratlin.determinant_int([[row[j] for j in pivots] for row in self.matrix])
-        if abs(first) != 1 or any(x not in (-1, 0, 1) for row in rows for x in row):
+        rows, pivots, d = _gauss_jordan(self.matrix, self.element_count)
+        if abs(d) != 1 or not _UNIT.issuperset(x for row in rows for x in row):
             raise InputError("matrix is not totally unimodular")
-        return tuple(pivots), tuple(tuple(int(x) for x in row) for row in rows)
+        return tuple(pivots), tuple(tuple(d * x for x in row) for row in rows)
 
     @cached_property
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -388,7 +389,7 @@ class RegularMatroidRep:
                     circuits[fundamental[e]] = _circuit_entries(tableau, elements, e, n)
             supports[b] = tuple(fundamental)
         for entries in cocircuits.values():
-            if any(ratlin.dot(row, entries) for row in self.kernel_basis):
+            if any(sum(a * b for a, b in zip(row, entries)) for row in self.kernel_basis):
                 raise InvariantViolationError("cocircuit not orthogonal to the kernel")
 
         def vectors(found, side):
@@ -407,36 +408,27 @@ class RegularMatroidRep:
     def _projection(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Integer matrix N and scale t with row-space projection = N/t.
 
-        t = det(G) for the Gram matrix G = A A^T, and N = A^T adj(G) A.  One
-        fraction-free (Bareiss) Gauss-Jordan pass over [G | A] ends with
-        t I on the left and adj(G) A on the right: every entry it forms is a
-        minor of [G | A], so each division is exact.
+        t = det(G) for the Gram matrix G = A A^T, and N = A^T adj(G) A.
+        ``_gauss_jordan`` over the G columns of [G | A] ends with t I on the
+        left and adj(G) A on the right.
         """
         n = self.element_count
         if self.rank == 0:
             return tuple((0,) * n for _ in range(n)), 1
-        work = [
+        r = self.rank
+        rows, pivots, t = _gauss_jordan([
             [sum(a * b for a, b in zip(ri, rj)) for rj in self.matrix] + list(ri)
             for ri in self.matrix
-        ]
-        prev = 1
-        for k, pivot_row in enumerate(work):
-            pivot = pivot_row[k]
-            # G is positive definite, so its leading minors, the pivots, are positive
-            if pivot <= 0:
-                raise InvariantViolationError("Gram determinant must be positive")
-            for i, row in enumerate(work):
-                if i != k:
-                    f = row[k]
-                    work[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
-            prev = pivot
-        r = self.rank
-        half = [row[r:] for row in work]
+        ], r)
+        # A has full row rank, so G is positive definite: full rank and det(G) > 0
+        if pivots != list(range(r)) or t <= 0:
+            raise InvariantViolationError("Gram determinant must be positive")
+        half = [row[r:] for row in rows]
         out = tuple(
             tuple(sum(self.matrix[k][i] * half[k][j] for k in range(r)) for j in range(n))
             for i in range(n)
         )
-        return out, prev
+        return out, t
 
     @cached_property
     def _packed_projection(self) -> tuple[tuple[int, ...], int, int, int]:
@@ -462,10 +454,10 @@ class RegularMatroidRep:
     # -- membership helpers ---------------------------------------------------
 
     def in_kernel(self, entries: Sequence[int]) -> bool:
-        return all(ratlin.dot(row, entries) == 0 for row in self.matrix)
+        return not any(sum(a * b for a, b in zip(row, entries)) for row in self.matrix)
 
     def in_row_space(self, entries: Sequence[int]) -> bool:
-        return all(ratlin.dot(row, entries) == 0 for row in self.kernel_basis)
+        return not any(sum(a * b for a, b in zip(row, entries)) for row in self.kernel_basis)
 
     def orientation_universe(self) -> range:
         return range(1 << self.element_count)
@@ -566,6 +558,40 @@ def _minors_are_unit(rows: Sequence[Sequence[int]]) -> bool:
                     current[key | cmask] = det
         previous = current
     return True
+
+
+def _gauss_jordan(
+    rows: Iterable[Sequence[int]], width: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Integer-preserving (Bareiss) Gauss-Jordan elimination over the first ``width`` columns.
+
+    Returns (rows, pivots, d): the nonzero rows in pivot order, each with d on
+    its own pivot column and 0 on the others, so rows / d is the reduced row
+    echelon form.  |d| is the determinant of the pivot columns on the rows
+    picked as pivots (all rows, if they are independent).  Every entry formed
+    is a minor of the input, so each division is exact (Sylvester's identity);
+    zero columns are skipped and a zero pivot costs one row swap.
+    """
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    d = 1
+    for col in range(width):
+        k = len(pivots)
+        if k == len(work):
+            break
+        swap = next((i for i in range(k, len(work)) if work[i][col]), None)
+        if swap is None:
+            continue
+        work[k], work[swap] = work[swap], work[k]
+        pivot_row = work[k]
+        pivot = pivot_row[col]
+        for i, row in enumerate(work):
+            if i != k:
+                f = row[col]
+                work[i] = [(pivot * x - f * y) // d for x, y in zip(row, pivot_row)]
+        d = pivot
+        pivots.append(col)
+    return work[:len(pivots)], pivots, d
 
 
 # ---------------------------------------------------------------------------

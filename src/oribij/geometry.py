@@ -33,16 +33,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import fourier_motzkin as fm
-from . import ratlin
 from .bijection import BijectionTable
 from .core import (
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
+    _gauss_jordan,
     _orientation_mask,
     _require_cap,
     bits_of,
@@ -466,39 +465,30 @@ def _zonotope_inequalities(
 ) -> list[tuple[int, ...]]:
     """Halfspace rows over x for {sum c_e w_e : 0 <= c_e <= 1}.
 
-    Derived by substituting the equalities into the box bounds and projecting
-    the combination variables out by Fourier-Motzkin elimination; the result
-    is an exact description, so membership testing is a pure integer check.
+    Derived by substituting the equalities sum_e c_e w_e = x into the box
+    bounds, solved for the pivot c_e by ``_gauss_jordan`` and scaled by its
+    |d|, and projecting the combination variables out by Fourier-Motzkin
+    elimination; the result is an exact description, so membership testing
+    is a pure integer check.
     """
     n = len(columns)
     width = n + rank
-    eq_rows = []
-    for i in range(rank):
-        row = [Fraction(columns[e][i]) for e in range(n)]
-        row += [Fraction(-1) if j == i else Fraction(0) for j in range(rank)]
-        eq_rows.append(row)
-    rref, pivots = ratlin.row_reduce(eq_rows, width)
-    if any(p >= n for p in pivots):
+    eq_rows = [[col[i] for col in columns] + [-int(j == i) for j in range(rank)]
+               for i in range(rank)]
+    reduced, pivots, d = _gauss_jordan(eq_rows, n)
+    if len(pivots) < rank:
         raise InvariantViolationError("dilated columns lost rank")
-
-    def expr_for(e: int) -> list[Fraction]:
-        if e in pivots:
-            i = pivots.index(e)
-            row = [-x for x in rref[i]]
-            row[e] = Fraction(0)
-            return row
-        row = [Fraction(0)] * width
-        row[e] = Fraction(1)
-        return row
-
+    scale = abs(d)
+    # exprs[e] is |d| c_e over (c, x): |d| c_e itself off the pivots; on pivot e,
+    # -(|d| / d) times the rest of e's row, as the row reads d c_e + rest = 0
+    exprs = [[scale * int(j == e) for j in range(width)] for e in range(n)]
+    for e, row in zip(pivots, reduced):
+        exprs[e] = [-x if d > 0 else x for x in row]
+        exprs[e][e] = 0
     rows: list[tuple[int, ...]] = []
-    for e in range(n):
-        expr = expr_for(e)
-        lower = expr + [Fraction(0)]
-        upper = [-x for x in expr] + [Fraction(1)]
-        for frac_row in (lower, upper):
-            denom = lcm(*(x.denominator for x in frac_row))
-            rows.append(tuple(int(x * denom) for x in frac_row))
+    for expr in exprs:
+        rows.append(tuple(expr) + (0,))
+        rows.append(tuple(-x for x in expr) + (scale,))
     return fm.project(rows, width, keep=list(range(n, width)))
 
 

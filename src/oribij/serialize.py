@@ -17,10 +17,17 @@ from .geometry import MultilinearPolynomial
 from .signatures import CIRCUIT, COCIRCUIT, Signature, explicit_signature, signature_from_weights
 
 
+def _json_int(x) -> int:
+    """x if it is a JSON integer; floats, booleans and strings are refused, never truncated."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def load_graph_obj(obj: dict) -> Graph:
     try:
-        vertices = int(obj["vertices"])
-        edges = tuple((int(t), int(h)) for t, h in obj["edges"])
+        vertices = _json_int(obj["vertices"])
+        edges = tuple((_json_int(t), _json_int(h)) for t, h in obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph document: {exc}") from exc
     return Graph(vertices, edges)
@@ -28,7 +35,7 @@ def load_graph_obj(obj: dict) -> Graph:
 
 def load_matroid_obj(obj: dict) -> RegularMatroidRep:
     try:
-        rows = [[int(x) for x in row] for row in obj["matrix"]]
+        rows = [[_json_int(x) for x in row] for row in obj["matrix"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matroid document: {exc}") from exc
     if not rows:
@@ -43,28 +50,43 @@ def parse_weights(text: str) -> tuple[Fraction, ...]:
         raise InputError(f"bad weight list {text!r}: {exc}") from exc
 
 
+def _explicit_entries(item: dict, n: int) -> list[int]:
+    """One explicit choice, {"support": [...], "signs": [...]}, as its n entries."""
+    support = [_json_int(e) for e in item["support"]]
+    signs = [_json_int(s) for s in item["signs"]]
+    if len(support) != len(signs) or len(set(support)) < len(support):
+        raise ValueError(f"support {support} needs distinct elements, one sign each: {signs}")
+    entries = [0] * n
+    for e, s in zip(support, signs):
+        if not 0 <= e < n:
+            raise ValueError(f"element {e} is not in 0..{n - 1}")
+        entries[e] = s
+    return entries
+
+
 def load_signature_obj(rep: RegularMatroidRep, obj: dict) -> Signature:
     side = obj.get("side")
     if side not in (CIRCUIT, COCIRCUIT):
         raise InputError(f"signature side must be circuit or cocircuit, got {side!r}")
+    try:
+        if "weights" in obj:
+            weights = [Fraction(str(w)) for w in obj["weights"]]
+        elif "explicit" in obj:
+            choices = [_explicit_entries(item, rep.element_count) for item in obj["explicit"]]
+        else:
+            raise InputError("signature document needs 'weights' or 'explicit'")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad signature document: {exc}") from exc
     if "weights" in obj:
-        return signature_from_weights(rep, [Fraction(str(w)) for w in obj["weights"]], side)
-    if "explicit" in obj:
-        choices = []
-        for item in obj["explicit"]:
-            entries = [0] * rep.element_count
-            for e, s in zip(item["support"], item["signs"]):
-                entries[int(e)] = int(s)
-            choices.append(entries)
-        return explicit_signature(rep, side, choices)
-    raise InputError("signature document needs 'weights' or 'explicit'")
+        return signature_from_weights(rep, weights, side)
+    return explicit_signature(rep, side, choices)
 
 
 def load_signature_pair(rep: RegularMatroidRep, obj: dict) -> tuple[Signature, Signature]:
     try:
         circuit = dict(obj["circuit"], side=CIRCUIT)
         cocircuit = dict(obj["cocircuit"], side=COCIRCUIT)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError("signature file needs 'circuit' and 'cocircuit' entries") from exc
     return load_signature_obj(rep, circuit), load_signature_obj(rep, cocircuit)
 

@@ -245,6 +245,25 @@ def fraction_independent_masks(columns, height: int) -> set[int]:
     return out
 
 
+def fraction_rref(rows, width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [x / work[r][col] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
 def fraction_determinant(matrix) -> Fraction:
     work = [[Fraction(x) for x in row] for row in matrix]
     n = len(work)

@@ -33,10 +33,15 @@ from oribij import (
     verify_cube_tiling,
 )
 from oribij.geometry import MultilinearPolynomial
-from oribij.ratlin import determinant_int
 from oribij.verification import separation_violations
 
-from helpers import R10_MATRIX, matrix_rep, suite_instances, unseparated_pairs
+from helpers import (
+    R10_MATRIX,
+    fraction_determinant,
+    matrix_rep,
+    suite_instances,
+    unseparated_pairs,
+)
 
 TRIANGLE = Graph(3, ((2, 0), (0, 1), (1, 2)))
 
@@ -262,7 +267,7 @@ def test_criterion_7_matroid_parity(suite):
         [sum(a * b for a, b in zip(ri, rj)) for rj in R10_MATRIX]
         for ri in R10_MATRIX
     ]
-    assert len(enumerate_bases(r10)) == determinant_int(gram) == 162
+    assert len(enumerate_bases(r10)) == fraction_determinant(gram) == 162
     print(
         f"\nACCEPTANCE 7: PASS (matroid path identical on all suite instances, "
         f"{checked_orientations} twin-checked orientations, R10 verified)"

@@ -118,6 +118,62 @@ def test_signature_check_decides_each_side_once(
         assert out == "" and "signature not acyclic" in err
 
 
+_TRIANGLE_CYCLE = {"explicit": [{"support": [0, 1, 2], "signs": [1, 1, 1]}]}
+_TRIANGLE_COCYCLE = {"weights": [1, 2, 4]}
+
+
+_BAD_DOCUMENT = "error: bad signature document: "
+
+
+@pytest.mark.parametrize("circuit, cocircuit, message", [
+    # -1 would wrap to the last element, 9 is past it
+    ({"explicit": [{"support": [0, 1, -1], "signs": [1, 1, 1]}]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    ({"explicit": [{"support": [0, 1, 9], "signs": [1, 1, 1]}]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    ({"explicit": [{"support": [0, 1, 2]}]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    ({"explicit": [{"support": [0, 1, 2], "signs": [1, 1]}]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    # a repeated element would keep its last sign
+    ({"explicit": [{"support": [0, 0, 1, 2], "signs": [-1, 1, 1, 1]}]}, _TRIANGLE_COCYCLE,
+     _BAD_DOCUMENT),
+    ({"explicit": [{"support": [0, 1, 2], "signs": [1, 1, 1.5]}]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    ({"explicit": [{"support": [0, 1.0, 2], "signs": [1, 1, 1]}]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    ({"explicit": [{"support": [0, 1, 2], "signs": [1, True, 1]}]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    ({"explicit": [[0, 1, 2]]}, _TRIANGLE_COCYCLE, _BAD_DOCUMENT),
+    (_TRIANGLE_CYCLE, {"weights": None}, _BAD_DOCUMENT),
+    (_TRIANGLE_CYCLE, {"weights": ["x", 2, 3]}, _BAD_DOCUMENT),
+    (_TRIANGLE_CYCLE, {"weights": ["1/0", 2, 3]}, _BAD_DOCUMENT),
+    (["ab", "cde"], _TRIANGLE_COCYCLE, "error: signature file needs"),
+])
+def test_bad_signature_document_exits_2(
+    capsys, tmp_path, triangle_file, circuit, cocircuit, message
+):
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"circuit": circuit, "cocircuit": cocircuit}))
+    code, out, err = run(capsys, ["table", "--graph", triangle_file, "--signature", str(sig)])
+    assert code == 2
+    assert out == "" and err.startswith(message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, doc", [
+    ("--matroid", {"matrix": [[1, 0.5, 1]]}),
+    ("--matroid", {"matrix": [[1.9, 1]]}),
+    ("--matroid", {"matrix": [[1.0, 1]]}),
+    ("--matroid", {"matrix": [[True, 0]]}),
+    ("--matroid", {"matrix": [["1", 0]]}),
+    ("--graph", {"vertices": 3, "edges": [[2, 0], [0, 1.7], [1, 2]]}),
+    ("--graph", {"vertices": 3.0, "edges": [[2, 0], [0, 1], [1, 2]]}),
+    ("--graph", {"vertices": 3, "edges": [[2, 0], [0, True], [1, 2]]}),
+])
+def test_non_integer_json_numbers_exit_2(capsys, tmp_path, flag, doc):
+    # int() would truncate these and describe a different graph or matrix
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["classes", flag, str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("error: bad ")
+    assert "is not an integer" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["table", "--graph", "/nonexistent/x.json"])
     assert code == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,12 +34,13 @@ from oribij import core
 from oribij.core import _minors_are_unit
 from oribij.geometry import independent_set_polynomial
 from oribij.oracle import reversal_closure_classes
-from oribij.ratlin import determinant_int, dot
 from oribij.reversal import enumerate_classes
 
 from helpers import (
     R10_MATRIX,
+    fraction_determinant,
     fraction_independent_masks,
+    fraction_rref,
     fraction_split,
     ladder_reps,
     matrix_rep,
@@ -47,6 +49,10 @@ from helpers import (
     row_space_projection,
     suite_instances,
 )
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +117,65 @@ def test_bad_matrix_entries_rejected():
         RegularMatroidRep.from_rows([[2, 0], [0, 1]])
     with pytest.raises(InputError):
         RegularMatroidRep.from_rows([[1, -1], [-1, 1]])  # rank deficient
+    # a non-integral entry is refused, not truncated to 0
+    with pytest.raises(InputError, match=r"matrix entries must be 0 or \+-1"):
+        RegularMatroidRep.from_rows([[1, 0.5, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the integer Gauss-Jordan elimination
+
+
+def _gauss_jordan_cases():
+    """(rows, width): fixed cases for each branch, then seeded random ones."""
+    cases = [
+        ([], 3),
+        ([[0, 1, 2], [0, 3, 4]], 3),  # a zero column
+        ([[0, 1], [1, 0]], 2),  # a row swap
+        ([[-2, 1], [1, 1]], 2),  # a negative d
+        ([[1, 2, 3], [0, 0, 0], [2, 4, 6]], 3),  # a zero row, rank 1
+        ([[0, 1, 1, 0], [0, 2, 2, 1], [1, 0, 0, 0]], 4),  # a swap behind a zero column
+        ([[2, 1, 5, -1], [1, 1, 0, 3]], 2),  # carried columns past the width
+    ]
+    rng = random.Random(31)
+    for _ in range(300):
+        m, width = rng.randint(1, 5), rng.randint(1, 6)
+        extra = rng.randint(0, 2)
+        rows = [[rng.randint(-3, 3) for _ in range(width + extra)] for _ in range(m)]
+        for j in range(width):
+            if rng.random() < 0.15:
+                for row in rows:
+                    row[j] = 0
+        if m > 1 and rng.random() < 0.4:
+            a, b = rng.sample(range(m), 2)
+            f, g = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[a] = [f * x + g * y for x, y in zip(rows[b], rows[rng.randrange(m)])]
+        cases.append((rows, width))
+    return cases
+
+
+def test_gauss_jordan_matches_the_fraction_references():
+    seen = {"deficient": 0, "zero column": 0, "swap": 0, "negative": 0, "zero row": 0}
+    for rows, width in _gauss_jordan_cases():
+        got, pivots, d = core._gauss_jordan(rows, width)
+        want, want_pivots = fraction_rref(rows, width)
+        assert pivots == want_pivots
+        assert all(type(x) is int for row in got for x in row)
+        assert [[Fraction(x, d) for x in row] for row in got] == want
+        # |d| is the pivot-column determinant on the rows used as pivots,
+        # which are all the rows when they are independent
+        k = len(pivots)
+        blocks = {abs(fraction_determinant([[rows[i][j] for j in pivots] for i in sub]))
+                  for sub in itertools.combinations(range(len(rows)), k)}
+        assert abs(d) in blocks
+        if k == len(rows):
+            assert blocks == {abs(d)}
+        seen["deficient"] += k < len(rows)
+        seen["zero column"] += any(not any(row[j] for row in rows) for j in range(width))
+        seen["swap"] += bool(pivots) and rows[0][pivots[0]] == 0
+        seen["negative"] += d < 0
+        seen["zero row"] += any(not any(row) for row in rows)
+    assert min(seen.values()) > 5, seen
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +485,7 @@ def test_fundamental_circuits_form_kernel_basis(triangle_bridge):
         outside = sorted(set(range(rep.element_count)) - basis.elements)
         vectors = [fundamental_circuit(rep, basis, e).entries for e in outside]
         assert len(vectors) == rep.element_count - rep.rank
-        from oribij.ratlin import matrix_rank
-
-        assert matrix_rank(vectors, rep.element_count) == len(vectors)
+        assert len(fraction_rref(vectors, rep.element_count)[1]) == len(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +678,7 @@ def test_projection_is_the_scaled_fraction_projection():
     for rep in reps:
         rows, t = rep._projection()
         gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rep.matrix] for ri in rep.matrix]
-        assert t == determinant_int(gram) > 0
+        assert t == fraction_determinant(gram) > 0
         want = [[t * x for x in row]
                 for row in row_space_projection(rep.matrix, rep.element_count)]
         assert [list(row) for row in rows] == want

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -30,7 +31,13 @@ from oribij import (
 )
 from oribij import geometry
 
-from helpers import SubsetPolynomial, random_connected_multigraph, random_signature_pair
+from helpers import (
+    SubsetPolynomial,
+    ladder_reps,
+    random_connected_multigraph,
+    random_signature_pair,
+    suite_instances,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -333,6 +340,27 @@ def test_triangle_unit_dilation_counts_lattice_points(triangle_rep):
 def test_single_edge_dilation_is_segment(single_edge_rep):
     for k in (1, 2, 3, 5):
         assert dilated_zonotope_lattice_count(single_edge_rep, (k,)) == k + 1
+
+
+def test_zonotope_inequalities_are_pinned():
+    # the halfspace rows of every rank-1..3 rep of the acceptance pool and the
+    # ladder, at three dilations each, as the Fraction RREF with lcm scaling
+    # produced them; fm.project normalises each row by its gcd, so any
+    # positive rescaling of the box rows leaves them unchanged
+    reps = [rep for _, rep, _ in suite_instances(seed=20240, count=50, pairs_per_graph=3)]
+    reps += list(ladder_reps().values())
+    out = []
+    for rep in reps:
+        if not 1 <= rep.rank <= 3:
+            continue
+        n = rep.element_count
+        for q in ((1,) * n, (3,) * n, tuple(e % 3 + 1 for e in range(n))):
+            columns = tuple(tuple(q[e] * x for x in col) for e, col in enumerate(rep.columns))
+            out.append(geometry._zonotope_inequalities(columns, rep.rank))
+    assert len(out) == 102
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "a2a3a55fe16f3e9af111a58786571939b06ac7e3dd0b00cc64ac8c13c11fcf4c"
+    )
 
 
 def test_triangle_mixed_dilation(triangle_rep):

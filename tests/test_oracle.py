@@ -15,11 +15,11 @@ from oribij import (
     tutte,
 )
 from oribij.core import closure_mask_partition
-from oribij.ratlin import determinant_int
 
 from helpers import (
     R10_MATRIX,
     bfs_reversal_classes,
+    fraction_determinant,
     ladder_reps,
     matrix_rep,
     random_connected_multigraph,
@@ -73,7 +73,7 @@ def test_tutte_against_independent_enumeration():
             [sum(a * b for a, b in zip(ri, rj)) for rj in rep.matrix]
             for ri in rep.matrix
         ]
-        assert determinant_int(gram) == tutte(g, 1, 1)
+        assert fraction_determinant(gram) == tutte(g, 1, 1)
 
 
 def test_classify_subset_cases(triangle):

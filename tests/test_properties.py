@@ -15,7 +15,10 @@ from oribij import (
     split_kernel_image,
     tutte,
 )
-from oribij.ratlin import dot
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 @st.composite

@@ -423,6 +423,23 @@ def test_no_module_item_assigns_into_another_objects_attribute():
     assert writes == set()
 
 
+def test_one_integer_elimination_no_ratlin_and_no_fractions_in_core():
+    # core._gauss_jordan is the one exact elimination; ratlin's Fraction
+    # row reduction and Bareiss determinant are gone
+    found = set()
+    for path in sorted(Path(oribij.__file__).parent.glob("*.py")):
+        banned = {"ratlin", "fractions"} if path.stem == "core" else {"ratlin"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                parts = {p for a in node.names for p in a.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                parts = set((node.module or "").split(".")) | {a.name for a in node.names}
+            else:
+                continue
+            found |= {(path.stem, name) for name in parts & banned}
+    assert found == set()
+
+
 def _unbounded_caches(source: str) -> list[str]:
     """``lru_cache(maxsize=None)`` (or ``lru_cache(None)``) and ``functools.cache`` uses."""
     found = []
