@@ -8,13 +8,14 @@ into a bijection from all orientations to all subsets of the ground set.
 A forward single query needs only the signature pair's basis map
 (``reversal._basis_map``), built from the fundamental supports that the rep
 reads off its basis tableaux once, with a map from class key to
-representative: the key N o mod t (N/t the projection onto the row space)
-names o's joint reversal class, so one lookup finds it, with no reversal
-walk.  The whole 2^n table, kept with the map in one bounded cache, serves
-the commands that need every row and the inverse maps; its build packs N o
-for all 2^n orientations in one doubling pass, so each row's split N (cp - m)
-is one subtraction.  A single query and the build read and check the split
-with the same ``_image_of``.
+representative: the key R o mod d (``core._class_key``, o's class in the
+Jacobian group) names o's joint reversal class, so one lookup finds it, with
+no reversal walk.  The whole 2^n table, kept with the map in one bounded
+cache, serves the commands that need every row and the inverse maps; its
+build packs N o (N/t the projection onto the row space) for all 2^n
+orientations in one doubling pass, so each row's split N (cp - m) is one
+subtraction.  A single query and the build read and check the split with the
+same ``_image_of``.
 """
 
 from __future__ import annotations

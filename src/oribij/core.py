@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import (
@@ -274,10 +275,10 @@ class RegularMatroidRep:
             raise InputError("element_count disagrees with the matrix width")
         if any(x not in _UNIT for row in rows for x in row):
             raise InputError("matrix entries must be 0 or +-1")
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(_gauss_jordan(rows, n)[1]) != len(rows):
+        rep = cls(matrix=tuple(tuple(int(x) for x in row) for row in rows),
+                  element_count=n, rank=len(rows), graph=graph)
+        if len(rep._elimination[1]) != rep.rank:
             raise InputError("matrix must have full row rank")
-        rep = cls(matrix=rows, element_count=n, rank=len(rows), graph=graph)
         if n <= DEFAULT_ELEMENT_CAP and not rep._unimodular:
             # larger matrices are checked by the first enumeration whose cap
             # lets them through (see _require_cap)
@@ -291,14 +292,19 @@ class RegularMatroidRep:
         return tuple(tuple(row[j] for row in self.matrix) for j in range(self.element_count))
 
     @cached_property
+    def _elimination(self) -> tuple[list[list[int]], list[int], int]:
+        """``_gauss_jordan`` of A, run once: the load's rank check and the first tableau."""
+        return _gauss_jordan(self.matrix, self.element_count)
+
+    @cached_property
     def _first_tableau(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The first basis (A's pivot columns) and A's tableau [I | D] on it.
 
-        ``_gauss_jordan`` gives d times the tableau, with |d| the first basis
+        The elimination gives d times the tableau, with |d| the first basis
         determinant; entries are ratios of basis determinants (Cramer), so
         d is +-1 and every entry +-1 or 0 if A is unimodular.
         """
-        rows, pivots, d = _gauss_jordan(self.matrix, self.element_count)
+        rows, pivots, d = self._elimination
         if abs(d) != 1 or not _UNIT.issuperset(x for row in rows for x in row):
             raise InputError("matrix is not totally unimodular")
         return tuple(pivots), tuple(tuple(d * x for x in row) for row in rows)
@@ -405,6 +411,7 @@ class RegularMatroidRep:
     _circuits = property(lambda self: self._tableau_pass[0])
     _cocircuits = property(lambda self: self._tableau_pass[1])
 
+    @cached_property
     def _projection(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Integer matrix N and scale t with row-space projection = N/t.
 
@@ -416,10 +423,7 @@ class RegularMatroidRep:
         if self.rank == 0:
             return tuple((0,) * n for _ in range(n)), 1
         r = self.rank
-        rows, pivots, t = _gauss_jordan([
-            [sum(a * b for a, b in zip(ri, rj)) for rj in self.matrix] + list(ri)
-            for ri in self.matrix
-        ], r)
+        rows, pivots, t = _gauss_jordan(_gram_and_matrix(self.matrix), r)
         # A has full row rank, so G is positive definite: full rank and det(G) > 0
         if pivots != list(range(r)) or t <= 0:
             raise InvariantViolationError("Gram determinant must be positive")
@@ -432,17 +436,15 @@ class RegularMatroidRep:
 
     @cached_property
     def _packed_projection(self) -> tuple[tuple[int, ...], int, int, int]:
-        """The columns of N packed into ints, for ``_image_part`` and ``_packed_sum``.
+        """The columns of N packed into ints, for ``_packed_sum`` and the table build.
 
-        The rep keeps these, not N.  Column k holds n signed fields of
-        ``width`` bits, field j being N[j][k].  A field of a signed sum of
-        distinct columns is at most the largest absolute row sum of N, which
-        ``width`` leaves room for, so after adding ``bias`` (2^(width-1) in
-        every field) no field of such a sum borrows from the next.  Wider
-        integer vectors are summed one binary digit at a time.  Returns
-        (columns, t, width, bias).
+        Column k holds n signed fields of ``width`` bits, field j being
+        N[j][k].  A field of a signed sum of distinct columns is at most the
+        largest absolute row sum of N, which ``width`` leaves room for, so
+        after adding ``bias`` (2^(width-1) in every field) no field of such a
+        sum borrows from the next.  Returns (columns, t, width, bias).
         """
-        rows, t = self._projection()
+        rows, t = self._projection
         n = self.element_count
         width = max((sum(abs(x) for x in row) for row in rows), default=0).bit_length() + 1
         columns = tuple(
@@ -450,6 +452,47 @@ class RegularMatroidRep:
         )
         bias = sum(1 << (width * j + width - 1) for j in range(n))
         return columns, t, width, bias
+
+    @cached_property
+    def _class_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(R, d): o and o' share a joint reversal class exactly when R o = R o' mod d.
+
+        Joint classes are the cosets of ker(A) + row(A) over the integers.  A
+        maps Z^n onto Z^r (it has a unimodular basis) and row(A) onto G Z^r,
+        G = A A^T, so they are the cosets of the Jacobian group Z^r / G Z^r.
+        Row and column operations on [G | A] (column ones on G only) bring G
+        to its Smith form U G V = diag(d_i); R is the rows of U A with
+        |d_i| > 1, reduced mod d = those |d_i|, whose product is det G = t.
+        """
+        r = self.rank
+        work = _gram_and_matrix(self.matrix)
+        for k in range(r):
+            while True:
+                _, i, j = min((abs(work[i][j]), i, j)
+                              for i in range(k, r) for j in range(k, r) if work[i][j])
+                work[k], work[i] = work[i], work[k]
+                for row in work[k:]:
+                    row[k], row[j] = row[j], row[k]
+                pivot = work[k]
+                for i in range(k + 1, r):
+                    q = work[i][k] // pivot[k]
+                    work[i] = [a - q * b for a, b in zip(work[i], pivot)]
+                for j in range(k + 1, r):
+                    q = pivot[j] // pivot[k]
+                    for row in work[k:]:
+                        row[j] -= q * row[k]
+                # a remainder in row k, or a row below with an entry the pivot
+                # does not divide (added to row k), leaves a smaller next pivot
+                if any(pivot[k + 1:r]):
+                    continue
+                rest = next((row for row in work[k + 1:]
+                             if any(x % pivot[k] for x in row[k:r])), None)
+                if rest is None:
+                    break
+                work[k] = [a + b for a, b in zip(pivot, rest)]
+        moduli = [abs(row[k]) for k, row in enumerate(work)]
+        return (tuple(tuple(x % d for x in row[r:]) for row, d in zip(work, moduli) if d > 1),
+                tuple(d for d in moduli if d > 1))
 
     # -- membership helpers ---------------------------------------------------
 
@@ -558,6 +601,11 @@ def _minors_are_unit(rows: Sequence[Sequence[int]]) -> bool:
                     current[key | cmask] = det
         previous = current
     return True
+
+
+def _gram_and_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of [G | A], G = A A^T the Gram matrix of the rows of A."""
+    return [[sum(a * b for a, b in zip(ri, rj)) for rj in matrix] + list(ri) for ri in matrix]
 
 
 def _gauss_jordan(
@@ -910,55 +958,11 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     return tuple(classes)
 
 
-def _image_part(
-    rep: RegularMatroidRep, digits: Sequence[tuple[int, int]]
-) -> dict[int, int]:
-    """The entries of the row-space part c* = N d / t, by element.
-
-    d is the sum over b of 2^b (pos_b - neg_b), where (pos_b, neg_b) =
-    ``digits[b]`` are disjoint masks; a {0,+-1} vector is the one digit
-    (pos, neg).  Each digit is a {0,+-1} vector, so its sum of packed
-    columns never borrows across fields, and only its nonzero fields are
-    read.  Elements left out of the result are 0; for a one-digit d, so is
-    no element kept.  Raises NotSameClassError when c* is not integral.
-    """
-    _, t, width, bias = rep._packed_projection
-    field = (1 << width) - 1
-    half = 1 << (width - 1)
-    nums: dict[int, int] = {}
-    for b, (pos, neg) in enumerate(digits):
-        total = _packed_sum(rep, pos) + bias - _packed_sum(rep, neg)
-        nonzero = total ^ bias  # the fields of N d that are not zero
-        while nonzero:
-            shift = (nonzero & -nonzero).bit_length() - 1
-            shift -= shift % width
-            nonzero &= ~(field << shift)
-            j = shift // width
-            nums[j] = nums.get(j, 0) + ((total >> shift & field) - half << b)
-    for j, num in nums.items():
-        star, rem = divmod(num, t)
-        if rem:
-            raise NotSameClassError("kernel/image split is not integral")
-        nums[j] = star
-    return nums
-
-
 def _class_key(rep: RegularMatroidRep, mask: int) -> tuple[int, ...]:
-    """N o mod t, field by field: the joint reversal class of orientation o.
-
-    o and o' share a class exactly when N (o - o') / t is integral, the test
-    ``_image_part`` makes, so they share a class exactly when their keys are
-    equal.  N o is the bias plus the packed columns of o's elements; a {0,1}
-    vector never borrows across fields.
-    """
-    _, t, width, _ = rep._packed_projection
-    total = _packed_sum(rep, mask)
-    field = (1 << width) - 1
-    half = 1 << (width - 1)
-    return tuple(
-        ((total >> shift & field) - half) % t
-        for shift in range(0, width * rep.element_count, width)
-    )
+    """R o mod d, the joint reversal class of orientation o (see ``_class_rows``)."""
+    rows, moduli = rep._class_rows
+    elements = bits_of(mask)
+    return tuple(sum(row[j] for j in elements) % d for row, d in zip(rows, moduli))
 
 
 def _packed_sum(rep: RegularMatroidRep, mask: int) -> int:
@@ -990,22 +994,18 @@ def _subset_sums(columns: Sequence[int], start: int = 0) -> list[int]:
 def split_kernel_image(
     rep: RegularMatroidRep, d: Sequence[int]
 ) -> tuple[SignedSupportVector, SignedSupportVector]:
-    """Orthogonal split d = c + c* with c in ker(A) and c* in the row space.
+    """Orthogonal split d = c + c* with c in ker(A) and c* = N d / t in the row space.
 
-    Computed by exact projection onto the row space, one binary digit of
-    |d| at a time.  Raises NotSameClassError when the split is not integral,
-    which is exactly the case where d is not a difference of same-class
-    orientations.
+    Raises NotSameClassError when the split is not integral, which is
+    exactly the case where d is not a difference of same-class orientations.
     """
     d = [int(x) for x in d]
     if len(d) != rep.element_count:
         raise InputError("vector length disagrees with the ground set")
-    digits = [
-        (mask_of(j for j, x in enumerate(d) if x > 0 and x >> b & 1),
-         mask_of(j for j, x in enumerate(d) if x < 0 and -x >> b & 1))
-        for b in range(max(map(abs, d), default=0).bit_length())
-    ]
-    image = _image_part(rep, digits)
-    cstar = tuple(image.get(j, 0) for j in range(len(d)))
+    rows, t = rep._projection
+    nd = [sum(map(mul, row, d)) for row in rows]
+    if any(x % t for x in nd):
+        raise NotSameClassError("kernel/image split is not integral")
+    cstar = tuple(x // t for x in nd)
     c = tuple(x - y for x, y in zip(d, cstar))
     return SignedSupportVector(c, "kernel"), SignedSupportVector(cstar, "image")

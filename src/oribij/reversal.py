@@ -6,9 +6,10 @@ orientation; iterating "reverse an anti-chosen circuit" reaches it.
 
 The classes need no signature: cycle classes are the fibres of o -> A o,
 cocycle classes those of o -> K o (K the kernel basis), and joint classes
-the join of the two partitions.  ``_class_masks`` is the one partition,
-and ``core._class_key`` the one test that two orientations share a joint
-class.
+those of o -> R o mod d, the class in the Jacobian group Z^r / G Z^r
+(``RegularMatroidRep._class_rows``).  ``_class_masks`` is the one
+partition, and ``core._class_key`` the one test that two orientations share
+a joint class.
 
 The jointly compatible orientation of a joint class is a basis orientation,
 found by one lookup of the class key in the pair's checked basis map, with
@@ -175,7 +176,7 @@ def _basis_map(
         representatives.setdefault(_class_key(rep, m), m)
     if len(representatives) != len(orientation_bases):
         raise InvariantViolationError("two basis orientations share a class key")
-    keys, t = len(representatives), rep._packed_projection[1]
+    keys, t = len(representatives), rep._projection[1]
     if keys != t:
         raise InvariantViolationError(f"{keys} class keys, not the Gram determinant {t}")
     entry = _BasisMap(basis_orientations, orientation_bases, representatives)
@@ -244,42 +245,36 @@ def same_class(
     raise InputError(f"unknown reversal kind {kind!r}")
 
 
-def _fibre_labels(rows: tuple[tuple[int, ...], ...], n: int) -> list[int]:
-    """Per orientation mask, the number (by least member) of its fibre of o -> R o.
+def _fibre_labels(n: int, rows, moduli: tuple[int, ...] = ()) -> list[int]:
+    """Per orientation mask, a label of its fibre of o -> R o (of o -> R o mod d, given d).
 
-    Key R o is one int of signed fields, each a sign bit wider than its row's
-    absolute sum, so distinct images get distinct keys: key(m) = key(m less its
-    top bit) + that bit's packed column.
+    Label R o is one int of signed fields, each a sign bit wider than its
+    row's absolute sum: label(m) = label(m less its top bit) + that bit's
+    packed column.  Mod d, it is the mixed-radix number of the rows' sums.
     """
+    if moduli:
+        labels = [0] * (1 << n)
+        for row, d in zip(rows, moduli):
+            labels = [label * d + x % d for label, x in zip(labels, _subset_sums(row))]
+        return labels
     columns = [0] * n
     shift = 0
     for row in rows:
         for j, x in enumerate(row):
             columns[j] += x << shift
         shift += sum(map(abs, row)).bit_length() + 1
-    number: dict[int, int] = {}
-    return [number.setdefault(key, len(number)) for key in _subset_sums(columns)]
+    return _subset_sums(columns)
 
 
 def _class_masks(rep: RegularMatroidRep, kind: Kind) -> tuple[tuple[int, ...], ...]:
     """Reversal classes as sorted tuples of orientation masks, by least member."""
     if kind not in KINDS:
         raise InputError(f"unknown reversal kind {kind!r}")
-    labels = _fibre_labels(rep.kernel_basis if kind == "cocycle" else rep.matrix, rep.element_count)
     if kind == "cycle-cocycle":
-        # union-find over the cycle classes, merged along each cocycle class
-        parent = list(range(max(labels) + 1))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            return i
-
-        first: dict[int, int] = {}
-        for m, c in enumerate(_fibre_labels(rep.kernel_basis, rep.element_count)):
-            a, b = find(labels[m]), find(first.setdefault(c, labels[m]))
-            parent[max(a, b)] = min(a, b)
-        labels = [find(c) for c in labels]
+        labels = _fibre_labels(rep.element_count, *rep._class_rows)
+    else:
+        rows = rep.kernel_basis if kind == "cocycle" else rep.matrix
+        labels = _fibre_labels(rep.element_count, rows)
     groups: dict[int, list[int]] = {}
     for m, c in enumerate(labels):
         groups.setdefault(c, []).append(m)

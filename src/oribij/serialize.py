@@ -40,6 +40,8 @@ def load_matroid_obj(obj: dict) -> RegularMatroidRep:
         raise InputError(f"bad matroid document: {exc}") from exc
     if not rows:
         raise InputError("matroid matrix must have at least one row")
+    if not all(rows):
+        raise InputError("matroid matrix rows must not be empty")
     return RegularMatroidRep.from_rows(rows)
 
 

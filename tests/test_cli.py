@@ -174,6 +174,16 @@ def test_non_integer_json_numbers_exit_2(capsys, tmp_path, flag, doc):
     assert "is not an integer" in err
 
 
+@pytest.mark.parametrize("matrix", [[[]], [[], []]])
+def test_empty_matrix_rows_exit_2(capsys, tmp_path, matrix):
+    # the rows are refused by name, not as a rank failure
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, ["classes", "--matroid", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: matroid matrix rows must not be empty\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["table", "--graph", "/nonexistent/x.json"])
     assert code == 2

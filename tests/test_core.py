@@ -38,6 +38,7 @@ from oribij.reversal import enumerate_classes
 
 from helpers import (
     R10_MATRIX,
+    complete_graph,
     fraction_determinant,
     fraction_independent_masks,
     fraction_rref,
@@ -120,6 +121,31 @@ def test_bad_matrix_entries_rejected():
     # a non-integral entry is refused, not truncated to 0
     with pytest.raises(InputError, match=r"matrix entries must be 0 or \+-1"):
         RegularMatroidRep.from_rows([[1, 0.5, 1]])
+
+
+def test_a_load_eliminates_once(monkeypatch):
+    calls = []
+
+    def counted(rows, width):
+        calls.append(width)
+        return eliminate(rows, width)
+
+    eliminate = core._gauss_jordan
+    monkeypatch.setattr(core, "_gauss_jordan", counted)
+    # the rank check and the first tableau (and through it the minor check
+    # and the kernel basis) share one elimination
+    for load in (lambda: RegularMatroidRep.from_rows(R10_MATRIX),
+                 lambda: graph_to_rep(complete_graph(4))):
+        calls.clear()
+        rep = load()
+        assert rep.kernel_basis and rep._first_tableau
+        assert calls == [rep.element_count]
+    # rank deficient, and the 2 x 2 minor of the first two rows is -2: the
+    # rank is refused first, and no unimodularity text is reached
+    calls.clear()
+    with pytest.raises(InputError, match="matrix must have full row rank"):
+        RegularMatroidRep.from_rows([[1, 1], [1, -1], [1, 0]])
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +702,7 @@ def test_projection_is_the_scaled_fraction_projection():
     reps = list(ladder_reps().values()) + [rep for _, rep, _ in suite_instances()][:40]
     reps.append(loops_only_rep(3))  # rank 0
     for rep in reps:
-        rows, t = rep._projection()
+        rows, t = rep._projection
         gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rep.matrix] for ri in rep.matrix]
         assert t == fraction_determinant(gram) > 0
         want = [[t * x for x in row]

@@ -247,7 +247,9 @@ def test_classes_match_bfs_oracle(triangle_loop, triangle_bridge):
     reps += [graph_to_rep(g) for g in (complete_graph(5), triangle_loop, triangle_bridge)]
     reps.append(rep_for(Graph(1, ((0, 0), (0, 0), (0, 0)))))
     reps += [matrix_rep(rep) for rep in reps]
-    reps.append(RegularMatroidRep.from_rows(R10_MATRIX))
+    # R10 and the dual of K5: regular, not graphic
+    k5_dual = RegularMatroidRep.from_rows(graph_to_rep(complete_graph(5)).kernel_basis)
+    reps += [RegularMatroidRep.from_rows(R10_MATRIX), k5_dual]
     for rep in reps:
         for kind in KINDS:
             ours = [tuple(o.mask for o in cls) for cls in enumerate_classes(rep, kind)]

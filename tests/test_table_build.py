@@ -11,6 +11,7 @@ make each of the build's invariant checks fire.
 """
 
 import json
+import math
 from collections import OrderedDict
 
 import pytest
@@ -44,6 +45,8 @@ from oribij.signatures import _compatible_set
 
 from helpers import (
     R10_MATRIX,
+    complete_graph,
+    ladder_reps,
     matrix_rep,
     orient_basis_by_vectors,
     suite_instances,
@@ -157,54 +160,44 @@ def test_orientation_outside_its_class_is_refused(monkeypatch):
 def _with_projection(rep, scale):
     """A copy of rep whose projection matrix N is multiplied by ``scale``."""
     fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
-    rows, t = rep._projection()
-    scaled = tuple(tuple(scale * x for x in row) for row in rows)
-    fresh.__dict__["_projection"] = lambda: (scaled, t)
+    rows, t = rep._projection
+    fresh.__dict__["_projection"] = (tuple(tuple(scale * x for x in row) for row in rows), t)
     return fresh
 
 
 def test_split_that_is_not_a_sign_split_is_refused(monkeypatch):
     clean = _k4()
-    rep = _with_projection(clean, 2)
-    sig, cosig = canonical_signature_pair(rep)
-    # the scaled reps equal the clean one, so none may reuse another's basis map
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
-    # doubling N sends the classes of order 2 in the class group (of order
-    # t = 16) to the key of the identity, so the build and single queries
-    # refuse the key map
-    with pytest.raises(InvariantViolationError, match="share a class key"):
-        BijectionTable.build(rep, sig, cosig, use_cache=False)
-    with pytest.raises(InvariantViolationError, match="share a class key"):
-        orientation_to_subgraph(rep, Orientation.reference(rep.element_count), sig, cosig)
-    # tripling N keeps the keys apart (3 is a unit mod 16), so the build
-    # reaches the split; a single query splits through the same columns as
-    # the build: those that need a nonzero row-space part are refused, the
-    # others keep their clean image
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
-    rep = _with_projection(clean, 3)
-    with pytest.raises(InvariantViolationError, match="not a sign split"):
-        BijectionTable.build(rep, sig, cosig, use_cache=False)
+    sig, cosig = canonical_signature_pair(clean)
     want = BijectionTable.build(clean, sig, cosig, use_cache=False)
-    messages = set()
-    answered = 0
-    for m in rep.orientation_universe():
-        o = Orientation.from_mask(rep.element_count, m)
-        try:
-            image = orientation_to_subgraph(rep, o, sig, cosig)
-        except InvariantViolationError as exc:
-            messages.add(str(exc))
-        else:
-            assert image == want.subgraph_of(o)
-            answered += 1
-    assert 0 < answered < 1 << rep.element_count
-    assert messages == {"class split is not a sign split"}
+    # the class keys read the Smith form of G, not N, so a scaled N still
+    # keys the classes apart and the build reaches the split; a single query
+    # splits through the same columns as the build: those that need a
+    # nonzero row-space part are refused, the others keep their clean image
+    for scale in (2, 3):
+        rep = _with_projection(clean, scale)
+        # the scaled reps equal the clean one, so none may reuse another's basis map
+        monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+        with pytest.raises(InvariantViolationError, match="class split is not a sign split"):
+            BijectionTable.build(rep, sig, cosig, use_cache=False)
+        messages = set()
+        answered = 0
+        for m in rep.orientation_universe():
+            o = Orientation.from_mask(rep.element_count, m)
+            try:
+                image = orientation_to_subgraph(rep, o, sig, cosig)
+            except InvariantViolationError as exc:
+                messages.add(str(exc))
+            else:
+                assert image == want.subgraph_of(o)
+                answered += 1
+        assert 0 < answered < 1 << rep.element_count
+        assert messages == {"class split is not a sign split"}
 
 
-def test_forward_map_that_is_not_a_bijection_is_refused(monkeypatch):
+def test_forward_map_that_is_not_a_bijection_is_refused():
     rep = _with_projection(_k4(), 0)
-    # a zero N gives every orientation one class key, which the key map
-    # refuses first; keyed apart, the build splits every row with c* = 0
-    monkeypatch.setattr(reversal, "_class_key", lambda rep, m: m)
+    # a zero N leaves the class keys apart (they read the Smith form of G),
+    # so the build splits every row with c* = 0
     with pytest.raises(InvariantViolationError, match="not a bijection"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
@@ -231,9 +224,6 @@ def test_the_build_reads_the_packed_list(monkeypatch):
         def refuse(*args):
             raise AssertionError("the build summed packed columns per row")
 
-        # wherever a module binds the per-row sums
-        for module in (core, bijection):
-            monkeypatch.setattr(module, "_image_part", refuse, raising=False)
         monkeypatch.setattr(bijection, "_packed_sum", refuse)
         table = BijectionTable.build(rep, sig, cosig, use_cache=False)
         assert (table.forward, table.tags) == want
@@ -385,12 +375,18 @@ def test_single_queries_never_build_the_table(monkeypatch, name):
 # the class key and the key map
 
 
+def _k5_dual():
+    """The cographic dual of K5: regular, not graphic, rank 6 on 10 elements."""
+    return RegularMatroidRep.from_rows(graph_to_rep(complete_graph(5)).kernel_basis)
+
+
 def test_class_keys_name_the_joint_classes():
     cases = []
     for g, rep, pairs in suite_instances():
         cases += [(rep, *pairs[0]), (matrix_rep(rep), *pairs[0])]
-    r10 = RegularMatroidRep.from_rows(R10_MATRIX)
-    cases.append((r10, *canonical_signature_pair(r10)))
+    tree = graph_to_rep(Graph(4, ((0, 1), (1, 2), (1, 3))))
+    for rep in (RegularMatroidRep.from_rows(R10_MATRIX), _k5_dual(), tree, loops_only_rep(3)):
+        cases.append((rep, *canonical_signature_pair(rep)))
     for rep, sig, cosig in cases:
         classes = bijection._class_masks(rep, "cycle-cocycle")
         keys = [{_class_key(rep, m) for m in members} for members in classes]
@@ -403,12 +399,48 @@ def test_class_keys_name_the_joint_classes():
         assert all(_class_key(rep, m) == k for k, m in representatives.items())
 
 
+def test_class_rows_are_the_smith_form_of_the_gram_matrix():
+    ladder = ladder_reps()
+    reps = [rep for _, rep, _ in suite_instances()] + list(ladder.values())
+    reps += [matrix_rep(rep) for rep in reps] + [_k5_dual()]
+    for rep in reps:
+        rows, moduli = rep._class_rows
+        # the Jacobian group has order t = det(A A^T), the number of bases
+        assert math.prod(moduli) == rep._projection[1] == len(rep._basis_masks)
+        assert all(d > 1 for d in moduli)
+        assert all(b % a == 0 for a, b in zip(moduli, moduli[1:]))
+        assert len(rows) == len(moduli) <= rep.rank
+        assert all(len(row) == rep.element_count for row in rows)
+        assert all(0 <= x < d for row, d in zip(rows, moduli) for x in row)
+    factors = {name: list(rep._class_rows[1]) for name, rep in ladder.items()}
+    assert factors == {
+        "K4": [4, 4], "W4": [3, 15], "K5": [5, 5, 5], "R10": [3, 3, 3, 6], "W6": [8, 40],
+        "grid3x3": [8, 24], "W7": [29, 29], "W8": [21, 105],
+    }
+    dual = _k5_dual()
+    assert (dual.rank, dual.element_count, dual._class_rows[1]) == (6, 10, (5, 5, 5))
+    assert len(bijection._class_masks(dual, "cycle-cocycle")) == 125
+    # a tree and a rank-0 rep have one joint class, and no key rows
+    for rep in (graph_to_rep(Graph(4, ((0, 1), (1, 2), (1, 3)))), loops_only_rep(3)):
+        assert rep._class_rows == ((), ())
+        assert bijection._class_masks(rep, "cycle-cocycle") == (
+            tuple(range(1 << rep.element_count)),)
+
+
 def test_basis_orientations_sharing_a_class_key_are_refused(monkeypatch):
     rep = _k4()
+    sig, cosig = canonical_signature_pair(rep)
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    # K4's class group is Z4 x Z4; keys taken mod (2, 2) name only four classes
+    coarse = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
+    rows, moduli = rep._class_rows
+    assert moduli == (4, 4)
+    coarse.__dict__["_class_rows"] = (rows, (2, 2))
+    with pytest.raises(InvariantViolationError, match="share a class key"):
+        BijectionTable.build(coarse, sig, cosig, use_cache=False)
     monkeypatch.setattr(reversal, "_class_key", lambda rep, m: ())
     with pytest.raises(InvariantViolationError, match="share a class key"):
-        orientation_to_subgraph(rep, Orientation.reference(6), *canonical_signature_pair(rep))
+        orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
 
 
 def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
@@ -434,9 +466,9 @@ def test_incompatible_basis_orientation_is_refused_by_the_key_map(monkeypatch):
 def test_key_count_other_than_the_gram_determinant_is_refused(monkeypatch):
     clean = _k4()
     fresh = RegularMatroidRep.from_rows(clean.matrix, graph=clean.graph)
-    rows, t = clean._projection()
+    rows, t = clean._projection
     # the same projection N/t as 3N/3t, but 3t = 48 is not the number of bases
-    fresh.__dict__["_projection"] = lambda: (tuple(tuple(3 * x for x in r) for r in rows), 3 * t)
+    fresh.__dict__["_projection"] = (tuple(tuple(3 * x for x in r) for r in rows), 3 * t)
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     with pytest.raises(InvariantViolationError, match="16 class keys, not the Gram determinant 48"):
         orientation_to_subgraph(fresh, Orientation.reference(6), *canonical_signature_pair(fresh))
