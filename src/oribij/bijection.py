@@ -8,14 +8,17 @@ into a bijection from all orientations to all subsets of the ground set.
 A forward single query needs only the signature pair's basis map
 (``reversal._basis_map``), built from the fundamental supports that the rep
 reads off its basis tableaux once, with a map from class key to
-representative: the key R o mod d (``core._class_key``, o's class in the
-Jacobian group) names o's joint reversal class, so one lookup finds it, with
-no reversal walk.  The whole 2^n table, kept with the map in one bounded
-cache, serves the commands that need every row and the inverse maps; its
-build packs N o (N/t the projection onto the row space) for all 2^n
+representative and its basis, and the pair's two compatible sets: the key
+R o mod d (``core._class_key``, o's class in the Jacobian group) names o's
+joint reversal class, so one lookup finds it, with no reversal walk.  A
+query is then a fixed number of lookups: R o and N o (N/t the projection
+onto the row space) are each two entries of the rep's half-mask tables of
+subset sums, and o's tag is one bit of each compatible set.  The whole 2^n
+table, kept with the map in one bounded cache, serves the commands that
+need every row and the inverse maps; its build packs N o for all 2^n
 orientations in one doubling pass, so each row's split N (cp - m) is one
-subtraction.  A single query and the build read and check the split with the
-same ``_image_of``.
+subtraction, and reads its tags off the same two sets.  A single query and
+the build read and check the split with the same ``_image_of``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .reversal import (
     _joint_representative,
     _orient_basis_mask,
 )
-from .signatures import Signature, _compatible_set, is_compatible
+from .signatures import Signature, is_compatible
 
 Tag = Literal["basis", "forest", "connected-spanning", "general"]
 
@@ -112,11 +115,10 @@ class BijectionTable:
         if entry.table is not None:
             return entry.table
         # each class's representative must be one of the checked basis orientations
-        orientation_bases = entry.orientation_bases
+        basis_masks = entry.basis_masks
 
         total = 1 << rep.element_count
-        sigma_ok = f"{_compatible_set(rep, sig):0{total}b}"[::-1]
-        star_ok = f"{_compatible_set(rep, cosig):0{total}b}"[::-1]
+        sigma_ok, star_ok = (f"{flags:0{total}b}"[::-1] for flags in entry.compatible)
         tag_by_mask = [_TAGS[a == "1", b == "1"] for a, b in zip(sigma_ok, star_ok)]
 
         # packed[m] = bias + N m, so packed[cp] + bias - packed[m] = bias + N (cp - m)
@@ -132,12 +134,11 @@ class BijectionTable:
                     f"class has {len(compatible)} compatible orientations, not 1"
                 )
             cp = compatible[0]
-            tree = orientation_bases.get(cp)
-            if tree is None:
+            tree_mask = basis_masks.get(cp)
+            if tree_mask is None:
                 raise InvariantViolationError(
                     "compatible orientation missed by the basis map"
                 )
-            tree_mask = mask_of(tree)
             shifted = packed[cp] + bias
             for m in members:
                 forward[m] = _image_of(rep, cp, tree_mask, m, shifted - packed[m])
@@ -151,7 +152,7 @@ class BijectionTable:
             _check_tag(tags[m], s in independent, spanning[s] == "1")
 
         entry.table = cls(rep, sig, cosig, forward, tags, entry.basis_orientations,
-                          orientation_bases, classes)
+                          entry.orientation_bases, classes)
         return entry.table
 
 
@@ -231,16 +232,20 @@ def _subgraph_and_tag(
 ) -> tuple[int, Tag]:
     """One row of the table, without the table: o's image mask and its tag.
 
-    o's class representative is looked up by its class key in the basis
-    map, and the image is computed (see ``_image_of``) and checked as the
-    build computes and checks each row: the tag must match the image.
+    Each step is a lookup: o's class representative and its basis by o's
+    class key in the basis map, bias + N o from the rep's half tables, and
+    the tag from the map's two compatible sets.  The image is computed (see
+    ``_image_of``) and checked as the build computes and checks each row:
+    the tag must match the image.
     """
     m = _orientation_mask(o, rep.element_count)
-    cp, tree = _joint_representative(rep, m, sig, cosig)
-    # bias + N cp - N m, summed over the elements where cp and m differ
-    nd = _packed_sum(rep, cp & ~m) + rep._packed_projection[3] - _packed_sum(rep, m & ~cp)
-    image = _image_of(rep, cp, mask_of(tree), m, nd)
-    tag = _TAGS[is_compatible(rep, m, sig), is_compatible(rep, m, cosig)]
+    entry = _basis_map(rep, sig, cosig)
+    cp, tree_mask = _joint_representative(rep, m, entry)
+    # bias + N (cp - m), as the build reads it off its packed list
+    nd = _packed_sum(rep, cp) + rep._packed_projection[3] - _packed_sum(rep, m)
+    image = _image_of(rep, cp, tree_mask, m, nd)
+    sigma_ok, star_ok = entry.compatible
+    tag = _TAGS[bool(sigma_ok >> m & 1), bool(star_ok >> m & 1)]
     _check_tag(tag, image in rep._independent_masks, bool(rep._spanning_bits >> image & 1))
     return image, tag
 

@@ -58,12 +58,10 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def bits_of(mask: int) -> list[int]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -257,6 +255,14 @@ class RegularMatroidRep:
     rank: int
     graph: Graph | None = field(default=None, compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash of the compared fields, which never change
+        return hash((self.matrix, self.element_count, self.rank))
+
     @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence[int]], *, element_count: int | None = None,
@@ -436,7 +442,8 @@ class RegularMatroidRep:
 
     @cached_property
     def _packed_projection(self) -> tuple[tuple[int, ...], int, int, int]:
-        """The columns of N packed into ints, for ``_packed_sum`` and the table build.
+        """The columns of N packed into ints, for the table build's 2^n sums and
+        the half tables (``_projection_halves``) that ``_packed_sum`` reads.
 
         Column k holds n signed fields of ``width`` bits, field j being
         N[j][k].  A field of a signed sum of distinct columns is at most the
@@ -452,6 +459,32 @@ class RegularMatroidRep:
         )
         bias = sum(1 << (width * j + width - 1) for j in range(n))
         return columns, t, width, bias
+
+    @cached_property
+    def _projection_halves(self) -> tuple[int, int, list[int], list[int]]:
+        """``_half_sums`` of the packed columns of N, the bias in the low table."""
+        columns, _, _, bias = self._packed_projection
+        return _half_sums(columns, bias)
+
+    @cached_property
+    def _class_halves(self) -> tuple[tuple, tuple[tuple[int, int, int], ...]]:
+        """R o packed, for ``_class_key``: ``_half_sums`` of the columns of R, and
+        (shift, field mask, d) per row.
+
+        The rows of R are reduced mod d, so nonnegative: a field as wide as
+        its row's sum holds the row's sum over any mask, and none borrows.
+        """
+        rows, moduli = self._class_rows
+        columns = [0] * self.element_count
+        fields = []
+        shift = 0
+        for row, d in zip(rows, moduli):
+            for j, x in enumerate(row):
+                columns[j] += x << shift
+            width = sum(row).bit_length()
+            fields.append((shift, (1 << width) - 1, d))
+            shift += width
+        return _half_sums(columns), tuple(fields)
 
     @cached_property
     def _class_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -824,15 +857,14 @@ def find_conforming_circuit_or_cocircuit(
     ec_mask = mask_of(cycle_only)
     for pool, forbidden in ((rep._circuits, ed_mask), (rep._cocircuits, ec_mask)):
         for vec in pool:
-            for cand in (vec, -vec):
-                full = cand.pos_mask | cand.neg_mask
-                if not full & bit:
-                    continue
-                if full & forbidden:
-                    continue
-                if (cand.pos_mask & bwd) or (cand.neg_mask & fwd):
-                    continue
-                return cand
+            pos, neg = vec.pos_mask, vec.neg_mask
+            if not (pos | neg) & bit or (pos | neg) & forbidden:
+                continue
+            # vec first, then -vec with the masks swapped; only a match is negated
+            if not (pos & bwd or neg & fwd):
+                return vec
+            if not (neg & bwd or pos & fwd):
+                return -vec
     raise InvariantViolationError("no conforming circuit or cocircuit found")
 
 
@@ -959,24 +991,33 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
 
 
 def _class_key(rep: RegularMatroidRep, mask: int) -> tuple[int, ...]:
-    """R o mod d, the joint reversal class of orientation o (see ``_class_rows``)."""
-    rows, moduli = rep._class_rows
-    elements = bits_of(mask)
-    return tuple(sum(row[j] for j in elements) % d for row, d in zip(rows, moduli))
+    """R o mod d, the joint reversal class of orientation o (see ``_class_rows``).
+
+    Two lookups in ``rep._class_halves`` give R o packed, then one field per row.
+    """
+    (low_mask, h, low, high), fields = rep._class_halves
+    packed = low[mask & low_mask] + high[mask >> h]
+    return tuple((packed >> shift & field) % d for shift, field, d in fields)
 
 
 def _packed_sum(rep: RegularMatroidRep, mask: int) -> int:
-    """bias + N o, packed: the bias plus the packed columns of o's elements.
+    """bias + N o, packed: ``_subset_sums(columns, bias)[mask]`` for one mask.
 
-    ``_subset_sums(columns, bias)[mask]`` for one mask, without the 2^n list.
+    Two lookups in ``rep._projection_halves``, without the 2^n list.
     """
-    columns, _, _, total = rep._packed_projection
-    rest = mask
-    while rest:
-        low = rest & -rest
-        total += columns[low.bit_length() - 1]
-        rest ^= low
-    return total
+    low_mask, h, low, high = rep._projection_halves
+    return low[mask & low_mask] + high[mask >> h]
+
+
+def _half_sums(columns: Sequence[int], start: int = 0) -> tuple[int, int, list[int], list[int]]:
+    """(low_mask, h, low, high): ``_subset_sums(columns, start)[m]`` is
+    low[m & low_mask] + high[m >> h].
+
+    low holds the subset sums of the low h = n // 2 columns plus start, high
+    those of the other n - h, so 2^h + 2^(n - h) entries stand for 2^n.
+    """
+    h = len(columns) // 2
+    return (1 << h) - 1, h, _subset_sums(columns[:h], start), _subset_sums(columns[h:])
 
 
 def _subset_sums(columns: Sequence[int], start: int = 0) -> list[int]:

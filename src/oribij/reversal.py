@@ -36,12 +36,13 @@ from .core import (
     _orientation_mask,
     _require_cap,
     _subset_sums,
+    bits_of,
     conformal_decompose,
     enumerate_bases,
     split_kernel_image,
 )
 from .errors import InputError, InvariantViolationError
-from .signatures import CIRCUIT, COCIRCUIT, Signature, is_compatible
+from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set
 
 Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
 KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
@@ -120,6 +121,10 @@ class _BasisMap:
     basis_orientations: dict[frozenset[int], int]  # basis -> orientation mask
     orientation_bases: dict[int, frozenset[int]]  # orientation mask -> basis
     representatives: dict[tuple[int, ...], int]  # class key -> representative mask
+    basis_masks: dict[int, int]  # representative mask -> its basis's mask
+    # the 2^n-bit sets (bit m is mask m) of the orientations compatible with
+    # the circuit signature and with the cocircuit signature
+    compatible: tuple[int, int]
     table: object = None  # the pair's bijection.BijectionTable, set by its build
 
 
@@ -134,12 +139,18 @@ def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> i
     The supports (fundamental cocircuits on the basis, circuits off it) are
     looked up in the rep's one pass over the basis tableaux; a non-basis is refused.
     """
-    supports = rep._tableau_pass[2].get(_basis_mask(basis))
+    b = _basis_mask(basis)
+    supports = rep._tableau_pass[2].get(b)
     if supports is None:
         raise InputError(_NOT_A_BASIS)
+    # support mask -> chosen positive mask, by whether e lies on the basis
+    chosen = sig.pos_by_support, cosig.pos_by_support
     mask = 0
-    for e, support in enumerate(supports):
-        mask |= (cosig if basis.mask >> e & 1 else sig).chosen_pos_mask(support) & 1 << e
+    try:
+        for e, support in enumerate(supports):
+            mask |= chosen[b >> e & 1][support] & 1 << e
+    except KeyError as missing:
+        raise InputError(f"no circuit with support {bits_of(missing.args[0])}") from None
     return mask
 
 
@@ -149,10 +160,11 @@ def _basis_map(
 ) -> _BasisMap:
     """The pair's checked basis map, from the cache if there; the cap is checked first.
 
-    Checked: the orientations are distinct and jointly compatible, no two
-    share a class key, and the keys number t, the Gram determinant
-    det(A A^T), which is the number of bases (Cauchy-Binet, every basis
-    determinant being +-1).
+    Checked: the orientations are distinct and jointly compatible (one bit
+    each of the pair's compatible sets, which the entry keeps), no two share
+    a class key, and the keys number t, the Gram determinant det(A A^T),
+    which is the number of bases (Cauchy-Binet, every basis determinant
+    being +-1).
     """
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
@@ -162,16 +174,17 @@ def _basis_map(
     if use_cache and (entry := _TABLE_CACHE.pop(key, None)) is not None:
         _TABLE_CACHE[key] = entry
         return entry
-    basis_orientations = {
-        basis.elements: _orient_basis_mask(rep, basis, sig, cosig)
-        for basis in enumerate_bases(rep, cap)
-    }
+    bases = enumerate_bases(rep, cap)
+    basis_orientations = {b.elements: _orient_basis_mask(rep, b, sig, cosig) for b in bases}
     orientation_bases = {m: b for b, m in basis_orientations.items()}
     if len(orientation_bases) != len(basis_orientations):
         raise InvariantViolationError("basis map is not injective")
+    basis_masks = {basis_orientations[b.elements]: b.mask for b in bases}
+    compatible = _compatible_set(rep, sig), _compatible_set(rep, cosig)
+    joint = compatible[0] & compatible[1]
     representatives: dict[tuple[int, ...], int] = {}
     for m in orientation_bases:
-        if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
+        if not joint >> m & 1:
             raise InvariantViolationError("basis orientation is not jointly compatible")
         representatives.setdefault(_class_key(rep, m), m)
     if len(representatives) != len(orientation_bases):
@@ -179,7 +192,8 @@ def _basis_map(
     keys, t = len(representatives), rep._projection[1]
     if keys != t:
         raise InvariantViolationError(f"{keys} class keys, not the Gram determinant {t}")
-    entry = _BasisMap(basis_orientations, orientation_bases, representatives)
+    entry = _BasisMap(basis_orientations, orientation_bases, representatives, basis_masks,
+                      compatible)
     if use_cache:
         _TABLE_CACHE[key] = entry
         if len(_TABLE_CACHE) > CACHE_SIZE:
@@ -187,16 +201,12 @@ def _basis_map(
     return entry
 
 
-def _joint_representative(
-    rep: RegularMatroidRep, mask: int, sig: Signature, cosig: Signature,
-    cap: int = DEFAULT_ELEMENT_CAP,
-) -> tuple[int, frozenset[int]]:
-    """The jointly compatible orientation of mask's joint class, and its basis."""
-    entry = _basis_map(rep, sig, cosig, cap)
+def _joint_representative(rep: RegularMatroidRep, mask: int, entry: _BasisMap) -> tuple[int, int]:
+    """The jointly compatible orientation of mask's joint class, and its basis's mask."""
     cp = entry.representatives.get(_class_key(rep, mask))
     if cp is None:
         raise InvariantViolationError("class key missed by the basis map")
-    return cp, entry.orientation_bases[cp]
+    return cp, entry.basis_masks[cp]
 
 
 def compatible_decomposition(
@@ -214,7 +224,8 @@ def compatible_decomposition(
     """
     n = rep.element_count
     # the lookup needs only the bases, so it refuses no ground set for its size
-    cp_mask, _ = _joint_representative(rep, _orientation_mask(o, n), sig, cosig, cap=n)
+    entry = _basis_map(rep, sig, cosig, cap=n)
+    cp_mask, _ = _joint_representative(rep, _orientation_mask(o, n), entry)
     cp = Orientation.from_mask(n, cp_mask)
     c, cstar = split_kernel_image(rep, [a - b for a, b in zip(cp.vector(), o.vector())])
     if not (c.is_sign_vector() and cstar.is_sign_vector()):

@@ -24,7 +24,6 @@ from .core import (
     RegularMatroidRep,
     SignedSupportVector,
     _orientation_mask,
-    bits_of,
     enumerate_signed_circuits,
     enumerate_signed_cocircuits,
     orientations_with_bit,
@@ -74,13 +73,6 @@ class Signature:
     def pos_by_support(self) -> dict[int, int]:
         """Support mask -> positive mask of the chosen vector on that support."""
         return {v.pos_mask | v.neg_mask: v.pos_mask for v in self.chosen}
-
-    def chosen_pos_mask(self, support: int) -> int:
-        """``choice`` by support mask, answering with the chosen positive mask."""
-        try:
-            return self.pos_by_support[support]
-        except KeyError:
-            raise InputError(f"no circuit with support {bits_of(support)}") from None
 
     @cached_property
     def anti_masks(self) -> tuple[tuple[int, int], ...]:
@@ -223,9 +215,12 @@ def directed_circuits_in(
     m = _orientation_mask(o, rep.element_count)
     out = []
     for vec in _supports_for(rep, side, cap):
-        for cand in (vec, -vec):
-            if cand.in_orientation(m):
-                out.append(cand)
+        pos, neg = vec.pos_mask, vec.neg_mask
+        # vec, then -vec with the masks swapped; only a match is negated
+        if not (pos & ~m or neg & m):
+            out.append(vec)
+        if not (neg & ~m or pos & m):
+            out.append(-vec)
     return out
 
 

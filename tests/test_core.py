@@ -553,6 +553,18 @@ def test_conforming_search_partition_validated(triangle_rep):
         )
 
 
+def _first_conforming(rep, partial, ec, ed, e):
+    """The scan by its definition: circuits, then cocircuits, each vector then its negation."""
+    for pool, forbidden in ((rep._circuits, ed), (rep._cocircuits, ec)):
+        for vec in pool:
+            for cand in (vec, -vec):
+                if e in cand.support and not cand.support & forbidden and all(
+                        cand.entries[j] == (1 if partial.mapping[j] else -1)
+                        for j in cand.support & partial.support):
+                    return cand
+    return None
+
+
 @pytest.mark.parametrize(
     "edges,vertices",
     [
@@ -580,6 +592,7 @@ def test_conforming_search_exhaustive(edges, vertices):
         for e in mapping:
             for r in (rep, mrep):
                 piece = find_conforming_circuit_or_cocircuit(r, partial, ec, ed, e)
+                assert piece == _first_conforming(r, partial, ec, ed, e)
                 assert e in piece.support
                 for j in piece.support & partial.support:
                     assert piece.entries[j] == (1 if mapping[j] else -1)

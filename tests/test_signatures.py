@@ -9,6 +9,7 @@ from oribij import (
     Graph,
     InputError,
     Orientation,
+    RegularMatroidRep,
     Signature,
     canonical_signature_pair,
     canonical_weights,
@@ -22,7 +23,7 @@ from oribij import (
     tutte,
 )
 
-from helpers import random_connected_multigraph, random_weights
+from helpers import R10_MATRIX, random_connected_multigraph, random_weights
 
 
 def dot(u, v):
@@ -133,6 +134,18 @@ def test_directed_circuits_in_orientations(triangle_rep, single_edge_rep, two_pa
     opposite = Orientation((True, False))
     got = directed_circuits_in(two_parallel_rep, opposite)
     assert [v.entries for v in got] == [(1, -1)]
+
+
+def test_directed_circuits_in_lists_each_support_both_ways_round():
+    # every orientation of K4 and R10: each vector, then its negation, in orientation
+    for rep in (graph_to_rep(Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))),
+                RegularMatroidRep.from_rows(R10_MATRIX)):
+        for side in (CIRCUIT, COCIRCUIT):
+            pool = rep._circuits if side == CIRCUIT else rep._cocircuits
+            for m in rep.orientation_universe():
+                o = Orientation.from_mask(rep.element_count, m)
+                want = [c for v in pool for c in (v, -v) if c.in_orientation(o)]
+                assert directed_circuits_in(rep, o, side) == want
 
 
 def test_compatibility_triangle(triangle_rep):

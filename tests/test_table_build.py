@@ -38,8 +38,8 @@ from oribij import (
     orientation_to_subgraph,
     orientation_to_subgraph_complement,
 )
-from oribij import bijection, core, reversal
-from oribij.core import _class_key, bits_of
+from oribij import bijection, core, reversal, signatures
+from oribij.core import _class_key, bits_of, mask_of
 from oribij.serialize import dump_json, table_json_obj
 from oribij.signatures import _compatible_set
 
@@ -131,15 +131,16 @@ def test_non_injective_basis_map_is_refused(monkeypatch):
 
 def test_basis_map_missing_a_representative_is_refused(monkeypatch):
     rep = _k4()
-    full = (1 << rep.element_count) - 1
-    orient = reversal._orient_basis_mask
-    # reversing a compatible orientation makes every chosen vector in it anti-chosen
-    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
-    # the key map refuses incompatible basis orientations first; past that
-    # check, the build's own check must refuse the map
-    monkeypatch.setattr(reversal, "is_compatible", lambda *args: True)
-    with pytest.raises(InvariantViolationError, match="missed by the basis map"):
-        BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
+    sig, cosig = canonical_signature_pair(rep)
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    # the map checks its own orientations as it is built; past those checks,
+    # drop one representative's basis from the cached entry: the build, which
+    # finds each class's compatible member by its flags, must refuse the map
+    entry = reversal._basis_map(rep, sig, cosig)
+    del entry.basis_masks[min(entry.basis_masks)]
+    with pytest.raises(InvariantViolationError,
+                       match="compatible orientation missed by the basis map"):
+        BijectionTable.build(rep, sig, cosig)
 
 
 def test_orientation_outside_its_class_is_refused(monkeypatch):
@@ -205,13 +206,21 @@ def test_forward_map_that_is_not_a_bijection_is_refused():
 def test_wrong_tag_is_refused(monkeypatch):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    flags = bijection._compatible_set
-    # swapping the two signatures' flags swaps forest and connected-spanning
+    tags = BijectionTable.build(rep, sig, cosig, use_cache=False).tags
+    flags = reversal._compatible_set
+    # the basis map computes the pair's flags, which the build and single
+    # queries read; swapping the two signatures' flags swaps forest and
+    # connected-spanning, and leaves the joint check of the map as it was
     monkeypatch.setattr(
-        bijection, "_compatible_set", lambda rep, s: flags(rep, cosig if s is sig else sig)
+        reversal, "_compatible_set", lambda rep, s: flags(rep, cosig if s is sig else sig)
     )
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     with pytest.raises(InvariantViolationError, match="mapped to a subgraph with"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
+    forest = Orientation.from_mask(6, min(m for m, tag in tags.items() if tag == "forest"))
+    with pytest.raises(InvariantViolationError,
+                       match="connected-spanning orientation mapped to a subgraph with"):
+        orientation_to_subgraph(rep, forest, sig, cosig)
 
 
 def test_the_build_reads_the_packed_list(monkeypatch):
@@ -427,6 +436,59 @@ def test_class_rows_are_the_smith_form_of_the_gram_matrix():
             tuple(range(1 << rep.element_count)),)
 
 
+def _half_table_reps():
+    """The ladder to n = 12, the pool and its twins, the dual of K5, n = 0 and 1, rank 0."""
+    reps = [rep for rep in ladder_reps().values() if rep.element_count <= 12]
+    pool = [rep for _, rep, _ in suite_instances()]
+    reps += pool + [matrix_rep(rep) for rep in pool] + [_k5_dual(), loops_only_rep(3)]
+    reps += [RegularMatroidRep.from_rows((), element_count=0), loops_only_rep(1),
+             graph_to_rep(Graph(2, ((0, 1),)))]
+    return reps
+
+
+def test_half_tables_equal_the_subset_sums_and_the_key_formula():
+    sizes = set()
+    for rep in _half_table_reps():
+        n = rep.element_count
+        columns, _, _, bias = rep._packed_projection
+        packed = core._subset_sums(columns, bias)
+        rows, moduli = rep._class_rows
+        for m in range(1 << n):
+            assert core._packed_sum(rep, m) == packed[m]
+            elements = bits_of(m)
+            assert _class_key(rep, m) == tuple(
+                sum(row[j] for j in elements) % d for row, d in zip(rows, moduli))
+        low_mask, h, low, high = rep._projection_halves
+        assert (low_mask, h, len(low), len(high)) == ((1 << n // 2) - 1, n // 2,
+                                                      1 << n // 2, 1 << n - n // 2)
+        sizes.add((n, rep.rank))
+    assert {(0, 0), (1, 0), (1, 1), (3, 0), (10, 6), (12, 6), (12, 8)} <= sizes
+
+
+def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch):
+    # once the pair's basis map is built, a query's tag is two bits of the
+    # sets the map keeps, with no per-query compatibility scan
+    def refuse(*args):
+        raise AssertionError("a single query tested compatibility")
+
+    for rep in (_k4(), RegularMatroidRep.from_rows(R10_MATRIX)):
+        sig, cosig = canonical_signature_pair(rep)
+        want = _oracle(rep, sig, cosig)
+        monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+        reversal._basis_map(rep, sig, cosig)
+        for module in (bijection, reversal, signatures):
+            for name in ("is_compatible", "_compatible_set"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        got = {}, {}
+        for m in rep.orientation_universe():
+            o = Orientation.from_mask(rep.element_count, m)
+            got[0][m] = mask_of(orientation_to_subgraph(rep, o, sig, cosig))
+            got[1][m] = classify_specialization(rep, o, sig, cosig)
+        assert got == want
+        monkeypatch.undo()
+
+
 def test_basis_orientations_sharing_a_class_key_are_refused(monkeypatch):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
@@ -448,6 +510,7 @@ def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
     sig, cosig = canonical_signature_pair(rep)
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
+    # the lookup reads the key through reversal, after the map is built
     monkeypatch.setattr(reversal, "_class_key", lambda rep, m: ())
     with pytest.raises(InvariantViolationError, match="missed by the basis map"):
         orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
@@ -507,6 +570,33 @@ def test_the_pair_cache_keeps_at_most_its_bound():
         first.basis_orientations, first.orientation_bases)
     assert BijectionTable.build(*cases[0]) is again
     assert len(bijection._TABLE_CACHE) <= core.CACHE_SIZE
+
+
+def test_a_rep_hashes_its_fields_once():
+    reps = [rep for _, rep, _ in suite_instances()] + list(ladder_reps().values())
+    for rep in reps + [RegularMatroidRep.from_rows((), element_count=0)]:
+        twin = matrix_rep(rep)
+        assert hash(rep) == hash((rep.matrix, rep.element_count, rep.rank)) == hash(twin)
+        assert rep == twin
+        # kept with the rep once computed
+        assert vars(rep)["_hash"] == vars(twin)["_hash"] == hash(rep)
+
+
+def test_a_graph_rep_and_its_matrix_twin_keep_separate_entries(monkeypatch):
+    rep = _k4()
+    twin = matrix_rep(rep)
+    sig, cosig = canonical_signature_pair(rep)
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    o = Orientation.reference(6)
+    assert orientation_to_subgraph(rep, o, sig, cosig) == orientation_to_subgraph(
+        twin, o, sig, cosig)
+    # equal reps with equal hashes, told apart by the graph flag
+    assert list(reversal._TABLE_CACHE) == [(rep, sig, cosig, True), (twin, sig, cosig, False)]
+    graph_entry, matrix_entry = reversal._TABLE_CACHE.values()
+    assert graph_entry is not matrix_entry
+    assert graph_entry.compatible == matrix_entry.compatible
+    assert reversal._basis_map(twin, sig, cosig) is matrix_entry
+    assert reversal._basis_map(rep, sig, cosig) is graph_entry
 
 
 def test_the_table_and_the_queries_share_one_basis_map(monkeypatch):
