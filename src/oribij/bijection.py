@@ -8,12 +8,13 @@ into a bijection from all orientations to all subsets of the ground set.
 A forward single query needs only the signature pair's basis map
 (``reversal._basis_map``), built from the fundamental supports that the rep
 reads off its basis tableaux once, with a map from class key to
-representative and its basis, and the pair's two compatible sets: the key
-R o mod d (``core._class_key``, o's class in the Jacobian group) names o's
-joint reversal class, so one lookup finds it, with no reversal walk.  A
-query is then a fixed number of lookups: R o and N o (N/t the projection
-onto the row space) are each two entries of the rep's half-mask tables of
-subset sums, and o's tag is one bit of each compatible set.  The whole 2^n
+representative and its basis: the key R o mod d (``core._class_key``, o's
+class in the Jacobian group) names o's joint reversal class, so one lookup
+finds it, with no reversal walk.  A query is then a fixed number of
+lookups: R o and N o (N/t the projection onto the row space) are each two
+entries of the rep's half-mask tables of subset sums, and o's tag is one
+bit of each of the pair's two compatible sets, which the map's entry keeps
+once the first query or the build has made them.  The whole 2^n
 table, kept with the map in one bounded cache, serves the commands that
 need every row and the inverse maps; its build packs N o for all 2^n
 orientations in one doubling pass, so each row's split N (cp - m) is one
@@ -47,6 +48,7 @@ from .reversal import (
     _TABLE_CACHE,  # the one pair cache, also read from this module
     _basis_map,
     _class_masks,
+    _compatible_sets,
     _joint_representative,
     _orient_basis_mask,
 )
@@ -115,10 +117,12 @@ class BijectionTable:
         if entry.table is not None:
             return entry.table
         # each class's representative must be one of the checked basis orientations
-        basis_masks = entry.basis_masks
+        orientation_bases = entry.orientation_bases
 
         total = 1 << rep.element_count
-        sigma_ok, star_ok = (f"{flags:0{total}b}"[::-1] for flags in entry.compatible)
+        sigma_ok, star_ok = (
+            f"{flags:0{total}b}"[::-1] for flags in _compatible_sets(rep, sig, cosig, entry)
+        )
         tag_by_mask = [_TAGS[a == "1", b == "1"] for a, b in zip(sigma_ok, star_ok)]
 
         # packed[m] = bias + N m, so packed[cp] + bias - packed[m] = bias + N (cp - m)
@@ -134,7 +138,7 @@ class BijectionTable:
                     f"class has {len(compatible)} compatible orientations, not 1"
                 )
             cp = compatible[0]
-            tree_mask = basis_masks.get(cp)
+            tree_mask = orientation_bases.get(cp)
             if tree_mask is None:
                 raise InvariantViolationError(
                     "compatible orientation missed by the basis map"
@@ -151,8 +155,9 @@ class BijectionTable:
         for m, s in forward.items():
             _check_tag(tags[m], s in independent, spanning[s] == "1")
 
-        entry.table = cls(rep, sig, cosig, forward, tags, entry.basis_orientations,
-                          entry.orientation_bases, classes)
+        basis_orientations = entry.basis_orientations
+        entry.table = cls(rep, sig, cosig, forward, tags, basis_orientations,
+                          {m: b for b, m in basis_orientations.items()}, classes)
         return entry.table
 
 
@@ -224,7 +229,7 @@ def basis_from_orientation(
     found = _basis_map(rep, sig, cosig).orientation_bases.get(m)
     if found is None:
         raise InvariantViolationError("compatible orientation has no basis preimage")
-    return Basis(found)
+    return Basis(frozenset(bits_of(found)))
 
 
 def _subgraph_and_tag(
@@ -244,7 +249,7 @@ def _subgraph_and_tag(
     # bias + N (cp - m), as the build reads it off its packed list
     nd = _packed_sum(rep, cp) + rep._packed_projection[3] - _packed_sum(rep, m)
     image = _image_of(rep, cp, tree_mask, m, nd)
-    sigma_ok, star_ok = entry.compatible
+    sigma_ok, star_ok = _compatible_sets(rep, sig, cosig, entry)
     tag = _TAGS[bool(sigma_ok >> m & 1), bool(star_ok >> m & 1)]
     _check_tag(tag, image in rep._independent_masks, bool(rep._spanning_bits >> image & 1))
     return image, tag

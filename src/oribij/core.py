@@ -993,8 +993,15 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
 def _class_key(rep: RegularMatroidRep, mask: int) -> tuple[int, ...]:
     """R o mod d, the joint reversal class of orientation o (see ``_class_rows``).
 
-    Two lookups in ``rep._class_halves`` give R o packed, then one field per row.
+    Up to the element cap, two lookups in ``rep._class_halves`` give R o
+    packed, then one field per row.  Past it, where the key serves only
+    ``same_class`` and ``compatible_decomposition`` and the tables would hold
+    2^(n/2) entries each, R o is summed over o's elements.
     """
+    if rep.element_count > DEFAULT_ELEMENT_CAP:
+        rows, moduli = rep._class_rows
+        elements = bits_of(mask)
+        return tuple(sum(row[j] for j in elements) % d for row, d in zip(rows, moduli))
     (low_mask, h, low, high), fields = rep._class_halves
     packed = low[mask & low_mask] + high[mask >> h]
     return tuple((packed >> shift & field) % d for shift, field, d in fields)

@@ -42,7 +42,7 @@ from .core import (
     split_kernel_image,
 )
 from .errors import InputError, InvariantViolationError
-from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set
+from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set, is_compatible
 
 Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
 KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
@@ -119,12 +119,12 @@ class _BasisMap:
     """A signature pair's checked basis map, and its table once built."""
 
     basis_orientations: dict[frozenset[int], int]  # basis -> orientation mask
-    orientation_bases: dict[int, frozenset[int]]  # orientation mask -> basis
+    orientation_bases: dict[int, int]  # orientation mask -> its basis's mask
     representatives: dict[tuple[int, ...], int]  # class key -> representative mask
-    basis_masks: dict[int, int]  # representative mask -> its basis's mask
     # the 2^n-bit sets (bit m is mask m) of the orientations compatible with
-    # the circuit signature and with the cocircuit signature
-    compatible: tuple[int, int]
+    # the circuit signature and with the cocircuit signature, set on first use
+    # by ``_compatible_sets``
+    compatible: tuple[int, int] | None = None
     table: object = None  # the pair's bijection.BijectionTable, set by its build
 
 
@@ -160,11 +160,11 @@ def _basis_map(
 ) -> _BasisMap:
     """The pair's checked basis map, from the cache if there; the cap is checked first.
 
-    Checked: the orientations are distinct and jointly compatible (one bit
-    each of the pair's compatible sets, which the entry keeps), no two share
-    a class key, and the keys number t, the Gram determinant det(A A^T),
-    which is the number of bases (Cauchy-Binet, every basis determinant
-    being +-1).
+    Checked: the orientations are distinct and jointly compatible, no two
+    share a class key, and the keys number t, the Gram determinant
+    det(A A^T), which is the number of bases (Cauchy-Binet, every basis
+    determinant being +-1).  The check reads the t orientations one by one,
+    so the map costs no 2^n-bit set and serves any n its caller allows.
     """
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
@@ -176,15 +176,12 @@ def _basis_map(
         return entry
     bases = enumerate_bases(rep, cap)
     basis_orientations = {b.elements: _orient_basis_mask(rep, b, sig, cosig) for b in bases}
-    orientation_bases = {m: b for b, m in basis_orientations.items()}
+    orientation_bases = {basis_orientations[b.elements]: b.mask for b in bases}
     if len(orientation_bases) != len(basis_orientations):
         raise InvariantViolationError("basis map is not injective")
-    basis_masks = {basis_orientations[b.elements]: b.mask for b in bases}
-    compatible = _compatible_set(rep, sig), _compatible_set(rep, cosig)
-    joint = compatible[0] & compatible[1]
     representatives: dict[tuple[int, ...], int] = {}
     for m in orientation_bases:
-        if not joint >> m & 1:
+        if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
             raise InvariantViolationError("basis orientation is not jointly compatible")
         representatives.setdefault(_class_key(rep, m), m)
     if len(representatives) != len(orientation_bases):
@@ -192,8 +189,7 @@ def _basis_map(
     keys, t = len(representatives), rep._projection[1]
     if keys != t:
         raise InvariantViolationError(f"{keys} class keys, not the Gram determinant {t}")
-    entry = _BasisMap(basis_orientations, orientation_bases, representatives, basis_masks,
-                      compatible)
+    entry = _BasisMap(basis_orientations, orientation_bases, representatives)
     if use_cache:
         _TABLE_CACHE[key] = entry
         if len(_TABLE_CACHE) > CACHE_SIZE:
@@ -206,7 +202,19 @@ def _joint_representative(rep: RegularMatroidRep, mask: int, entry: _BasisMap) -
     cp = entry.representatives.get(_class_key(rep, mask))
     if cp is None:
         raise InvariantViolationError("class key missed by the basis map")
-    return cp, entry.basis_masks[cp]
+    return cp, entry.orientation_bases[cp]
+
+
+def _compatible_sets(
+    rep: RegularMatroidRep, sig: Signature, cosig: Signature, entry: _BasisMap
+) -> tuple[int, int]:
+    """The pair's two compatible sets, computed on first use and kept in its entry.
+
+    Only the table build and single queries read them, both under the element cap.
+    """
+    if entry.compatible is None:
+        entry.compatible = _compatible_set(rep, sig), _compatible_set(rep, cosig)
+    return entry.compatible
 
 
 def compatible_decomposition(

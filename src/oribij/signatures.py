@@ -215,12 +215,9 @@ def directed_circuits_in(
     m = _orientation_mask(o, rep.element_count)
     out = []
     for vec in _supports_for(rep, side, cap):
-        pos, neg = vec.pos_mask, vec.neg_mask
-        # vec, then -vec with the masks swapped; only a match is negated
-        if not (pos & ~m or neg & m):
-            out.append(vec)
-        if not (neg & ~m or pos & m):
-            out.append(-vec)
+        for cand in (vec, -vec):
+            if cand.in_orientation(m):
+                out.append(cand)
     return out
 
 

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,40 @@ def test_decomposition_past_the_default_cap():
     assert compatible_decomposition(rep, o, sig, cosig) == dec
     with pytest.raises(CapExceededError):
         orientation_to_subgraph(rep, o, sig, cosig)
+
+
+def test_decomposition_of_a_large_ground_set_makes_no_2n_set(monkeypatch):
+    # the basis map checks its t orientations one by one; a 2^n-bit
+    # compatible set is made only for the build and single queries, which
+    # refuse this ground set
+    n = 40
+    rep = _parallel(n)
+    weights = [3 ** j for j in range(n)]
+    sig = signature_from_weights(rep, weights, CIRCUIT, cap=n)
+    cosig = signature_from_weights(rep, weights, COCIRCUIT, cap=n)
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    o = Orientation.from_mask(n, 0b10110)
+    dec = compatible_decomposition(rep, o, sig, cosig)
+    assert dec.representative == Orientation.from_mask(n, 0b111 << n - 3)
+    current = dec.representative
+    for piece in (*dec.cycles, *dec.cocycles):
+        current = reverse(current, piece)
+    assert current == o
+    (entry,) = reversal._TABLE_CACHE.values()
+    assert entry.compatible is None
+
+
+def test_same_class_past_the_cap_reads_no_half_tables():
+    # rank 1: the class of an orientation is its number of forward edges mod k
+    for k in (16, 60):
+        rep = _parallel(k)
+        three, four = (Orientation.from_mask(k, m) for m in (0b111, 0b1111 << k - 4))
+        assert same_class(rep, Orientation.reference(k), Orientation.from_mask(k, 0),
+                          "cycle-cocycle")
+        assert same_class(rep, three, Orientation.from_mask(k, 0b1101 << 5), "cycle-cocycle")
+        assert not same_class(rep, three, four, "cycle-cocycle")
+        # tables of 2^(k/2) entries are built only up to the element cap
+        assert ("_class_halves" in vars(rep)) == (k <= core.DEFAULT_ELEMENT_CAP)
 
 
 def _walked_representative(rep, o, sig, cosig):

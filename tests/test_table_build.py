@@ -131,16 +131,15 @@ def test_non_injective_basis_map_is_refused(monkeypatch):
 
 def test_basis_map_missing_a_representative_is_refused(monkeypatch):
     rep = _k4()
-    sig, cosig = canonical_signature_pair(rep)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
-    # the map checks its own orientations as it is built; past those checks,
-    # drop one representative's basis from the cached entry: the build, which
-    # finds each class's compatible member by its flags, must refuse the map
-    entry = reversal._basis_map(rep, sig, cosig)
-    del entry.basis_masks[min(entry.basis_masks)]
-    with pytest.raises(InvariantViolationError,
-                       match="compatible orientation missed by the basis map"):
-        BijectionTable.build(rep, sig, cosig)
+    full = (1 << rep.element_count) - 1
+    orient = reversal._orient_basis_mask
+    # reversing a compatible orientation makes every chosen vector in it anti-chosen
+    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
+    # the key map refuses incompatible basis orientations first; past that
+    # check, the build's own check must refuse the map
+    monkeypatch.setattr(reversal, "is_compatible", lambda *args: True)
+    with pytest.raises(InvariantViolationError, match="missed by the basis map"):
+        BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
 
 def test_orientation_outside_its_class_is_refused(monkeypatch):
@@ -208,9 +207,9 @@ def test_wrong_tag_is_refused(monkeypatch):
     sig, cosig = canonical_signature_pair(rep)
     tags = BijectionTable.build(rep, sig, cosig, use_cache=False).tags
     flags = reversal._compatible_set
-    # the basis map computes the pair's flags, which the build and single
-    # queries read; swapping the two signatures' flags swaps forest and
-    # connected-spanning, and leaves the joint check of the map as it was
+    # the pair's flags are made once for the map's entry, which the build and
+    # single queries read; swapping the two signatures' flags swaps forest
+    # and connected-spanning, and leaves the joint check of the map as it was
     monkeypatch.setattr(
         reversal, "_compatible_set", lambda rep, s: flags(rep, cosig if s is sig else sig)
     )
@@ -406,6 +405,9 @@ def test_class_keys_name_the_joint_classes():
         assert len(representatives) == rep._packed_projection[1] == len(rep._basis_masks)
         assert sorted(representatives.values()) == sorted(entry.orientation_bases)
         assert all(_class_key(rep, m) == k for k, m in representatives.items())
+        # each basis orientation keeps its basis's mask
+        assert entry.orientation_bases == {
+            m: mask_of(b) for b, m in entry.basis_orientations.items()}
 
 
 def test_class_rows_are_the_smith_form_of_the_gram_matrix():
@@ -466,8 +468,8 @@ def test_half_tables_equal_the_subset_sums_and_the_key_formula():
 
 
 def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch):
-    # once the pair's basis map is built, a query's tag is two bits of the
-    # sets the map keeps, with no per-query compatibility scan
+    # once the pair's first query has filled the map's entry, a query's tag
+    # is two bits of the sets the entry keeps, with no compatibility scan
     def refuse(*args):
         raise AssertionError("a single query tested compatibility")
 
@@ -475,7 +477,7 @@ def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch):
         sig, cosig = canonical_signature_pair(rep)
         want = _oracle(rep, sig, cosig)
         monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
-        reversal._basis_map(rep, sig, cosig)
+        orientation_to_subgraph(rep, Orientation.reference(rep.element_count), sig, cosig)
         for module in (bijection, reversal, signatures):
             for name in ("is_compatible", "_compatible_set"):
                 if hasattr(module, name):
@@ -609,7 +611,8 @@ def test_the_table_and_the_queries_share_one_basis_map(monkeypatch):
     table = BijectionTable.build(rep, sig, cosig)
     assert list(reversal._TABLE_CACHE.values()) == [entry] and entry.table is table
     assert table.basis_orientations is entry.basis_orientations
-    assert table.orientation_bases is entry.orientation_bases
+    # the map keeps basis masks; the table inverts the shared basis dict
+    assert table.orientation_bases == {m: b for b, m in entry.basis_orientations.items()}
     # without the cache, the build reads and writes none
     assert BijectionTable.build(rep, sig, cosig, use_cache=False) is not table
     assert list(reversal._TABLE_CACHE.values()) == [entry] and entry.table is table
