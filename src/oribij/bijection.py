@@ -5,21 +5,16 @@ fundamental circuit (off the basis) and fundamental cocircuit (on it); that
 map is a bijection onto the jointly compatible orientations.  Extending by
 "add reversed circuit supports, remove reversed cocircuit supports" turns it
 into a bijection from all orientations to all subsets of the ground set.
-A forward single query needs only the signature pair's basis map
-(``reversal._basis_map``), built from the fundamental supports that the rep
-reads off its basis tableaux once, with a map from class key to
-representative and its basis: the key R o mod d (``core._class_key``, o's
-class in the Jacobian group) names o's joint reversal class, so one lookup
-finds it, with no reversal walk.  A query is then a fixed number of
-lookups: R o and N o (N/t the projection onto the row space) are each two
-entries of the rep's half-mask tables of subset sums, and o's tag is one
-bit of each of the pair's two compatible sets, which the map's entry keeps
-once the first query or the build has made them.  The whole 2^n
-table, kept with the map in one bounded cache, serves the commands that
-need every row and the inverse maps; its build packs N o for all 2^n
-orientations in one doubling pass, so each row's split N (cp - m) is one
-subtraction, and reads its tags off the same two sets.  A single query and
-the build read and check the split with the same ``_image_of``.
+
+The table build and single queries compute a row the same way: the class
+key R o mod d finds o's representative cp and its basis in the pair's basis
+map (``reversal._basis_map``), ``_image_of`` reads the image off the split
+of N (cp - o) (N/t the projection onto the row space), and o's tag code
+(2 [sig-compatible] + [cosig-compatible]) must equal the image's subset
+code (2 [independent] + [spanning]), each one byte by index.  A query reads
+its key and N o off the rep's half-mask tables; the build, which serves the
+whole-table commands and the inverse maps, reads all keys from one
+``_fibre_labels`` list and all N o from one doubling pass.
 """
 
 from __future__ import annotations
@@ -47,30 +42,25 @@ from .errors import (
 from .reversal import (
     _TABLE_CACHE,  # the one pair cache, also read from this module
     _basis_map,
-    _class_masks,
-    _compatible_sets,
+    _fibre_labels,
     _joint_representative,
     _orient_basis_mask,
+    _tag_codes,
 )
 from .signatures import Signature, is_compatible
 
 Tag = Literal["basis", "forest", "connected-spanning", "general"]
 
-# tag by (compatible with the circuit signature, with the cocircuit signature),
-# which is also (image independent, image spanning)
-_TAGS: dict[tuple[bool, bool], Tag] = {
-    (True, True): "basis",
-    (True, False): "forest",
-    (False, True): "connected-spanning",
-    (False, False): "general",
-}
+# tag by code 2 [compatible with the circuit signature] + [with the cocircuit
+# signature], which is also 2 [image independent] + [image spanning]
+_TAGS: tuple[Tag, ...] = ("general", "connected-spanning", "forest", "basis")
 
 
 class BijectionTable:
     """Frozen forward/inverse tables of the subgraph map for one signature pair."""
 
     def __init__(self, rep, circuit_signature, cocircuit_signature, forward, tags,
-                 basis_orientations, orientation_bases, classes):
+                 basis_orientations, orientation_bases):
         self.rep = rep
         self.circuit_signature = circuit_signature
         self.cocircuit_signature = cocircuit_signature
@@ -79,8 +69,6 @@ class BijectionTable:
         self.basis_orientations: dict[frozenset[int], int] = basis_orientations
         self.orientation_bases: dict[int, frozenset[int]] = orientation_bases
         self.inverse: dict[int, int] = {s: m for m, s in forward.items()}
-        # the joint reversal classes the table was built from, as _class_masks lists them
-        self.classes: tuple[tuple[int, ...], ...] = classes
 
     # -- queries -------------------------------------------------------------
 
@@ -116,48 +104,27 @@ class BijectionTable:
         entry = _basis_map(rep, sig, cosig, cap, use_cache)
         if entry.table is not None:
             return entry.table
-        # each class's representative must be one of the checked basis orientations
-        orientation_bases = entry.orientation_bases
-
-        total = 1 << rep.element_count
-        sigma_ok, star_ok = (
-            f"{flags:0{total}b}"[::-1] for flags in _compatible_sets(rep, sig, cosig, entry)
-        )
-        tag_by_mask = [_TAGS[a == "1", b == "1"] for a, b in zip(sigma_ok, star_ok)]
+        codes = _tag_codes(rep, sig, cosig, entry)
 
         # packed[m] = bias + N m, so packed[cp] + bias - packed[m] = bias + N (cp - m)
         columns, _, _, bias = rep._packed_projection
         packed = _subset_sums(columns, bias)
         forward: dict[int, int] = {}
-        tags: dict[int, Tag] = {}
-        classes = _class_masks(rep, "cycle-cocycle")
-        for members in classes:
-            compatible = [m for m in members if tag_by_mask[m] == "basis"]
-            if len(compatible) != 1:
-                raise InvariantViolationError(
-                    f"class has {len(compatible)} compatible orientations, not 1"
-                )
-            cp = compatible[0]
-            tree_mask = orientation_bases.get(cp)
-            if tree_mask is None:
-                raise InvariantViolationError(
-                    "compatible orientation missed by the basis map"
-                )
-            shifted = packed[cp] + bias
-            for m in members:
-                forward[m] = _image_of(rep, cp, tree_mask, m, shifted - packed[m])
-                tags[m] = tag_by_mask[m]
+        # every label is a key: the map holds t distinct keys, and the moduli multiply to t
+        for m, key in enumerate(_fibre_labels(rep.element_count, *rep._class_rows)):
+            cp, tree_mask = entry.by_key[key]
+            forward[m] = _image_of(rep, cp, tree_mask, m, packed[cp] + bias - packed[m])
 
-        if len(set(forward.values())) != total:
+        if len(set(forward.values())) != len(codes):
             raise InvariantViolationError("forward map is not a bijection")
-        independent = rep._independent_masks
-        spanning = f"{rep._spanning_bits:0{total}b}"[::-1]
+        subset_codes = rep._subset_codes
         for m, s in forward.items():
-            _check_tag(tags[m], s in independent, spanning[s] == "1")
+            _check_tag(codes[m], subset_codes[s])
 
-        basis_orientations = entry.basis_orientations
-        entry.table = cls(rep, sig, cosig, forward, tags, basis_orientations,
-                          {m: b for b, m in basis_orientations.items()}, classes)
+        # keyed by forward's own mask ints (mask order), so the two share them
+        tags = dict(zip(forward, map(_TAGS.__getitem__, codes)))
+        bases = {cp: frozenset(bits_of(b)) for cp, b in entry.by_key.values()}
+        entry.table = cls(rep, sig, cosig, forward, tags, {b: cp for cp, b in bases.items()}, bases)
         return entry.table
 
 
@@ -196,13 +163,12 @@ def _image_of(rep: RegularMatroidRep, cp: int, tree_mask: int, m: int, nd: int) 
     return (tree_mask | pos | neg) & ~cosupport
 
 
-def _check_tag(tag: Tag, independent: bool, spanning: bool):
-    """Refuse a tag that disagrees with its image being independent and spanning."""
-    if _TAGS[independent, spanning] != tag:
+def _check_tag(code: int, subset_code: int):
+    """Refuse a tag code that disagrees with its image's subset code."""
+    if code != subset_code:
         raise InvariantViolationError(
-            f"{tag} orientation mapped to a subgraph with "
-            f"(independent, spanning) = {(independent, spanning)}"
-        )
+            f"{_TAGS[code]} orientation mapped to a subgraph with "
+            f"(independent, spanning) = {(subset_code > 1, subset_code & 1 == 1)}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +192,8 @@ def basis_from_orientation(
     m = _orientation_mask(o, rep.element_count)
     if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
         raise NotCompatibleError("orientation is not jointly compatible")
-    found = _basis_map(rep, sig, cosig).orientation_bases.get(m)
-    if found is None:
+    cp, found = _joint_representative(rep, m, _basis_map(rep, sig, cosig))
+    if cp != m:
         raise InvariantViolationError("compatible orientation has no basis preimage")
     return Basis(frozenset(bits_of(found)))
 
@@ -237,11 +203,8 @@ def _subgraph_and_tag(
 ) -> tuple[int, Tag]:
     """One row of the table, without the table: o's image mask and its tag.
 
-    Each step is a lookup: o's class representative and its basis by o's
-    class key in the basis map, bias + N o from the rep's half tables, and
-    the tag from the map's two compatible sets.  The image is computed (see
-    ``_image_of``) and checked as the build computes and checks each row:
-    the tag must match the image.
+    Computed and checked as the build computes and checks each row, with o's
+    class key and bias + N o read off the rep's half tables.
     """
     m = _orientation_mask(o, rep.element_count)
     entry = _basis_map(rep, sig, cosig)
@@ -249,10 +212,9 @@ def _subgraph_and_tag(
     # bias + N (cp - m), as the build reads it off its packed list
     nd = _packed_sum(rep, cp) + rep._packed_projection[3] - _packed_sum(rep, m)
     image = _image_of(rep, cp, tree_mask, m, nd)
-    sigma_ok, star_ok = _compatible_sets(rep, sig, cosig, entry)
-    tag = _TAGS[bool(sigma_ok >> m & 1), bool(star_ok >> m & 1)]
-    _check_tag(tag, image in rep._independent_masks, bool(rep._spanning_bits >> image & 1))
-    return image, tag
+    code = _tag_codes(rep, sig, cosig, entry)[m]
+    _check_tag(code, rep._subset_codes[image])
+    return image, _TAGS[code]
 
 
 def orientation_to_subgraph(

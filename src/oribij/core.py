@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import (
@@ -75,6 +75,19 @@ def orientations_with_bit(n: int) -> list[int]:
         (((1 << (1 << e)) - 1) << (1 << e)) * (full // ((1 << (2 << e)) - 1))
         for e in range(n)
     ]
+
+
+def _bit_bytes(bits: int, total: int) -> bytes:
+    """A 2^n-bit set as total = 2^n bytes, byte m being bit m: read in O(1) by index."""
+    return format(bits, f"0{total}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints; a float, even 1.0, or a fraction is refused, never truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InputError(f"{what} entries must be integers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +369,21 @@ class RegularMatroidRep:
         return tuple(sorted(m for m in self._independent_masks if m.bit_count() == r))
 
     @cached_property
-    def _spanning_bits(self) -> int:
-        """The spanning sets as one 2^n-bit set (bit s is set s): the up-closure of the bases.
+    def _subset_codes(self) -> bytes:
+        """Byte s is 2 [s independent] + [s spanning], the tag code of s's preimage.
 
-        Element by element, each set lacking e also spans with e added, at s + 2^e.
+        The spanning sets are the up-closure of the bases, made as one 2^n-bit
+        set: element by element, each set lacking e also spans with e added.
         """
-        bits = 0
+        spanning = 0
         for b in self._basis_masks:
-            bits |= 1 << b
+            spanning |= 1 << b
         for e, with_e in enumerate(orientations_with_bit(self.element_count)):
-            bits |= (bits & ~with_e) << (1 << e)
-        return bits
+            spanning |= (spanning & ~with_e) << (1 << e)
+        codes = bytearray(_bit_bytes(spanning, 1 << self.element_count))
+        for s in self._independent_masks:
+            codes[s] += 2
+        return bytes(codes)
 
     @cached_property
     def _tableau_pass(self) -> tuple[tuple, tuple, dict[int, tuple[int, ...]]]:
@@ -590,8 +607,10 @@ def is_totally_unimodular(matrix: Sequence[Sequence[int]], cap: int = DEFAULT_TU
     Refused (CapExceededError) when min(r, n) exceeds ``cap`` or the square
     minors number more than TU_MINOR_CAP.
     """
-    rows = [tuple(int(x) for x in row) for row in matrix]
+    rows = [_integers(row, "matrix") for row in matrix]
     r, n = len(rows), len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise InputError("ragged matrix")
     if min(r, n) > cap:
         raise CapExceededError(f"minor check needs min(r, n) <= {cap}")
     # sum over k of C(r, k) * C(n, k) square minors, by Vandermonde
@@ -990,8 +1009,9 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     return tuple(classes)
 
 
-def _class_key(rep: RegularMatroidRep, mask: int) -> tuple[int, ...]:
-    """R o mod d, the joint reversal class of orientation o (see ``_class_rows``).
+def _class_key(rep: RegularMatroidRep, mask: int) -> int:
+    """R o mod d, the joint reversal class of orientation o (see ``_class_rows``),
+    as the mixed-radix int that ``reversal._fibre_labels`` gives mask o.
 
     Up to the element cap, two lookups in ``rep._class_halves`` give R o
     packed, then one field per row.  Past it, where the key serves only
@@ -1001,10 +1021,15 @@ def _class_key(rep: RegularMatroidRep, mask: int) -> tuple[int, ...]:
     if rep.element_count > DEFAULT_ELEMENT_CAP:
         rows, moduli = rep._class_rows
         elements = bits_of(mask)
-        return tuple(sum(row[j] for j in elements) % d for row, d in zip(rows, moduli))
-    (low_mask, h, low, high), fields = rep._class_halves
-    packed = low[mask & low_mask] + high[mask >> h]
-    return tuple((packed >> shift & field) % d for shift, field, d in fields)
+        sums = [(sum(row[j] for j in elements), d) for row, d in zip(rows, moduli)]
+    else:
+        (low_mask, h, low, high), fields = rep._class_halves
+        packed = low[mask & low_mask] + high[mask >> h]
+        sums = [(packed >> shift & field, d) for shift, field, d in fields]
+    key = 0
+    for x, d in sums:
+        key = key * d + x % d
+    return key
 
 
 def _packed_sum(rep: RegularMatroidRep, mask: int) -> int:
@@ -1047,7 +1072,7 @@ def split_kernel_image(
     Raises NotSameClassError when the split is not integral, which is
     exactly the case where d is not a difference of same-class orientations.
     """
-    d = [int(x) for x in d]
+    d = _integers(d, "vector")
     if len(d) != rep.element_count:
         raise InputError("vector length disagrees with the ground set")
     rows, t = rep._projection

@@ -7,17 +7,18 @@ orientation; iterating "reverse an anti-chosen circuit" reaches it.
 The classes need no signature: cycle classes are the fibres of o -> A o,
 cocycle classes those of o -> K o (K the kernel basis), and joint classes
 those of o -> R o mod d, the class in the Jacobian group Z^r / G Z^r
-(``RegularMatroidRep._class_rows``).  ``_class_masks`` is the one
-partition, and ``core._class_key`` the one test that two orientations share
-a joint class.
+(``RegularMatroidRep._class_rows``), keyed by one mixed-radix int:
+``_fibre_labels`` for all 2^n orientations, ``core._class_key`` for one.
 
-The jointly compatible orientation of a joint class is a basis orientation,
-found by one lookup of the class key in the pair's checked basis map, with
-no walk; the map, and the pair's table once built, share one bounded cache.
+The t joint classes each hold one jointly compatible orientation, and these
+are the t basis orientations (Backman-Baker-Yuen), so the pair's checked
+basis map finds each class's representative by one lookup of its key; the
+map, its tag codes and its table once built share one bounded cache.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .core import (
     SignedSupportVector,
     _NOT_A_BASIS,
     _basis_mask,
+    _bit_bytes,
     _class_key,
     _orientation_mask,
     _require_cap,
@@ -118,13 +120,10 @@ def cocircuit_class_representative(
 class _BasisMap:
     """A signature pair's checked basis map, and its table once built."""
 
-    basis_orientations: dict[frozenset[int], int]  # basis -> orientation mask
-    orientation_bases: dict[int, int]  # orientation mask -> its basis's mask
-    representatives: dict[tuple[int, ...], int]  # class key -> representative mask
-    # the 2^n-bit sets (bit m is mask m) of the orientations compatible with
-    # the circuit signature and with the cocircuit signature, set on first use
-    # by ``_compatible_sets``
-    compatible: tuple[int, int] | None = None
+    # class key -> (the class's jointly compatible orientation, its basis's mask)
+    by_key: dict[int, tuple[int, int]]
+    # byte m is mask m's tag code, set on first use by ``_tag_codes``
+    codes: bytes | None = None
     table: object = None  # the pair's bijection.BijectionTable, set by its build
 
 
@@ -161,10 +160,11 @@ def _basis_map(
     """The pair's checked basis map, from the cache if there; the cap is checked first.
 
     Checked: the orientations are distinct and jointly compatible, no two
-    share a class key, and the keys number t, the Gram determinant
-    det(A A^T), which is the number of bases (Cauchy-Binet, every basis
-    determinant being +-1).  The check reads the t orientations one by one,
-    so the map costs no 2^n-bit set and serves any n its caller allows.
+    share a class key, the keys number t, the Gram determinant det(A A^T),
+    which is the number of bases (Cauchy-Binet, every basis determinant
+    being +-1), and the moduli d multiply to t, so that every one of the
+    t classes has a key.  The check reads the t orientations one by one, so
+    the map costs no 2^n-bit set and serves any n its caller allows.
     """
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
@@ -174,22 +174,24 @@ def _basis_map(
     if use_cache and (entry := _TABLE_CACHE.pop(key, None)) is not None:
         _TABLE_CACHE[key] = entry
         return entry
-    bases = enumerate_bases(rep, cap)
-    basis_orientations = {b.elements: _orient_basis_mask(rep, b, sig, cosig) for b in bases}
-    orientation_bases = {basis_orientations[b.elements]: b.mask for b in bases}
-    if len(orientation_bases) != len(basis_orientations):
+    bases = [(_orient_basis_mask(rep, b, sig, cosig), b.mask) for b in enumerate_bases(rep, cap)]
+    if len({m for m, _ in bases}) != len(bases):
         raise InvariantViolationError("basis map is not injective")
-    representatives: dict[tuple[int, ...], int] = {}
-    for m in orientation_bases:
+    by_key: dict[int, tuple[int, int]] = {}
+    for m, b in bases:
         if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
             raise InvariantViolationError("basis orientation is not jointly compatible")
-        representatives.setdefault(_class_key(rep, m), m)
-    if len(representatives) != len(orientation_bases):
+        by_key.setdefault(_class_key(rep, m), (m, b))
+    if len(by_key) != len(bases):
         raise InvariantViolationError("two basis orientations share a class key")
-    keys, t = len(representatives), rep._projection[1]
+    keys, t = len(by_key), rep._projection[1]
     if keys != t:
         raise InvariantViolationError(f"{keys} class keys, not the Gram determinant {t}")
-    entry = _BasisMap(basis_orientations, orientation_bases, representatives)
+    classes = math.prod(rep._class_rows[1])
+    if classes != t:
+        raise InvariantViolationError(
+            f"the class moduli multiply to {classes}, not the Gram determinant {t}")
+    entry = _BasisMap(by_key)
     if use_cache:
         _TABLE_CACHE[key] = entry
         if len(_TABLE_CACHE) > CACHE_SIZE:
@@ -199,22 +201,33 @@ def _basis_map(
 
 def _joint_representative(rep: RegularMatroidRep, mask: int, entry: _BasisMap) -> tuple[int, int]:
     """The jointly compatible orientation of mask's joint class, and its basis's mask."""
-    cp = entry.representatives.get(_class_key(rep, mask))
-    if cp is None:
+    found = entry.by_key.get(_class_key(rep, mask))
+    if found is None:
         raise InvariantViolationError("class key missed by the basis map")
-    return cp, entry.orientation_bases[cp]
+    return found
 
 
-def _compatible_sets(
+def _tag_codes(
     rep: RegularMatroidRep, sig: Signature, cosig: Signature, entry: _BasisMap
-) -> tuple[int, int]:
-    """The pair's two compatible sets, computed on first use and kept in its entry.
-
-    Only the table build and single queries read them, both under the element cap.
+) -> bytes:
+    """Byte m is 2 [m sig-compatible] + [m cosig-compatible], made on first use
+    by the table build or a single query (both under the element cap) and kept.
+    Checked: exactly the map's t representatives carry code 3 (jointly compatible).
     """
-    if entry.compatible is None:
-        entry.compatible = _compatible_set(rep, sig), _compatible_set(rep, cosig)
-    return entry.compatible
+    if entry.codes is None:
+        total = 1 << rep.element_count
+        sigma, star = (int.from_bytes(_bit_bytes(_compatible_set(rep, s), total), "little")
+                       for s in (sig, cosig))
+        # every byte of either is 0 or 1, so no byte of the sum carries
+        codes = (2 * sigma + star).to_bytes(total, "little")
+        joint, t = codes.count(3), len(entry.by_key)
+        if joint != t:
+            raise InvariantViolationError(
+                f"{joint} jointly compatible orientations, not the {t} classes")
+        if any(codes[cp] != 3 for cp, _ in entry.by_key.values()):
+            raise InvariantViolationError("jointly compatible orientation missed by the basis map")
+        entry.codes = codes
+    return entry.codes
 
 
 def compatible_decomposition(

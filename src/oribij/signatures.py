@@ -23,6 +23,7 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
+    _integers,
     _orientation_mask,
     enumerate_signed_circuits,
     enumerate_signed_cocircuits,
@@ -151,7 +152,8 @@ def explicit_signature(
     canonical = {vec.support: vec for vec in _supports_for(rep, side, cap)}
     seen: dict[frozenset[int], SignedSupportVector] = {}
     for raw in choices:
-        entries = tuple(int(x) for x in (raw.entries if isinstance(raw, SignedSupportVector) else raw))
+        entries = _integers(
+            raw.entries if isinstance(raw, SignedSupportVector) else raw, f"signed {side}")
         vec = SignedSupportVector(entries, "kernel" if side == CIRCUIT else "image")
         ref = canonical.get(vec.support)
         if ref is None:

@@ -220,6 +220,14 @@ def test_r10_is_tu():
     assert is_totally_unimodular(R10_MATRIX)
 
 
+def test_tu_check_refuses_non_integer_and_ragged_matrices():
+    # 0.5 is not truncated to 0, and a short row is not read past its end
+    with pytest.raises(InputError, match="matrix entries must be integers"):
+        is_totally_unimodular([[0.5, 1]])
+    with pytest.raises(InputError, match="ragged matrix"):
+        is_totally_unimodular([[1, 0], [1]])
+
+
 def test_from_rows_rejects_a_non_tu_minor_behind_unit_pivots():
     # the first basis pivots with 1s, but the non-basis block has determinant -2
     rows = [[1, 0, 1, 1], [0, 1, 1, -1]]
@@ -709,6 +717,12 @@ def test_split_parts_are_orthogonal_and_sum(triangle_bridge, bowtie):
 def test_split_signals_non_integral(triangle_rep):
     with pytest.raises(NotSameClassError):
         split_kernel_image(triangle_rep, (1, 0, 0))
+
+
+def test_split_refuses_a_non_integer_vector(triangle_rep):
+    # not truncated to the zero vector, whose split is two zero vectors
+    with pytest.raises(InputError, match="vector entries must be integers"):
+        split_kernel_image(triangle_rep, [0.5, 0.9, 0.2])
 
 
 def test_projection_is_the_scaled_fraction_projection():

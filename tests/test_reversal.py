@@ -311,9 +311,9 @@ def test_decomposition_past_the_default_cap():
 
 
 def test_decomposition_of_a_large_ground_set_makes_no_2n_set(monkeypatch):
-    # the basis map checks its t orientations one by one; a 2^n-bit
-    # compatible set is made only for the build and single queries, which
-    # refuse this ground set
+    # the basis map checks its t orientations one by one; the 2^n tag codes
+    # are made only for the build and single queries, which refuse this
+    # ground set
     n = 40
     rep = _parallel(n)
     weights = [3 ** j for j in range(n)]
@@ -328,7 +328,7 @@ def test_decomposition_of_a_large_ground_set_makes_no_2n_set(monkeypatch):
         current = reverse(current, piece)
     assert current == o
     (entry,) = reversal._TABLE_CACHE.values()
-    assert entry.compatible is None
+    assert entry.codes is None
 
 
 def test_same_class_past_the_cap_reads_no_half_tables():

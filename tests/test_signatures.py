@@ -127,6 +127,13 @@ def test_explicit_signature_validation(triangle_rep):
         explicit_signature(triangle_rep, CIRCUIT, [(1, 1, 1), (-1, -1, -1)])
 
 
+def test_explicit_signature_refuses_non_integer_entries(triangle_rep):
+    # (1.9, 1.2, 1.7) is not read as the triangle's circuit (1, 1, 1)
+    explicit_signature(triangle_rep, CIRCUIT, [(1, 1, 1)])
+    with pytest.raises(InputError, match="signed circuit entries must be integers"):
+        explicit_signature(triangle_rep, CIRCUIT, [(1.9, 1.2, 1.7)])
+
+
 def test_directed_circuits_in_orientations(triangle_rep, single_edge_rep, two_parallel_rep):
     ref = Orientation.reference(3)
     assert [v.entries for v in directed_circuits_in(triangle_rep, ref)] == [(1, 1, 1)]

@@ -1,10 +1,10 @@
 """The table build and single queries against the Fraction oracle, and every way they refuse.
 
-``BijectionTable.build`` splits cp - m through packed projection columns and
-gets its compatibility flags bit-parallel; single queries look their
-class representative up by class key in the basis map, which orients each
-basis by the supports its tableau gave the rep's one pass over the bases,
-and split the same way.  These tests hold
+``BijectionTable.build`` and single queries look each row's class
+representative up by class key in the basis map, which orients each basis
+by the supports its tableau gave the rep's one pass over the bases, split
+cp - m through packed projection columns, and check the tag code (made
+bit-parallel) against the image's subset code.  These tests hold
 all of it to the plain definitions in ``helpers`` (exact Fraction
 projection, per-mask ``is_compatible``, fundamental signed vectors) and
 make each of the build's invariant checks fire.
@@ -12,6 +12,7 @@ make each of the build's invariant checks fire.
 
 import json
 import math
+import random
 from collections import OrderedDict
 
 import pytest
@@ -115,11 +116,16 @@ def test_cyclic_explicit_signature_pair_is_refused(theta_rep):
 
 def test_class_with_two_compatible_orientations_is_refused(monkeypatch):
     rep = _k4()
-    classes = bijection._class_masks(rep, "cycle-cocycle")
-    merged = [classes[0] + classes[1], *classes[2:]]
-    monkeypatch.setattr(bijection, "_class_masks", lambda *args: merged)
-    with pytest.raises(InvariantViolationError, match="has 2 compatible orientations, not 1"):
-        BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
+    sig, cosig = canonical_signature_pair(rep)
+    # one more orientation compatible with both signatures (tag code 3): its
+    # class holds two, and the jointly compatible orientations number t + 1
+    extra = next(m for m in rep.orientation_universe()
+                 if not (is_compatible(rep, m, sig) or is_compatible(rep, m, cosig)))
+    flags = reversal._compatible_set
+    monkeypatch.setattr(reversal, "_compatible_set", lambda rep, s: flags(rep, s) | 1 << extra)
+    with pytest.raises(InvariantViolationError,
+                       match="17 jointly compatible orientations, not the 16 classes"):
+        BijectionTable.build(rep, sig, cosig, use_cache=False)
 
 
 def test_non_injective_basis_map_is_refused(monkeypatch):
@@ -136,7 +142,7 @@ def test_basis_map_missing_a_representative_is_refused(monkeypatch):
     # reversing a compatible orientation makes every chosen vector in it anti-chosen
     monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
     # the key map refuses incompatible basis orientations first; past that
-    # check, the build's own check must refuse the map
+    # check, the tag codes must refuse the map
     monkeypatch.setattr(reversal, "is_compatible", lambda *args: True)
     with pytest.raises(InvariantViolationError, match="missed by the basis map"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
@@ -145,14 +151,14 @@ def test_basis_map_missing_a_representative_is_refused(monkeypatch):
 def test_orientation_outside_its_class_is_refused(monkeypatch):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    classes = [list(c) for c in bijection._class_masks(rep, "cycle-cocycle")]
-    source = next(c for c in classes if len(c) > 1)
+    labels = bijection._fibre_labels(rep.element_count, *rep._class_rows)
     stray = next(
-        m for m in source if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig))
+        m for m in rep.orientation_universe()
+        if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig))
     )
-    source.remove(stray)
-    next(c for c in classes if c is not source).append(stray)
-    monkeypatch.setattr(bijection, "_class_masks", lambda *args: classes)
+    # the stray orientation carries the key of another class
+    labels[stray] = next(label for label in labels if label != labels[stray])
+    monkeypatch.setattr(bijection, "_fibre_labels", lambda *args: labels)
     with pytest.raises(InvariantViolationError, match="class split is not integral"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
 
@@ -207,9 +213,9 @@ def test_wrong_tag_is_refused(monkeypatch):
     sig, cosig = canonical_signature_pair(rep)
     tags = BijectionTable.build(rep, sig, cosig, use_cache=False).tags
     flags = reversal._compatible_set
-    # the pair's flags are made once for the map's entry, which the build and
-    # single queries read; swapping the two signatures' flags swaps forest
-    # and connected-spanning, and leaves the joint check of the map as it was
+    # the pair's tag codes are made once for the map's entry, which the build
+    # and single queries read; swapping the two signatures' flags swaps the
+    # codes of forest and connected-spanning, and leaves code 3 as it was
     monkeypatch.setattr(
         reversal, "_compatible_set", lambda rep, s: flags(rep, cosig if s is sig else sig)
     )
@@ -353,8 +359,9 @@ def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name):
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     table = BijectionTable.build(rep, sig, cosig, use_cache=False)
     entry = bijection._basis_map(rep, sig, cosig)
-    assert entry.basis_orientations == table.basis_orientations
-    assert len(entry.representatives) == len(rep._basis_masks)
+    assert sorted(entry.by_key.values()) == sorted(
+        (m, mask_of(b)) for b, m in table.basis_orientations.items())
+    assert len(entry.by_key) == len(rep._basis_masks)
 
 
 @pytest.mark.parametrize("name", ["K4", "R10"])
@@ -396,18 +403,19 @@ def test_class_keys_name_the_joint_classes():
     for rep in (RegularMatroidRep.from_rows(R10_MATRIX), _k5_dual(), tree, loops_only_rep(3)):
         cases.append((rep, *canonical_signature_pair(rep)))
     for rep, sig, cosig in cases:
-        classes = bijection._class_masks(rep, "cycle-cocycle")
+        classes = reversal._class_masks(rep, "cycle-cocycle")
         keys = [{_class_key(rep, m) for m in members} for members in classes]
         assert all(len(k) == 1 for k in keys)
         assert len(set().union(*keys)) == len(classes)
         entry = bijection._basis_map(rep, sig, cosig)
-        representatives = entry.representatives
-        assert len(representatives) == rep._packed_projection[1] == len(rep._basis_masks)
-        assert sorted(representatives.values()) == sorted(entry.orientation_bases)
-        assert all(_class_key(rep, m) == k for k, m in representatives.items())
-        # each basis orientation keeps its basis's mask
-        assert entry.orientation_bases == {
-            m: mask_of(b) for b, m in entry.basis_orientations.items()}
+        by_key = entry.by_key
+        assert len(by_key) == rep._packed_projection[1] == len(rep._basis_masks)
+        # each key names the class of its basis orientation, kept with its basis's mask
+        assert sorted(by_key.values()) == sorted(
+            (orient_basis_by_vectors(rep, b, sig, cosig), b.mask) for b in enumerate_bases(rep))
+        assert all(_class_key(rep, m) == k for k, (m, _) in by_key.items())
+        labels = bijection._fibre_labels(rep.element_count, *rep._class_rows)
+        assert set(labels) == set(by_key)
 
 
 def test_class_rows_are_the_smith_form_of_the_gram_matrix():
@@ -430,11 +438,11 @@ def test_class_rows_are_the_smith_form_of_the_gram_matrix():
     }
     dual = _k5_dual()
     assert (dual.rank, dual.element_count, dual._class_rows[1]) == (6, 10, (5, 5, 5))
-    assert len(bijection._class_masks(dual, "cycle-cocycle")) == 125
+    assert len(reversal._class_masks(dual, "cycle-cocycle")) == 125
     # a tree and a rank-0 rep have one joint class, and no key rows
     for rep in (graph_to_rep(Graph(4, ((0, 1), (1, 2), (1, 3)))), loops_only_rep(3)):
         assert rep._class_rows == ((), ())
-        assert bijection._class_masks(rep, "cycle-cocycle") == (
+        assert reversal._class_masks(rep, "cycle-cocycle") == (
             tuple(range(1 << rep.element_count)),)
 
 
@@ -448,23 +456,60 @@ def _half_table_reps():
     return reps
 
 
+def _key_by_the_formula(rep, m):
+    """R o mod d in mixed radix, the first row most significant, summed over o's elements."""
+    rows, moduli = rep._class_rows
+    elements = bits_of(m)
+    key = 0
+    for row, d in zip(rows, moduli):
+        key = key * d + sum(row[j] for j in elements) % d
+    return key
+
+
 def test_half_tables_equal_the_subset_sums_and_the_key_formula():
     sizes = set()
     for rep in _half_table_reps():
         n = rep.element_count
         columns, _, _, bias = rep._packed_projection
         packed = core._subset_sums(columns, bias)
-        rows, moduli = rep._class_rows
         for m in range(1 << n):
             assert core._packed_sum(rep, m) == packed[m]
-            elements = bits_of(m)
-            assert _class_key(rep, m) == tuple(
-                sum(row[j] for j in elements) % d for row, d in zip(rows, moduli))
+            assert _class_key(rep, m) == _key_by_the_formula(rep, m)
         low_mask, h, low, high = rep._projection_halves
         assert (low_mask, h, len(low), len(high)) == ((1 << n // 2) - 1, n // 2,
                                                       1 << n // 2, 1 << n - n // 2)
         sizes.add((n, rep.rank))
     assert {(0, 0), (1, 0), (1, 1), (3, 0), (10, 6), (12, 6), (12, 8)} <= sizes
+
+
+def test_a_query_and_the_build_read_one_key_and_one_code_per_mask():
+    sizes = set()
+    for rep in _half_table_reps():
+        n = rep.element_count
+        sig, cosig = canonical_signature_pair(rep)
+        labels = reversal._fibre_labels(n, *rep._class_rows)
+        entry = reversal._basis_map(rep, sig, cosig, use_cache=False)
+        codes = reversal._tag_codes(rep, sig, cosig, entry)
+        subset_codes = rep._subset_codes
+        assert len(labels) == len(codes) == len(subset_codes) == 1 << n
+        for m in range(1 << n):
+            assert _class_key(rep, m) == labels[m]
+            assert codes[m] == 2 * is_compatible(rep, m, sig) + is_compatible(rep, m, cosig)
+            spanning = any(b & ~m == 0 for b in rep._basis_masks)
+            assert subset_codes[m] == 2 * (m in rep._independent_masks) + spanning
+        sizes.add((n, rep.rank))
+    assert {(0, 0), (1, 0), (1, 1), (3, 0), (10, 6), (12, 6), (12, 8)} <= sizes
+    # past the element cap the key is summed directly, with no half table,
+    # and names the class of k parallel edges: the forward edges mod k
+    rng = random.Random(7)
+    for k in (17, 60):
+        rep = graph_to_rep(Graph(2, ((0, 1),) * k))
+        assert rep._class_rows[1] == (k,)
+        for m in [0, (1 << k) - 1] + [rng.getrandbits(k) for _ in range(200)]:
+            key = _class_key(rep, m)
+            assert key == _key_by_the_formula(rep, m)
+            assert key in (m.bit_count() % k, -m.bit_count() % k)
+        assert "_class_halves" not in vars(rep) and "_subset_codes" not in vars(rep)
 
 
 def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch):
@@ -539,6 +584,25 @@ def test_key_count_other_than_the_gram_determinant_is_refused(monkeypatch):
         orientation_to_subgraph(fresh, Orientation.reference(6), *canonical_signature_pair(fresh))
 
 
+def test_class_moduli_other_than_the_gram_determinant_are_refused(monkeypatch):
+    clean = _k4()
+    sig, cosig = canonical_signature_pair(clean)
+    rows, moduli = clean._class_rows
+    assert moduli == (4, 4)
+    # dropping a modulus leaves 4 keys for 16 bases; doubling one keeps the
+    # 16 basis orientations' keys apart, but 32 keys name 16 classes, so the
+    # keys of some class's orientations would miss the map
+    for class_rows, message in (
+        ((rows[:1], moduli[:1]), "two basis orientations share a class key"),
+        ((rows, (4, 8)), "the class moduli multiply to 32, not the Gram determinant 16"),
+    ):
+        fresh = RegularMatroidRep.from_rows(clean.matrix, graph=clean.graph)
+        fresh.__dict__["_class_rows"] = class_rows
+        monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+        with pytest.raises(InvariantViolationError, match=message):
+            orientation_to_subgraph(fresh, Orientation.reference(6), sig, cosig)
+
+
 # ---------------------------------------------------------------------------
 # the one pair cache
 
@@ -567,7 +631,7 @@ def test_the_pair_cache_keeps_at_most_its_bound():
     again = BijectionTable.build(*cases[0])
     assert list(bijection._TABLE_CACHE) == [*keys[len(keys) + 2 - size:], keys[-size], keys[0]]
     assert again is not first
-    assert (again.forward, again.tags, again.classes) == (first.forward, first.tags, first.classes)
+    assert (again.forward, again.tags) == (first.forward, first.tags)
     assert (again.basis_orientations, again.orientation_bases) == (
         first.basis_orientations, first.orientation_bases)
     assert BijectionTable.build(*cases[0]) is again
@@ -596,7 +660,7 @@ def test_a_graph_rep_and_its_matrix_twin_keep_separate_entries(monkeypatch):
     assert list(reversal._TABLE_CACHE) == [(rep, sig, cosig, True), (twin, sig, cosig, False)]
     graph_entry, matrix_entry = reversal._TABLE_CACHE.values()
     assert graph_entry is not matrix_entry
-    assert graph_entry.compatible == matrix_entry.compatible
+    assert (graph_entry.by_key, graph_entry.codes) == (matrix_entry.by_key, matrix_entry.codes)
     assert reversal._basis_map(twin, sig, cosig) is matrix_entry
     assert reversal._basis_map(rep, sig, cosig) is graph_entry
 
@@ -610,9 +674,10 @@ def test_the_table_and_the_queries_share_one_basis_map(monkeypatch):
     assert entry.table is None
     table = BijectionTable.build(rep, sig, cosig)
     assert list(reversal._TABLE_CACHE.values()) == [entry] and entry.table is table
-    assert table.basis_orientations is entry.basis_orientations
-    # the map keeps basis masks; the table inverts the shared basis dict
-    assert table.orientation_bases == {m: b for b, m in entry.basis_orientations.items()}
+    # the map keeps basis masks; the table keeps the bases as sets, both ways round
+    bases = {m: frozenset(bits_of(b)) for m, b in entry.by_key.values()}
+    assert table.orientation_bases == bases
+    assert table.basis_orientations == {b: m for m, b in bases.items()}
     # without the cache, the build reads and writes none
     assert BijectionTable.build(rep, sig, cosig, use_cache=False) is not table
     assert list(reversal._TABLE_CACHE.values()) == [entry] and entry.table is table

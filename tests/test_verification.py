@@ -76,13 +76,9 @@ def test_class_oracle_suite_fails_on_a_corrupted_partition(monkeypatch, kind, co
     rep = graph_to_rep(wheel(4))
     sig, cosig = canonical_signature_pair(rep)
     table = BijectionTable.build(rep, sig, cosig)
-    if kind == "cycle-cocycle":
-        # the suite reads the joint classes off the table, which was built from them
-        monkeypatch.setattr(table, "classes", corrupt(table.classes))
-    else:
-        keyed = verification._class_masks
-        monkeypatch.setattr(verification, "_class_masks",
-                            lambda r, k: corrupt(keyed(r, k)) if k == kind else keyed(r, k))
+    keyed = verification._class_masks
+    monkeypatch.setattr(verification, "_class_masks",
+                        lambda r, k: corrupt(keyed(r, k)) if k == kind else keyed(r, k))
     report = run_verification(rep, sig, cosig, samples=20, table=table)
     (suite,) = [s for s in report["suites"] if s["name"] == "class-oracle"]
     assert not report["passed"] and not suite["passed"]
@@ -99,11 +95,11 @@ def test_a_verification_partitions_the_joint_classes_once(monkeypatch):
         kinds.append(kind)
         return keyed(r, kind)
 
-    for module in (bijection, verification):
-        monkeypatch.setattr(module, "_class_masks", counted)
+    # the build reads its keys off one label list and partitions nothing
+    assert not hasattr(bijection, "_class_masks")
+    monkeypatch.setattr(verification, "_class_masks", counted)
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     assert run_verification(rep, sig, cosig, samples=20)["passed"]
-    # the build's partition serves the class-oracle suite
     assert sorted(kinds) == ["cocycle", "cycle", "cycle-cocycle"]
 
 
