@@ -12,10 +12,13 @@ Conventions used throughout the package:
 * All arithmetic is exact and integral; ``_gauss_jordan`` is the one
   elimination.  Bit masks over the element set are used in inner loops;
   bit j of a mask is element j.
-* Only independence is decided over GF(2): every basis determinant of an
-  accepted matrix is +-1, hence odd, so A and A mod 2 have the same bases.
-  Circuits, cocircuits and each basis's fundamental supports (which orient
-  it) are read off one pivot of each basis tableau (``_tableau_pass``).
+* The bases are found by one breadth-first walk over the basis exchange
+  graph (``_tableau_pass``), each tableau one pivot from its parent's;
+  circuits, cocircuits and each basis's fundamental supports (which orient
+  it) are read off the tableaux on the way.  Every pivot must be +-1, which
+  proves every basis determinant +-1: the walk is the load's unimodularity
+  check.  The independent and spanning sets are the down- and up-closures
+  of the bases, each one bit-parallel pass per element.
 """
 
 from __future__ import annotations
@@ -68,13 +71,16 @@ def bits_of(mask: int) -> list[int]:
 def orientations_with_bit(n: int) -> list[int]:
     """Entry e: the orientations whose bit e is set, as a 2^n-bit set (bit m is mask m).
 
-    In closed form, runs of 2^e zeros and then 2^e ones.
+    Runs of 2^e zeros and then 2^e ones: one such pair, doubled up to 2^n
+    bits by shifts (a big-int division would cost more than all of them).
     """
-    full = (1 << (1 << n)) - 1
-    return [
-        (((1 << (1 << e)) - 1) << (1 << e)) * (full // ((1 << (2 << e)) - 1))
-        for e in range(n)
-    ]
+    out = []
+    for e in range(n):
+        bits = ((1 << (1 << e)) - 1) << (1 << e)
+        for k in range(e + 1, n):
+            bits |= bits << (1 << k)
+        out.append(bits)
+    return out
 
 
 def _bit_bytes(bits: int, total: int) -> bytes:
@@ -294,14 +300,15 @@ class RegularMatroidRep:
             raise InputError("element_count disagrees with the matrix width")
         if any(x not in _UNIT for row in rows for x in row):
             raise InputError("matrix entries must be 0 or +-1")
-        rep = cls(matrix=tuple(tuple(int(x) for x in row) for row in rows),
+        # 1.0 and Fraction(1) pass the test above by value; they are refused here
+        rep = cls(matrix=tuple(_integers(row, "matrix") for row in rows),
                   element_count=n, rank=len(rows), graph=graph)
         if len(rep._elimination[1]) != rep.rank:
             raise InputError("matrix must have full row rank")
-        if n <= DEFAULT_ELEMENT_CAP and not rep._unimodular:
-            # larger matrices are checked by the first enumeration whose cap
-            # lets them through (see _require_cap)
-            raise InputError("matrix is not totally unimodular")
+        if n <= DEFAULT_ELEMENT_CAP and graph is None:
+            # the walk over the bases checks unimodularity (larger matrices: see
+            # _require_cap); an incidence matrix always passes
+            rep._tableau_pass
         return rep
 
     # -- cached structure ---------------------------------------------------
@@ -341,53 +348,40 @@ class RegularMatroidRep:
             for e in range(self.element_count) if e not in pivots
         )
 
-    @cached_property
-    def _unimodular(self) -> bool:
-        """Whether every basis determinant is +-1 (graph-backed reps always are).
-
-        Every basis determinant is +-1 times a square minor of the non-basis
-        block D of the first tableau: C(n, r) - 1 minors.
-        """
-        if self.graph is not None:
-            return True
-        pivots, tableau = self._first_tableau
-        return _minors_are_unit([[x for j, x in enumerate(r) if j not in pivots] for r in tableau])
+    def _closure(self, up: bool) -> bytes:
+        """Byte s is 1 when s spans (up) or is independent (down), by one 2^n-bit
+        set: element by element, each set lacking (holding) e is added with (without) it."""
+        bits = sum(1 << b for b in self._basis_masks)
+        for e, with_e in enumerate(orientations_with_bit(self.element_count)):
+            bits |= (bits & ~with_e) << (1 << e) if up else (bits & with_e) >> (1 << e)
+        return _bit_bytes(bits, 1 << self.element_count)
 
     @cached_property
     def _independent_masks(self) -> frozenset[int]:
-        # the mod-2 reduction has the same bases only when every basis
-        # determinant is +-1, which the minor check proves
-        if not self._unimodular:
-            raise InputError("matrix is not totally unimodular")
-        return frozenset(_independent_column_masks(
-            [mask_of(i for i, x in enumerate(col) if x) for col in self.columns]
-        ))
+        return frozenset(itertools.compress(itertools.count(), self._closure(False)))
 
     @cached_property
     def _basis_masks(self) -> tuple[int, ...]:
-        r = self.rank
-        return tuple(sorted(m for m in self._independent_masks if m.bit_count() == r))
+        return tuple(sorted(self._tableau_pass[2]))
 
     @cached_property
     def _subset_codes(self) -> bytes:
-        """Byte s is 2 [s independent] + [s spanning], the tag code of s's preimage.
-
-        The spanning sets are the up-closure of the bases, made as one 2^n-bit
-        set: element by element, each set lacking e also spans with e added.
-        """
-        spanning = 0
-        for b in self._basis_masks:
-            spanning |= 1 << b
-        for e, with_e in enumerate(orientations_with_bit(self.element_count)):
-            spanning |= (spanning & ~with_e) << (1 << e)
-        codes = bytearray(_bit_bytes(spanning, 1 << self.element_count))
-        for s in self._independent_masks:
-            codes[s] += 2
-        return bytes(codes)
+        """Byte s is 2 [s independent] + [s spanning], the tag code of s's preimage."""
+        independent, spanning = (int.from_bytes(self._closure(up), "little")
+                                 for up in (False, True))
+        # every byte of either is 0 or 1, so no byte of the sum carries
+        return (2 * independent + spanning).to_bytes(1 << self.element_count, "little")
 
     @cached_property
     def _tableau_pass(self) -> tuple[tuple, tuple, dict[int, tuple[int, ...]]]:
-        """(circuits, cocircuits, fundamental supports by basis mask), one pivot per basis.
+        """(circuits, cocircuits, fundamental supports by basis mask), by one walk over the bases.
+
+        The walk is breadth first over the basis exchange graph (connected)
+        from the first basis.  Entry (i, e) of a tableau, e off the basis, is
+        det(basis - its i-th element + e) / det(basis) (Cramer), and a nonzero
+        one leads to that basis by a pivot on it.  Each basis is reached by one
+        pivot, refused unless +-1, so every basis determinant is +-1 like the
+        first's: the walk is the unimodularity check.
 
         Every signed circuit (cocircuit) is the fundamental circuit (cocircuit)
         of some element for some basis.  A support keeps its first vector,
@@ -395,21 +389,23 @@ class RegularMatroidRep:
         element, e's tableau row (e in the basis) or e and column e (e off it).
         """
         n = self.element_count
-        circuits: dict[int, Sequence[int]] = {}
-        cocircuits: dict[int, Sequence[int]] = {}
-        supports: dict[int, tuple[int, ...]] = {}
-        for b in self._basis_masks:
-            tableau = _basis_tableau(self, b)
-            elements = bits_of(b)
+        circuits, cocircuits, supports = {}, {}, {}  # keyed by support, support, basis
+        first, tableau = self._first_tableau
+        walk = [(mask_of(first), first, tableau)]
+        seen = {walk[0][0]}
+        for b, elements, tableau in walk:
             fundamental = [1 << e for e in range(n)]
-            for element, row in zip(elements, tableau):
-                if not _UNIT.issuperset(row):
-                    raise InputError("matrix is not totally unimodular")
+            for i, (element, row) in enumerate(zip(elements, tableau)):
                 support = 0
                 for e, x in enumerate(row):
                     if x:
                         support |= 1 << e
                         fundamental[e] |= 1 << element
+                        # e = element exchanges b for itself, already seen
+                        exchanged = b ^ (1 << element) ^ (1 << e)
+                        if exchanged not in seen:
+                            seen.add(exchanged)
+                            walk.append((exchanged, *_pivot(tableau, elements, i, e)))
                 # no other row is nonzero at element, so this entry stays put
                 fundamental[element] = support
                 cocircuits.setdefault(support, row)
@@ -697,39 +693,14 @@ def _gauss_jordan(
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _independent_column_masks(columns: Sequence[int]) -> set[int]:
-    """All column subsets that are linearly independent over GF(2), as bit masks.
-
-    ``columns[j]`` is column j reduced mod 2, as a bit mask over the rows.
-    Each echelon row is reduced by the rows before it, so reducing a column
-    by the rows in order clears every pivot bit.
-    """
-    n = len(columns)
-    out = {0}
-
-    def extend(mask: int, start: int, echelon: list[tuple[int, int]]):
-        for j in range(start, n):
-            work = columns[j]
-            for pivot, row in echelon:
-                if work & pivot:
-                    work ^= row
-            if work:
-                grown = mask | (1 << j)
-                out.add(grown)
-                extend(grown, j + 1, echelon + [(work & -work, work)])
-
-    extend(0, 0, [])
-    return out
-
-
 def _require_cap(rep: RegularMatroidRep, cap: int):
-    """Refuse past the element cap; past the default cap, check unimodularity first."""
+    """Refuse past the element cap; past the default cap, walk a matrix's bases (the TU check)."""
     if rep.element_count > cap:
         raise CapExceededError(
             f"{rep.element_count} elements exceeds the enumeration cap {cap}"
         )
-    if rep.element_count > DEFAULT_ELEMENT_CAP and not rep._unimodular:
-        raise InputError("matrix is not totally unimodular")
+    if rep.element_count > DEFAULT_ELEMENT_CAP and rep.graph is None:
+        rep._tableau_pass
 
 
 def enumerate_signed_circuits(
@@ -776,28 +747,38 @@ def _basis_mask(basis: Basis) -> int:
     return basis.mask
 
 
+def _pivot(tableau, elements: Sequence[int], i: int, e: int) -> tuple[tuple, tuple]:
+    """(elements, tableau) of the basis less elements[i] plus e, pivoted on entry (i, e),
+    which must be +-1; rows stay by increasing element, those 0 at e as they are."""
+    x = tableau[i][e]
+    if abs(x) != 1:
+        raise InputError("matrix is not totally unimodular")
+    top = tuple(x * a for a in tableau[i])  # 1 / x = x
+    rows = [(b, tuple(a - row[e] * c for a, c in zip(row, top)) if row[e] else row)
+            for b, row in zip(elements, tableau) if b != elements[i]]
+    # the elements differ, so sorting never compares two rows
+    rows = sorted(rows + [(e, top)])
+    return tuple(b for b, _ in rows), tuple(row for _, row in rows)
+
+
 def _basis_tableau(rep: RegularMatroidRep, basis: int) -> tuple[tuple[int, ...], ...]:
     """Rows of A_b^{-1} A for the basis mask b, by increasing element; a non-basis is refused.
 
-    Pivoted from the first tableau: all pivots +-1 if A is unimodular.
+    Pivoted from the first tableau, one element of b at a time; an entry
+    other than 0 or +-1 is refused.
     """
     if basis >> rep.element_count or basis.bit_count() != rep.rank:
         raise InputError(_NOT_A_BASIS)
-    work = [list(row) for row in rep._first_tableau[1]]
-    for i, col in enumerate(bits_of(basis)):
-        pivot = next((k for k in range(i, rep.rank) if work[k][col]), None)
-        if pivot is None:
+    elements, tableau = rep._first_tableau
+    for e in bits_of(basis & ~mask_of(elements)):
+        # a row of an element outside b, nonzero at e; with none, b is dependent
+        i = next((i for i, x in enumerate(elements) if not basis >> x & 1 and tableau[i][e]), None)
+        if i is None:
             raise InputError(_NOT_A_BASIS)
-        work[i], work[pivot] = work[pivot], work[i]
-        if abs(work[i][col]) != 1:
-            raise InputError("matrix is not totally unimodular")
-        if work[i][col] == -1:
-            work[i] = [-x for x in work[i]]
-        for k in range(rep.rank):
-            f = work[k][col]
-            if k != i and f:
-                work[k] = [a - f * b for a, b in zip(work[k], work[i])]
-    return tuple(tuple(row) for row in work)
+        elements, tableau = _pivot(tableau, elements, i, e)
+    if not _UNIT.issuperset(x for row in tableau for x in row):
+        raise InputError("matrix is not totally unimodular")
+    return tableau
 
 
 def _circuit_entries(tableau, basis: Sequence[int], element: int, n: int) -> list[int]:
@@ -805,8 +786,6 @@ def _circuit_entries(tableau, basis: Sequence[int], element: int, n: int) -> lis
     entries = [0] * n
     entries[element] = 1
     for b, row in zip(basis, tableau):
-        if abs(row[element]) > 1:
-            raise InputError("matrix is not totally unimodular")
         entries[b] = -row[element]
     return entries
 
@@ -834,8 +813,6 @@ def fundamental_cocircuit(
     if element not in basis.elements:
         raise InputError("fundamental cocircuits need an element of the basis")
     entries = tableau[bits_of(basis.mask).index(element)]
-    if not _UNIT.issuperset(entries):
-        raise InputError("matrix is not totally unimodular")
     if not forward:
         entries = tuple(-x for x in entries)
     return SignedSupportVector(tuple(entries), "image")

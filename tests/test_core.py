@@ -121,6 +121,10 @@ def test_bad_matrix_entries_rejected():
     # a non-integral entry is refused, not truncated to 0
     with pytest.raises(InputError, match=r"matrix entries must be 0 or \+-1"):
         RegularMatroidRep.from_rows([[1, 0.5, 1]])
+    # equal to 1 by value, but not an integer: refused, not converted
+    for one in (1.0, Fraction(1)):
+        with pytest.raises(InputError, match="matrix entries must be integers"):
+            RegularMatroidRep.from_rows([[one, 0, 1]])
 
 
 def test_a_load_eliminates_once(monkeypatch):
@@ -132,8 +136,9 @@ def test_a_load_eliminates_once(monkeypatch):
 
     eliminate = core._gauss_jordan
     monkeypatch.setattr(core, "_gauss_jordan", counted)
-    # the rank check and the first tableau (and through it the minor check
-    # and the kernel basis) share one elimination
+    # the rank check and the first tableau (and through it the walk over the
+    # bases, which checks unimodularity, and the kernel basis) share one
+    # elimination
     for load in (lambda: RegularMatroidRep.from_rows(R10_MATRIX),
                  lambda: graph_to_rep(complete_graph(4))):
         calls.clear()
@@ -226,6 +231,31 @@ def test_tu_check_refuses_non_integer_and_ragged_matrices():
         is_totally_unimodular([[0.5, 1]])
     with pytest.raises(InputError, match="ragged matrix"):
         is_totally_unimodular([[1, 0], [1]])
+
+
+def test_the_walk_over_the_bases_is_the_unimodularity_check():
+    # accepted exactly when of full row rank with every r x r minor 0 or +-1
+    rng = random.Random(41)
+    verdicts = []
+    for _ in range(300):
+        r, n = rng.randint(1, 4), rng.randint(1, 6)
+        density = rng.choice((0.3, 0.5, 0.8))
+        rows = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(r)]
+        minors = {abs(fraction_determinant([[row[j] for j in columns] for row in rows]))
+                  for columns in itertools.combinations(range(n), r)}
+        full_rank = minors != {0} and r <= n
+        try:
+            RegularMatroidRep.from_rows(rows)
+            accepted = True
+        except InputError as refusal:
+            want = ("matrix is not totally unimodular" if full_rank
+                    else "matrix must have full row rank")
+            assert str(refusal) == want
+            accepted = False
+        assert accepted == (full_rank and minors <= {0, 1})
+        verdicts.append(accepted)
+    assert 50 < sum(verdicts) < 250
 
 
 def test_from_rows_rejects_a_non_tu_minor_behind_unit_pivots():
@@ -738,7 +768,7 @@ def test_projection_is_the_scaled_fraction_projection():
         assert all(type(x) is int for row in rows for x in row)
 
 
-def test_gf2_independent_sets_match_the_fraction_pass():
+def test_independent_sets_match_the_fraction_pass():
     reps = []
     for _, rep, _ in suite_instances():
         reps += [rep, matrix_rep(rep)]
@@ -746,6 +776,57 @@ def test_gf2_independent_sets_match_the_fraction_pass():
     reps += [ladder["R10"], ladder["W6"], ladder["grid3x3"]]
     for rep in reps:
         assert rep._independent_masks == fraction_independent_masks(rep.columns, rep.rank)
+
+
+def _pass_by_pivoting_every_basis(rep):
+    """(circuits, cocircuits, supports by basis) from each basis tableau pivoted on its own."""
+    n = rep.element_count
+    circuits, cocircuits, supports = {}, {}, {}
+    for b in rep._basis_masks:
+        tableau = core._basis_tableau(rep, b)
+        elements = core.bits_of(b)
+        fundamental = [1 << e for e in range(n)]
+        for element, row in zip(elements, tableau):
+            support = core.mask_of(e for e, x in enumerate(row) if x)
+            for e in core.bits_of(support):
+                fundamental[e] |= 1 << element
+            fundamental[element] = support
+            cocircuits.setdefault(support, row)
+        for e in range(n):
+            if not b >> e & 1:
+                entries = [0] * n
+                entries[e] = 1
+                for element, row in zip(elements, tableau):
+                    entries[element] = -row[e]
+                circuits.setdefault(fundamental[e], entries)
+        supports[b] = tuple(fundamental)
+
+    def vectors(found, side):
+        return tuple(
+            SignedSupportVector(tuple(found[s][core.bits_of(s)[0]] * x for x in found[s]), side)
+            for s in sorted(found, key=core.bits_of))
+
+    return vectors(circuits, "kernel"), vectors(cocircuits, "image"), supports
+
+
+@pytest.mark.parametrize("name", ["R10", "W6", "grid3x3", "W7"])
+def test_set_up_pivots_no_basis_tableau_from_scratch(monkeypatch, name):
+    reference = ladder_reps()[name]
+    circuits, cocircuits, supports = _pass_by_pivoting_every_basis(reference)
+    loads = [lambda: RegularMatroidRep.from_rows(reference.matrix)]
+    if reference.graph is not None:
+        loads.append(lambda: graph_to_rep(reference.graph))
+
+    def refuse(*args):
+        raise AssertionError("a basis tableau was pivoted from scratch")
+
+    # a matrix is walked at load, so the pivot is refused before the load
+    monkeypatch.setattr(core, "_basis_tableau", refuse)
+    for load in loads:
+        rep = load()
+        assert enumerate_signed_circuits(rep) == circuits
+        assert enumerate_signed_cocircuits(rep) == cocircuits
+        assert rep._tableau_pass[2] == supports
 
 
 def test_independent_sets_count(triangle_rep):

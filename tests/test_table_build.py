@@ -321,25 +321,22 @@ def test_tableau_orientation_equals_the_vector_definition():
     assert bases > 1000
 
 
-def test_tableau_orientation_refuses_what_the_vectors_refuse(monkeypatch):
+def test_tableau_orientation_refuses_what_the_vectors_refuse():
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
     basis = enumerate_bases(rep)[0]
     triangle = graph_to_rep(Graph(3, ((0, 1), (1, 2), (2, 0))))
     with pytest.raises(InputError, match="no circuit with support"):
         bijection._orient_basis_mask(rep, basis, *canonical_signature_pair(triangle))
-    # plant a 2 in the first basis's tableau, off the basis, through the pivot
+    # plant a 2 in the first basis's tableau, off the basis, where the walk
+    # over the bases starts
     fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
-    pivot = core._basis_tableau
+    pivots, tableau = rep._first_tableau
+    assert mask_of(pivots) == basis.mask
     off = next(e for e in range(rep.element_count) if e not in basis.elements)
-
-    def planted(rep, mask):
-        rows = [list(row) for row in pivot(rep, mask)]
-        if mask == basis.mask:
-            rows[0][off] = 2
-        return tuple(tuple(row) for row in rows)
-
-    monkeypatch.setattr(core, "_basis_tableau", planted)
+    rows = [list(row) for row in tableau]
+    rows[0][off] = 2
+    fresh.__dict__["_first_tableau"] = (pivots, tuple(tuple(row) for row in rows))
     with pytest.raises(InputError, match="matrix is not totally unimodular"):
         bijection._orient_basis_mask(fresh, basis, sig, cosig)
 
