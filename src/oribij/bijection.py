@@ -12,9 +12,10 @@ map (``reversal._basis_map``), ``_image_of`` reads the image off the split
 of N (cp - o) (N/t the projection onto the row space), and o's tag code
 (2 [sig-compatible] + [cosig-compatible]) must equal the image's subset
 code (2 [independent] + [spanning]), each one byte by index.  A query reads
-its key and N o off the rep's half-mask tables; the build, which serves the
-whole-table commands and the inverse maps, reads all keys from one
-``_fibre_labels`` list and all N o from one doubling pass.
+its key (``core._class_key``) and N o off the rep's half-mask tables; the
+build, which serves the whole-table commands and the inverse maps, folds the
+same key tables for all masks (``core._class_keys``) and reads all N o from
+one doubling pass over the same packed columns.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     PartialOrientation,
     RegularMatroidRep,
     bits_of,
+    _class_keys,
     _orientation_mask,
     _packed_sum,
     _subset_sums,
@@ -42,7 +44,6 @@ from .errors import (
 from .reversal import (
     _TABLE_CACHE,  # the one pair cache, also read from this module
     _basis_map,
-    _fibre_labels,
     _joint_representative,
     _orient_basis_mask,
     _tag_codes,
@@ -111,7 +112,7 @@ class BijectionTable:
         packed = _subset_sums(columns, bias)
         forward: dict[int, int] = {}
         # every label is a key: the map holds t distinct keys, and the moduli multiply to t
-        for m, key in enumerate(_fibre_labels(rep.element_count, *rep._class_rows)):
+        for m, key in enumerate(_class_keys(rep)):
             cp, tree_mask = entry.by_key[key]
             forward[m] = _image_of(rep, cp, tree_mask, m, packed[cp] + bias - packed[m])
 

@@ -455,22 +455,13 @@ class RegularMatroidRep:
 
     @cached_property
     def _packed_projection(self) -> tuple[tuple[int, ...], int, int, int]:
-        """The columns of N packed into ints, for the table build's 2^n sums and
+        """N packed by ``_packed_columns``, for the table build's 2^n sums and
         the half tables (``_projection_halves``) that ``_packed_sum`` reads.
 
-        Column k holds n signed fields of ``width`` bits, field j being
-        N[j][k].  A field of a signed sum of distinct columns is at most the
-        largest absolute row sum of N, which ``width`` leaves room for, so
-        after adding ``bias`` (2^(width-1) in every field) no field of such a
-        sum borrows from the next.  Returns (columns, t, width, bias).
+        Field j is row j of N, the element j.  Returns (columns, t, width, bias).
         """
         rows, t = self._projection
-        n = self.element_count
-        width = max((sum(abs(x) for x in row) for row in rows), default=0).bit_length() + 1
-        columns = tuple(
-            sum(rows[j][k] << (width * j) for j in range(n)) for k in range(n)
-        )
-        bias = sum(1 << (width * j + width - 1) for j in range(n))
+        columns, width, bias = _packed_columns(rows, self.element_count)
         return columns, t, width, bias
 
     @cached_property
@@ -480,24 +471,10 @@ class RegularMatroidRep:
         return _half_sums(columns, bias)
 
     @cached_property
-    def _class_halves(self) -> tuple[tuple, tuple[tuple[int, int, int], ...]]:
-        """R o packed, for ``_class_key``: ``_half_sums`` of the columns of R, and
-        (shift, field mask, d) per row.
-
-        The rows of R are reduced mod d, so nonnegative: a field as wide as
-        its row's sum holds the row's sum over any mask, and none borrows.
-        """
-        rows, moduli = self._class_rows
-        columns = [0] * self.element_count
-        fields = []
-        shift = 0
-        for row, d in zip(rows, moduli):
-            for j, x in enumerate(row):
-                columns[j] += x << shift
-            width = sum(row).bit_length()
-            fields.append((shift, (1 << width) - 1, d))
-            shift += width
-        return _half_sums(columns), tuple(fields)
+    def _class_halves(self) -> tuple[tuple[tuple[int, int, list[int], list[int]], int], ...]:
+        """(``_half_sums`` of the row, d) per row of R, read by ``_class_key`` for
+        one mask and by ``_class_keys`` for all."""
+        return tuple((_half_sums(row), d) for row, d in zip(*self._class_rows))
 
     @cached_property
     def _class_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -920,9 +897,9 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     directed along its signs are one AND of per-element 2^n-bit sets; each
     such m is joined with m ^ support, the orientation in which it is directed
     the other way round.  One flat list serves as the union-find, whose roots
-    are least members, and then as the chains of the classes' members, so no
-    list per class or per mask is kept.  Nothing here reads the linear class
-    keys.  Returns sorted tuples of orientation masks, by least member.
+    are least members; one pass then groups each mask under its root.
+    Nothing here reads the linear class keys or the matrix.  Returns sorted
+    tuples of orientation masks, by least member.
     """
     pools = {
         "cycle": (rep._circuits,),
@@ -960,53 +937,43 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
                 m = bits.find("1", m + 1)
     # every parent lies at or below its child, so in increasing order one
     # step reaches the root, the least member of the class
+    groups: dict[int, list[int]] = {}
     for m in range(total):
-        parent[m] = parent[parent[m]]
-    # in decreasing order, thread each class through the same list: a member's
-    # entry becomes the next member up (-1 past the last), and its root's entry
-    # the lowest member above the root seen so far
-    roots = []
-    for m in range(total - 1, -1, -1):
-        r = parent[m]
-        if r < m:
-            head = parent[r]
-            parent[m] = -1 if head == r else head
-            parent[r] = m
-        else:
-            if r == m:
-                parent[m] = -1
-            roots.append(m)
-    classes = []
-    for m in reversed(roots):
-        members = []
-        while m >= 0:
-            members.append(m)
-            m = parent[m]
-        classes.append(tuple(members))
-    return tuple(classes)
+        parent[m] = root = parent[parent[m]]
+        groups.setdefault(root, []).append(m)
+    return tuple(tuple(members) for members in groups.values())
 
 
 def _class_key(rep: RegularMatroidRep, mask: int) -> int:
     """R o mod d, the joint reversal class of orientation o (see ``_class_rows``),
-    as the mixed-radix int that ``reversal._fibre_labels`` gives mask o.
+    as the mixed-radix int that ``_class_keys`` gives mask o.
 
-    Up to the element cap, two lookups in ``rep._class_halves`` give R o
-    packed, then one field per row.  Past it, where the key serves only
-    ``same_class`` and ``compatible_decomposition`` and the tables would hold
-    2^(n/2) entries each, R o is summed over o's elements.
+    Up to the element cap, two lookups per row in ``rep._class_halves`` give
+    that row's sum.  Past it, where the key serves only ``same_class`` and
+    ``compatible_decomposition`` and the tables would hold 2^(n/2) entries
+    each, R o is summed over o's elements.
     """
     if rep.element_count > DEFAULT_ELEMENT_CAP:
         rows, moduli = rep._class_rows
         elements = bits_of(mask)
         sums = [(sum(row[j] for j in elements), d) for row, d in zip(rows, moduli)]
     else:
-        (low_mask, h, low, high), fields = rep._class_halves
-        packed = low[mask & low_mask] + high[mask >> h]
-        sums = [(packed >> shift & field, d) for shift, field, d in fields]
+        sums = [(low[mask & low_mask] + high[mask >> h], d)
+                for (low_mask, h, low, high), d in rep._class_halves]
     key = 0
     for x, d in sums:
         key = key * d + x % d
     return key
+
+
+def _class_keys(rep: RegularMatroidRep) -> list[int]:
+    """``_class_key`` of every orientation mask, folded from the same half tables."""
+    keys = [0] * (1 << rep.element_count)
+    for (_, _, low, high), d in rep._class_halves:
+        # in mask order: the high half's sums outer, the low half's inner
+        sums = [x + y for y in high for x in low]
+        keys = [key * d + x % d for key, x in zip(keys, sums)]
+    return keys
 
 
 def _packed_sum(rep: RegularMatroidRep, mask: int) -> int:
@@ -1016,6 +983,21 @@ def _packed_sum(rep: RegularMatroidRep, mask: int) -> int:
     """
     low_mask, h, low, high = rep._projection_halves
     return low[mask & low_mask] + high[mask >> h]
+
+
+def _packed_columns(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], int, int]:
+    """The n columns of an integer matrix packed into ints: (columns, width, bias).
+
+    Column k holds one signed field of ``width`` bits per row, field j being
+    rows[j][k].  A field of a signed sum of distinct columns is at most its
+    row's absolute sum, which ``width`` leaves room for, so after adding
+    ``bias`` (2^(width-1) in every field) no field of such a sum borrows from
+    the next: ``_subset_sums(columns, bias)[m]`` holds bias + M o field by field.
+    """
+    width = max((sum(map(abs, row)) for row in rows), default=0).bit_length() + 1
+    columns = tuple(sum(row[k] << (width * j) for j, row in enumerate(rows)) for k in range(n))
+    bias = sum(1 << (width * j + width - 1) for j in range(len(rows)))
+    return columns, width, bias
 
 
 def _half_sums(columns: Sequence[int], start: int = 0) -> tuple[int, int, list[int], list[int]]:

@@ -42,6 +42,7 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     _gauss_jordan,
+    _integers,
     _orientation_mask,
     _require_cap,
     bits_of,
@@ -283,13 +284,9 @@ class TilingReport:
 _PAIR_GROUP = 4
 
 
-def _unseparated_pairs(images: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Pairs a < b with no element where they disagree and exactly one image contains it."""
-    return _index_pairs(_CellIndex(images, n))
-
-
 def _index_pairs(index: _CellIndex) -> list[tuple[int, int]]:
-    """``_unseparated_pairs`` of the map that ``index`` indexes.
+    """Pairs a < b of the map that ``index`` indexes with no element where
+    they disagree and exactly one image contains it.
 
     Bit-parallel over b, from the per-element sets of the index: b is
     separated from a at e when b's bit e is not a's and b's image differs
@@ -504,11 +501,11 @@ def dilated_zonotope_lattice_count(
     the independent oracle for the counting polynomials, so it never consults
     them.
     """
-    if rep.rank > rank_cap:
-        raise CapExceededError(f"rank {rep.rank} exceeds the zonotope cap {rank_cap}")
-    q = [int(x) for x in dilation]
+    q = _integers(dilation, "dilation")
     if len(q) != rep.element_count or any(x < 1 for x in q):
         raise InputError("dilation must assign a positive integer to every element")
+    if rep.rank > rank_cap:
+        raise CapExceededError(f"rank {rep.rank} exceeds the zonotope cap {rank_cap}")
     if rep.rank == 0:
         return 1
     columns = tuple(

@@ -5,10 +5,12 @@ Under an acyclic signature every reversal class has a unique compatible
 orientation; iterating "reverse an anti-chosen circuit" reaches it.
 
 The classes need no signature: cycle classes are the fibres of o -> A o,
-cocycle classes those of o -> K o (K the kernel basis), and joint classes
-those of o -> R o mod d, the class in the Jacobian group Z^r / G Z^r
-(``RegularMatroidRep._class_rows``), keyed by one mixed-radix int:
-``_fibre_labels`` for all 2^n orientations, ``core._class_key`` for one.
+cocycle classes those of o -> K o (K the kernel basis), both labelled by
+``core._packed_columns``' packed sums, and joint classes those of
+o -> R o mod d, the class in the Jacobian group Z^r / G Z^r
+(``RegularMatroidRep._class_rows``), keyed by one mixed-radix int read off
+per-row half tables: ``core._class_keys`` for all 2^n orientations,
+``core._class_key`` for one.
 
 The t joint classes each hold one jointly compatible orientation, and these
 are the t basis orientations (Backman-Baker-Yuen), so the pair's checked
@@ -35,7 +37,9 @@ from .core import (
     _basis_mask,
     _bit_bytes,
     _class_key,
+    _class_keys,
     _orientation_mask,
+    _packed_columns,
     _require_cap,
     _subset_sums,
     bits_of,
@@ -277,36 +281,16 @@ def same_class(
     raise InputError(f"unknown reversal kind {kind!r}")
 
 
-def _fibre_labels(n: int, rows, moduli: tuple[int, ...] = ()) -> list[int]:
-    """Per orientation mask, a label of its fibre of o -> R o (of o -> R o mod d, given d).
-
-    Label R o is one int of signed fields, each a sign bit wider than its
-    row's absolute sum: label(m) = label(m less its top bit) + that bit's
-    packed column.  Mod d, it is the mixed-radix number of the rows' sums.
-    """
-    if moduli:
-        labels = [0] * (1 << n)
-        for row, d in zip(rows, moduli):
-            labels = [label * d + x % d for label, x in zip(labels, _subset_sums(row))]
-        return labels
-    columns = [0] * n
-    shift = 0
-    for row in rows:
-        for j, x in enumerate(row):
-            columns[j] += x << shift
-        shift += sum(map(abs, row)).bit_length() + 1
-    return _subset_sums(columns)
-
-
 def _class_masks(rep: RegularMatroidRep, kind: Kind) -> tuple[tuple[int, ...], ...]:
     """Reversal classes as sorted tuples of orientation masks, by least member."""
     if kind not in KINDS:
         raise InputError(f"unknown reversal kind {kind!r}")
     if kind == "cycle-cocycle":
-        labels = _fibre_labels(rep.element_count, *rep._class_rows)
+        labels = _class_keys(rep)
     else:
         rows = rep.kernel_basis if kind == "cocycle" else rep.matrix
-        labels = _fibre_labels(rep.element_count, rows)
+        columns, _, bias = _packed_columns(rows, rep.element_count)
+        labels = _subset_sums(columns, bias)
     groups: dict[int, list[int]] = {}
     for m, c in enumerate(labels):
         groups.setdefault(c, []).append(m)

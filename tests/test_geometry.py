@@ -342,6 +342,18 @@ def test_single_edge_dilation_is_segment(single_edge_rep):
         assert dilated_zonotope_lattice_count(single_edge_rep, (k,)) == k + 1
 
 
+def test_zonotope_dilation_must_be_integers(triangle_rep):
+    # a dilation of 1.5 once counted as 1, giving the unit count 7; bad input
+    # is refused before the rank cap is consulted
+    for bad in ((1.5, 1, 1), (1.0, 1, 1), (Fraction(3, 2), 1, 1), ("2", 1, 1)):
+        for cap in (3, 0):
+            with pytest.raises(InputError, match="dilation entries must be integers"):
+                dilated_zonotope_lattice_count(triangle_rep, bad, rank_cap=cap)
+    with pytest.raises(CapExceededError):
+        dilated_zonotope_lattice_count(triangle_rep, (2, 1, 1), rank_cap=1)
+    assert dilated_zonotope_lattice_count(triangle_rep, (2, 1, 1)) == 10
+
+
 def test_zonotope_inequalities_are_pinned():
     # the halfspace rows of every rank-1..3 rep of the acceptance pool and the
     # ladder, at three dilations each, as the Fraction RREF with lcm scaling

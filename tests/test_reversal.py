@@ -434,6 +434,21 @@ def test_only_the_oracle_calls_the_closure_and_nothing_calls_the_canonical_pair(
     }
 
 
+def test_the_closure_reads_no_linear_class_map():
+    # the class oracle checks the keyed partitions, so it names none of the
+    # linear maps or tables they are read from, nor the matrix itself
+    tree = ast.parse(Path(core.__file__).read_text())
+    closure = next(fn for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "closure_mask_partition")
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(closure)}
+    assert {"_circuits", "_cocircuits", "orientations_with_bit"} <= names
+    assert not names & {
+        "_class_rows", "_class_halves", "_class_key", "_class_keys", "_packed_columns",
+        "_packed_projection", "_projection", "_projection_halves", "_packed_sum",
+        "_subset_sums", "_half_sums", "kernel_basis", "matrix", "in_kernel", "in_row_space",
+    }
+
+
 def test_no_module_item_assigns_into_another_objects_attribute():
     # a per-rep cache written as rep._cache[key] = value would hide mutable
     # state inside the frozen RegularMatroidRep; module caches are dicts bound

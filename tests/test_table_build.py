@@ -151,14 +151,14 @@ def test_basis_map_missing_a_representative_is_refused(monkeypatch):
 def test_orientation_outside_its_class_is_refused(monkeypatch):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    labels = bijection._fibre_labels(rep.element_count, *rep._class_rows)
+    labels = bijection._class_keys(rep)
     stray = next(
         m for m in rep.orientation_universe()
         if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig))
     )
     # the stray orientation carries the key of another class
     labels[stray] = next(label for label in labels if label != labels[stray])
-    monkeypatch.setattr(bijection, "_fibre_labels", lambda *args: labels)
+    monkeypatch.setattr(bijection, "_class_keys", lambda *args: labels)
     with pytest.raises(InvariantViolationError, match="class split is not integral"):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
 
@@ -411,7 +411,7 @@ def test_class_keys_name_the_joint_classes():
         assert sorted(by_key.values()) == sorted(
             (orient_basis_by_vectors(rep, b, sig, cosig), b.mask) for b in enumerate_bases(rep))
         assert all(_class_key(rep, m) == k for k, (m, _) in by_key.items())
-        labels = bijection._fibre_labels(rep.element_count, *rep._class_rows)
+        labels = bijection._class_keys(rep)
         assert set(labels) == set(by_key)
 
 
@@ -479,12 +479,35 @@ def test_half_tables_equal_the_subset_sums_and_the_key_formula():
     assert {(0, 0), (1, 0), (1, 1), (3, 0), (10, 6), (12, 6), (12, 8)} <= sizes
 
 
+def test_one_packer_holds_n_a_and_k_field_by_field():
+    # N (the table build and single queries), A and K (the cycle and cocycle
+    # labels) share one packing: every field of every mask's packed sum,
+    # less the bias, is that row's sum over the mask's elements
+    ladder = [rep for rep in ladder_reps().values() if rep.element_count <= 12]
+    pool = [matrix_rep(rep) for _, rep, _ in suite_instances()]
+    sizes = set()
+    for rep in ladder + pool:
+        n = rep.element_count
+        for rows in (rep._projection[0], rep.matrix, rep.kernel_basis):
+            columns, width, bias = core._packed_columns(rows, n)
+            if rows is rep._projection[0]:
+                assert rep._packed_projection == (columns, rep._projection[1], width, bias)
+            field, half = (1 << width) - 1, 1 << width - 1
+            for m, packed in enumerate(core._subset_sums(columns, bias)):
+                elements = bits_of(m)
+                assert [(packed >> width * j & field) - half for j in range(len(rows))] == [
+                    sum(row[k] for k in elements) for row in rows]
+                assert packed >> width * len(rows) == 0
+            sizes.add((n, len(rows)))
+    assert {(12, 12), (12, 6), (12, 8), (10, 5), (10, 10)} <= sizes
+
+
 def test_a_query_and_the_build_read_one_key_and_one_code_per_mask():
     sizes = set()
     for rep in _half_table_reps():
         n = rep.element_count
         sig, cosig = canonical_signature_pair(rep)
-        labels = reversal._fibre_labels(n, *rep._class_rows)
+        labels = core._class_keys(rep)
         entry = reversal._basis_map(rep, sig, cosig, use_cache=False)
         codes = reversal._tag_codes(rep, sig, cosig, entry)
         subset_codes = rep._subset_codes

@@ -50,7 +50,8 @@ def test_every_small_map_lists_the_oracle_pairs():
     maps = 0
     for n in range(3):
         for images in itertools.product(range(1 << n), repeat=1 << n):
-            assert geometry._unseparated_pairs(images, n) == unseparated_pairs(images)
+            index = geometry._CellIndex(images, n)
+            assert geometry._index_pairs(index) == unseparated_pairs(images)
             maps += 1
     assert maps == 1 + 4 + 256
 
