@@ -1,10 +1,11 @@
 """The orientation/subgraph correspondence and its restrictions.
 
 A basis is sent to the orientation that follows the chosen direction of each
-fundamental circuit (off the basis) and fundamental cocircuit (on it); that
-map is a bijection onto the jointly compatible orientations.  Extending by
-"add reversed circuit supports, remove reversed cocircuit supports" turns it
-into a bijection from all orientations to all subsets of the ground set.
+fundamental circuit (off the basis) and fundamental cocircuit (on it), all t
+bases at once (one t-bit column per element); that map is a bijection onto
+the jointly compatible orientations.  Extending by "add reversed circuit
+supports, remove reversed cocircuit supports" turns it into a bijection
+from all orientations to all subsets of the ground set.
 
 The table build and single queries compute a row the same way: the class
 key R o mod d finds o's representative cp and its basis in the pair's basis
@@ -29,6 +30,8 @@ from .core import (
     Orientation,
     PartialOrientation,
     RegularMatroidRep,
+    _NOT_A_BASIS,
+    _basis_mask,
     bits_of,
     _class_keys,
     _orientation_mask,
@@ -45,7 +48,6 @@ from .reversal import (
     _TABLE_CACHE,  # the one pair cache, also read from this module
     _basis_map,
     _joint_representative,
-    _orient_basis_mask,
     _tag_codes,
 )
 from .signatures import Signature, is_compatible
@@ -179,11 +181,11 @@ def basis_to_orientation(
     rep: RegularMatroidRep, basis: Basis, sig: Signature, cosig: Signature
 ) -> Orientation:
     """Orient every element by its chosen fundamental circuit/cocircuit direction."""
-    mask = _orient_basis_mask(rep, basis, sig, cosig)
-    o = Orientation.from_mask(rep.element_count, mask)
-    if not (is_compatible(rep, o, sig) and is_compatible(rep, o, cosig)):
-        raise InvariantViolationError("basis image is not jointly compatible")
-    return o
+    n = rep.element_count
+    mask = _basis_map(rep, sig, cosig, cap=n).orientations.get(_basis_mask(basis))
+    if mask is None:
+        raise InputError(_NOT_A_BASIS)
+    return Orientation.from_mask(n, mask)
 
 
 def basis_from_orientation(

@@ -14,11 +14,10 @@ Conventions used throughout the package:
   bit j of a mask is element j.
 * The bases are found by one breadth-first walk over the basis exchange
   graph (``_tableau_pass``), each tableau one pivot from its parent's;
-  circuits, cocircuits and each basis's fundamental supports (which orient
-  it) are read off the tableaux on the way.  Every pivot must be +-1, which
-  proves every basis determinant +-1: the walk is the load's unimodularity
-  check.  The independent and spanning sets are the down- and up-closures
-  of the bases, each one bit-parallel pass per element.
+  circuits and cocircuits are read off the tableaux on the way.  Every
+  pivot must be +-1, which proves every basis determinant +-1: the walk is
+  the load's unimodularity check.  The independent and spanning sets are
+  the down- and up-closures of the bases, one bit-parallel pass per element.
 """
 
 from __future__ import annotations
@@ -81,6 +80,14 @@ def orientations_with_bit(n: int) -> list[int]:
             bits |= bits << (1 << k)
         out.append(bits)
     return out
+
+
+def _element_sets(values: Sequence[int], n: int) -> list[int]:
+    """Entry e: the indices m with bit e of values[m] set, as a len(values)-bit set."""
+    if max(values, default=0) >> n:
+        raise InvariantViolationError("an image lies outside the ground set")
+    text = "".join([format(v, f"0{n}b") for v in reversed(values)])  # "" for no values
+    return [int(text[n - 1 - e::n] or "0", 2) for e in range(n)]
 
 
 def _bit_bytes(bits: int, total: int) -> bytes:
@@ -373,8 +380,8 @@ class RegularMatroidRep:
         return (2 * independent + spanning).to_bytes(1 << self.element_count, "little")
 
     @cached_property
-    def _tableau_pass(self) -> tuple[tuple, tuple, dict[int, tuple[int, ...]]]:
-        """(circuits, cocircuits, fundamental supports by basis mask), by one walk over the bases.
+    def _tableau_pass(self) -> tuple[tuple, tuple, set[int]]:
+        """(circuits, cocircuits, basis masks), by one walk over the bases.
 
         The walk is breadth first over the basis exchange graph (connected)
         from the first basis.  Entry (i, e) of a tableau, e off the basis, is
@@ -385,11 +392,11 @@ class RegularMatroidRep:
 
         Every signed circuit (cocircuit) is the fundamental circuit (cocircuit)
         of some element for some basis.  A support keeps its first vector,
-        scaled so its lowest entry is +1.  A basis's supports are, element by
-        element, e's tableau row (e in the basis) or e and column e (e off it).
+        scaled so its lowest entry is +1.  On a basis, e's fundamental cocircuit
+        is e's tableau row; off it, e's fundamental circuit is e and column e.
         """
         n = self.element_count
-        circuits, cocircuits, supports = {}, {}, {}  # keyed by support, support, basis
+        circuits, cocircuits = {}, {}  # keyed by support
         first, tableau = self._first_tableau
         walk = [(mask_of(first), first, tableau)]
         seen = {walk[0][0]}
@@ -406,13 +413,10 @@ class RegularMatroidRep:
                         if exchanged not in seen:
                             seen.add(exchanged)
                             walk.append((exchanged, *_pivot(tableau, elements, i, e)))
-                # no other row is nonzero at element, so this entry stays put
-                fundamental[element] = support
                 cocircuits.setdefault(support, row)
             for e in range(n):
                 if not b >> e & 1 and fundamental[e] not in circuits:
                     circuits[fundamental[e]] = _circuit_entries(tableau, elements, e, n)
-            supports[b] = tuple(fundamental)
         for entries in cocircuits.values():
             if any(sum(a * b for a, b in zip(row, entries)) for row in self.kernel_basis):
                 raise InvariantViolationError("cocircuit not orthogonal to the kernel")
@@ -425,7 +429,7 @@ class RegularMatroidRep:
                 out.append(SignedSupportVector(tuple(lowest * x for x in found[s]), side))
             return tuple(out)
 
-        return vectors(circuits, "kernel"), vectors(cocircuits, "image"), supports
+        return vectors(circuits, "kernel"), vectors(cocircuits, "image"), seen
 
     _circuits = property(lambda self: self._tableau_pass[0])
     _cocircuits = property(lambda self: self._tableau_pass[1])

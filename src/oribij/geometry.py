@@ -41,6 +41,7 @@ from .core import (
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
+    _element_sets,
     _gauss_jordan,
     _integers,
     _orientation_mask,
@@ -153,14 +154,6 @@ def _image_mask(table: BijectionTable, mask: int, complement: bool) -> int:
     if complement:
         out ^= (1 << table.rep.element_count) - 1
     return out
-
-
-def _element_sets(values: Sequence[int], n: int) -> list[int]:
-    """Entry e: the indices m with bit e of values[m] set, as a len(values)-bit set."""
-    if max(values, default=0) >> n:
-        raise InvariantViolationError("an image lies outside the ground set")
-    text = "".join([format(v, f"0{n}b") for v in reversed(values)])
-    return [int(text[n - 1 - e::n], 2) for e in range(n)]
 
 
 class _CellIndex:

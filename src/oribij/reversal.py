@@ -27,28 +27,25 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .core import (
-    Basis,
     CACHE_SIZE,
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
-    _NOT_A_BASIS,
-    _basis_mask,
     _bit_bytes,
     _class_key,
     _class_keys,
+    _element_sets,
     _orientation_mask,
     _packed_columns,
     _require_cap,
     _subset_sums,
     bits_of,
     conformal_decompose,
-    enumerate_bases,
     split_kernel_image,
 )
 from .errors import InputError, InvariantViolationError
-from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_set, is_compatible
+from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_among, _compatible_set
 
 Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
 KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
@@ -126,6 +123,7 @@ class _BasisMap:
 
     # class key -> (the class's jointly compatible orientation, its basis's mask)
     by_key: dict[int, tuple[int, int]]
+    orientations: dict[int, int]  # basis mask -> its orientation
     # byte m is mask m's tag code, set on first use by ``_tag_codes``
     codes: bytes | None = None
     table: object = None  # the pair's bijection.BijectionTable, set by its build
@@ -136,25 +134,32 @@ class _BasisMap:
 _TABLE_CACHE: OrderedDict[tuple, _BasisMap] = OrderedDict()
 
 
-def _orient_basis_mask(rep, basis: Basis, sig: Signature, cosig: Signature) -> int:
-    """The orientation of a basis: each element follows the chosen vector on its support.
+def _orientation_columns(rep: RegularMatroidRep, sig: Signature, cosig: Signature) -> list[int]:
+    """Column e of the t basis orientations: bit i is set when basis
+    ``rep._basis_masks[i]`` orients e forward.
 
-    The supports (fundamental cocircuits on the basis, circuits off it) are
-    looked up in the rep's one pass over the basis tableaux; a non-basis is refused.
+    C is e's fundamental circuit in the bases with e as C's one element off
+    the basis, and D e's fundamental cocircuit in those with e as D's one
+    element on it.  Checked: these cover each (basis, element) pair once.
     """
-    b = _basis_mask(basis)
-    supports = rep._tableau_pass[2].get(b)
-    if supports is None:
-        raise InputError(_NOT_A_BASIS)
-    # support mask -> chosen positive mask, by whether e lies on the basis
-    chosen = sig.pos_by_support, cosig.pos_by_support
-    mask = 0
-    try:
-        for e, support in enumerate(supports):
-            mask |= chosen[b >> e & 1][support] & 1 << e
-    except KeyError as missing:
-        raise InputError(f"no circuit with support {bits_of(missing.args[0])}") from None
-    return mask
+    n, bases = rep.element_count, rep._basis_masks
+    holding, full = _element_sets(bases, n), (1 << len(bases)) - 1
+    columns, covered = [0] * n, [0] * n
+    for s, outside in ((sig, [full ^ c for c in holding]), (cosig, holding)):
+        for support, pos in s.pos_by_support.items():
+            once = twice = 0  # the bases with at least one, two of its elements "outside"
+            for f in bits_of(support):
+                once, twice = once | outside[f], twice | once & outside[f]
+            for e in bits_of(support):
+                fundamental = (once ^ twice) & outside[e]
+                if covered[e] & fundamental:
+                    raise InvariantViolationError("a basis element has two fundamental supports")
+                covered[e] |= fundamental
+                if pos >> e & 1:
+                    columns[e] |= fundamental
+    if covered != [full] * n:
+        raise InvariantViolationError("a basis element has no fundamental support")
+    return columns
 
 
 def _basis_map(
@@ -163,12 +168,13 @@ def _basis_map(
 ) -> _BasisMap:
     """The pair's checked basis map, from the cache if there; the cap is checked first.
 
-    Checked: the orientations are distinct and jointly compatible, no two
-    share a class key, the keys number t, the Gram determinant det(A A^T),
-    which is the number of bases (Cauchy-Binet, every basis determinant
-    being +-1), and the moduli d multiply to t, so that every one of the
-    t classes has a key.  The check reads the t orientations one by one, so
-    the map costs no 2^n-bit set and serves any n its caller allows.
+    The gate of builds, queries and decompositions: a chosen vector other
+    than +- the rep's signed circuit (cocircuit) on its support is bad input.
+    Checked: the t basis orientations (``_orientation_columns``) are distinct
+    and jointly compatible, no two share a class key, the keys number t, the
+    Gram determinant det(A A^T) (Cauchy-Binet: the number of bases, every basis
+    determinant being +-1), and the moduli d multiply to t, so every class has
+    a key.  The map costs no 2^n-bit set and serves any n its caller allows.
     """
     if sig.side != CIRCUIT or cosig.side != COCIRCUIT:
         raise InputError("need a circuit signature and a cocircuit signature")
@@ -178,13 +184,22 @@ def _basis_map(
     if use_cache and (entry := _TABLE_CACHE.pop(key, None)) is not None:
         _TABLE_CACHE[key] = entry
         return entry
-    bases = [(_orient_basis_mask(rep, b, sig, cosig), b.mask) for b in enumerate_bases(rep, cap)]
-    if len({m for m, _ in bases}) != len(bases):
+    for s, vectors in ((sig, rep._circuits), (cosig, rep._cocircuits)):
+        canonical = {v.pos_mask | v.neg_mask: v.entries for v in vectors}
+        if odd := canonical.keys() ^ s.pos_by_support.keys():
+            raise InputError(f"no circuit with support {bits_of(min(odd))}")
+        for v in s.chosen:
+            if canonical[v.pos_mask | v.neg_mask] not in (v.entries, tuple(-x for x in v.entries)):
+                raise InputError(f"{v.entries} is not a signed {s.side} on its support")
+    columns = _orientation_columns(rep, sig, cosig)
+    bases, full = rep._basis_masks, (1 << len(rep._basis_masks)) - 1
+    masks = _element_sets(columns, len(bases))
+    if len(set(masks)) != len(masks):
         raise InvariantViolationError("basis map is not injective")
+    if _compatible_among(columns, full, sig) & _compatible_among(columns, full, cosig) != full:
+        raise InvariantViolationError("basis orientation is not jointly compatible")
     by_key: dict[int, tuple[int, int]] = {}
-    for m, b in bases:
-        if not (is_compatible(rep, m, sig) and is_compatible(rep, m, cosig)):
-            raise InvariantViolationError("basis orientation is not jointly compatible")
+    for m, b in zip(masks, bases):
         by_key.setdefault(_class_key(rep, m), (m, b))
     if len(by_key) != len(bases):
         raise InvariantViolationError("two basis orientations share a class key")
@@ -195,7 +210,7 @@ def _basis_map(
     if classes != t:
         raise InvariantViolationError(
             f"the class moduli multiply to {classes}, not the Gram determinant {t}")
-    entry = _BasisMap(by_key)
+    entry = _BasisMap(by_key, dict(zip(bases, masks)))
     if use_cache:
         _TABLE_CACHE[key] = entry
         if len(_TABLE_CACHE) > CACHE_SIZE:

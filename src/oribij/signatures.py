@@ -25,6 +25,7 @@ from .core import (
     SignedSupportVector,
     _integers,
     _orientation_mask,
+    bits_of,
     enumerate_signed_circuits,
     enumerate_signed_cocircuits,
     orientations_with_bit,
@@ -232,27 +233,27 @@ def is_compatible(rep: RegularMatroidRep, o: Orientation | int, sig: Signature) 
     return True
 
 
-def _compatible_set(rep: RegularMatroidRep, sig: Signature) -> int:
-    """All orientations compatible with sig, as a 2^n-bit set (bit m is mask m).
+def _compatible_among(columns: Sequence[int], full: int, sig: Signature) -> int:
+    """Bit-parallel ``is_compatible``: of the orientations in full whose bit e
+    is set in columns[e], those compatible with sig.
 
-    Bit-parallel ``is_compatible``: an orientation contains a vector when it
-    agrees with the vector's positive arcs and disagrees with its negative
-    ones, so the orientations containing an anti-chosen vector are an AND of
-    per-element sets, and the compatible ones avoid all of them.
+    An orientation contains a vector when it agrees with the vector's positive
+    arcs and disagrees with its negative ones, so the orientations containing
+    an anti-chosen vector are an AND of columns; the compatible avoid them all.
     """
-    n = rep.element_count
-    full = (1 << (1 << n)) - 1
-    forward = orientations_with_bit(n)
     containing = 0
     for pos, neg in sig.anti_masks:
         hit = full
-        for e in range(n):
-            if pos >> e & 1:
-                hit &= forward[e]
-            elif neg >> e & 1:
-                hit &= ~forward[e]
+        for e in bits_of(pos | neg):
+            hit &= columns[e] if pos >> e & 1 else ~columns[e]
         containing |= hit
     return full & ~containing
+
+
+def _compatible_set(rep: RegularMatroidRep, sig: Signature) -> int:
+    """All orientations compatible with sig, as a 2^n-bit set (bit m is mask m)."""
+    n = rep.element_count
+    return _compatible_among(orientations_with_bit(n), (1 << (1 << n)) - 1, sig)
 
 
 def canonical_weights(n: int) -> tuple[int, ...]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oribij
 from oribij import (
     CIRCUIT,
     COCIRCUIT,
@@ -426,3 +431,12 @@ def test_disconnected_graph_exits_2(capsys, tmp_path):
     path.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))
     code, _, err = run(capsys, ["table", "--graph", str(path)])
     assert code == 2
+
+
+def test_the_package_runs_as_a_module():
+    # from a checkout, with the package's parent on the path and nothing installed
+    env = dict(os.environ, PYTHONPATH=str(Path(oribij.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "oribij", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")

@@ -1,8 +1,8 @@
 """The table build and single queries against the Fraction oracle, and every way they refuse.
 
 ``BijectionTable.build`` and single queries look each row's class
-representative up by class key in the basis map, which orients each basis
-by the supports its tableau gave the rep's one pass over the bases, split
+representative up by class key in the basis map, which orients all bases
+at once from per-element sets of bases, split
 cp - m through packed projection columns, and check the tag code (made
 bit-parallel) against the image's subset code.  These tests hold
 all of it to the plain definitions in ``helpers`` (exact Fraction
@@ -26,7 +26,10 @@ from oribij import (
     InvariantViolationError,
     Orientation,
     RegularMatroidRep,
+    Signature,
+    SignedSupportVector,
     basis_from_orientation,
+    basis_to_orientation,
     canonical_signature_pair,
     classify_specialization,
     compatible_decomposition,
@@ -128,22 +131,29 @@ def test_class_with_two_compatible_orientations_is_refused(monkeypatch):
         BijectionTable.build(rep, sig, cosig, use_cache=False)
 
 
+def _flipped_columns(monkeypatch, rep):
+    """Make every basis orientation the reverse of what the pair gives it."""
+    full = (1 << len(rep._basis_masks)) - 1
+    columns = reversal._orientation_columns
+    monkeypatch.setattr(
+        reversal, "_orientation_columns", lambda *args: [c ^ full for c in columns(*args)])
+
+
 def test_non_injective_basis_map_is_refused(monkeypatch):
     rep = _k4()
-    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: 0)
+    # every basis oriented as the all-backward orientation
+    monkeypatch.setattr(reversal, "_orientation_columns", lambda *args: [0] * 6)
     with pytest.raises(InvariantViolationError, match="basis map is not injective"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
 
 def test_basis_map_missing_a_representative_is_refused(monkeypatch):
     rep = _k4()
-    full = (1 << rep.element_count) - 1
-    orient = reversal._orient_basis_mask
     # reversing a compatible orientation makes every chosen vector in it anti-chosen
-    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
+    _flipped_columns(monkeypatch, rep)
     # the key map refuses incompatible basis orientations first; past that
     # check, the tag codes must refuse the map
-    monkeypatch.setattr(reversal, "is_compatible", lambda *args: True)
+    monkeypatch.setattr(reversal, "_compatible_among", lambda columns, full, s: full)
     with pytest.raises(InvariantViolationError, match="missed by the basis map"):
         BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
 
@@ -311,14 +321,104 @@ def test_single_queries_equal_the_fraction_oracle():
     assert provenances == {"weights", "explicit"}
 
 
+def _assert_the_map_orients_by_the_vectors(rep, sig, cosig, bases):
+    entry = reversal._basis_map(rep, sig, cosig, use_cache=False)
+    assert list(entry.orientations) == list(rep._basis_masks)
+    for basis in bases:
+        got = entry.orientations[basis.mask]
+        assert got == orient_basis_by_vectors(rep, basis, sig, cosig)
+        assert basis_to_orientation(rep, basis, sig, cosig).mask == got
+
+
 def test_tableau_orientation_equals_the_vector_definition():
     bases = 0
     for rep, sig, cosig in _query_cases():
-        for basis in enumerate_bases(rep):
-            got = bijection._orient_basis_mask(rep, basis, sig, cosig)
-            assert got == orient_basis_by_vectors(rep, basis, sig, cosig)
-            bases += 1
+        _assert_the_map_orients_by_the_vectors(rep, sig, cosig, enumerate_bases(rep))
+        bases += len(rep._basis_masks)
     assert bases > 1000
+
+
+def test_the_column_map_orients_every_basis_by_the_vectors():
+    rng = random.Random(23)
+    edge_cases = [
+        RegularMatroidRep.from_rows((), element_count=0),
+        loops_only_rep(3),
+        # loops and parallel edges
+        graph_to_rep(Graph(3, ((0, 0), (0, 1), (1, 0), (0, 1), (1, 2), (2, 0), (2, 2)))),
+    ]
+    for rep in list(ladder_reps().values()) + edge_cases:
+        sig, cosig = canonical_signature_pair(rep)
+        bases = enumerate_bases(rep)
+        if len(bases) > 1000:  # W8: the vector definition pivots 16 times per basis
+            bases = rng.sample(bases, 300)
+        _assert_the_map_orients_by_the_vectors(rep, sig, cosig, bases)
+        # a matrix twin orients its bases alike, keyed alike and in the same order
+        twin = reversal._basis_map(matrix_rep(rep), sig, cosig, use_cache=False)
+        entry = reversal._basis_map(rep, sig, cosig, use_cache=False)
+        assert (twin.orientations, list(twin.by_key.items())) == (
+            entry.orientations, list(entry.by_key.items()))
+
+
+def test_the_basis_map_enumerates_no_bases_and_tests_no_compatibility(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis map went one basis at a time")
+
+    for rep in (_k4(), RegularMatroidRep.from_rows(R10_MATRIX)):
+        sig, cosig = canonical_signature_pair(rep)
+        want = reversal._basis_map(rep, sig, cosig, use_cache=False)
+        for module in (core, bijection, reversal, signatures):
+            for name in ("is_compatible", "enumerate_bases"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        got = reversal._basis_map(rep, sig, cosig, use_cache=False)
+        assert (got.orientations, list(got.by_key.items())) == (
+            want.orientations, list(want.by_key.items()))
+        monkeypatch.undo()
+
+
+def test_a_signature_pair_of_another_rep_is_refused_at_the_door(monkeypatch):
+    rep = _k4()
+    sig, cosig = canonical_signature_pair(rep)
+    edges = list(rep.graph.edges)
+    edges[0] = edges[0][::-1]
+    flipped = graph_to_rep(Graph(4, tuple(edges)))
+    # the same supports as K4's, with element 0's signs turned
+    assert {v.support for v in enumerate_signed_circuits(flipped)} == set(sig.by_support)
+    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    o = Orientation.reference(6)
+    for call in (lambda: BijectionTable.build(flipped, sig, cosig),
+                 lambda: orientation_to_subgraph(flipped, o, sig, cosig),
+                 lambda: compatible_decomposition(flipped, o, sig, cosig),
+                 lambda: basis_to_orientation(flipped, enumerate_bases(flipped)[0], sig, cosig)):
+        with pytest.raises(InputError, match="is not a signed circuit on its support"):
+            call()
+    own, own_co = canonical_signature_pair(flipped)
+    with pytest.raises(InputError, match="is not a signed cocircuit on its support"):
+        BijectionTable.build(flipped, own, cosig)
+    # a support the signature lacks, or one the rep lacks
+    for chosen in (own.chosen[1:], own.chosen + (SignedSupportVector((1, 1, 0, 0, 0, 0)),)):
+        with pytest.raises(InputError, match="no circuit with support"):
+            BijectionTable.build(flipped, Signature(CIRCUIT, chosen), own_co)
+    assert not reversal._TABLE_CACHE
+
+
+def test_a_broken_exact_cover_is_refused():
+    rep = _k4()
+    sig, cosig = canonical_signature_pair(rep)
+    # the triangle {0, 1, 3} is no basis: no chosen cocircuit is the
+    # fundamental cocircuit of its element 0
+    fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
+    fresh.__dict__["_basis_masks"] = tuple(sorted(rep._basis_masks + (0b1011,)))
+    with pytest.raises(InvariantViolationError, match="has no fundamental support"):
+        reversal._basis_map(fresh, sig, cosig, use_cache=False)
+    # S = {0, 1, 2, 3} posing as a circuit: S less element 3 is the basis
+    # {0, 1, 2}, where the triangle {0, 1, 3} is already 3's fundamental circuit
+    fake = SignedSupportVector((1, 1, 1, 1, 0, 0), "kernel")
+    circuits, cocircuits, bases = rep._tableau_pass
+    fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
+    fresh.__dict__["_tableau_pass"] = (circuits + (fake,), cocircuits, bases)
+    padded = Signature(CIRCUIT, sig.chosen + (fake,))
+    with pytest.raises(InvariantViolationError, match="has two fundamental supports"):
+        reversal._basis_map(fresh, padded, cosig, use_cache=False)
 
 
 def test_tableau_orientation_refuses_what_the_vectors_refuse():
@@ -327,7 +427,7 @@ def test_tableau_orientation_refuses_what_the_vectors_refuse():
     basis = enumerate_bases(rep)[0]
     triangle = graph_to_rep(Graph(3, ((0, 1), (1, 2), (2, 0))))
     with pytest.raises(InputError, match="no circuit with support"):
-        bijection._orient_basis_mask(rep, basis, *canonical_signature_pair(triangle))
+        reversal._basis_map(rep, *canonical_signature_pair(triangle), use_cache=False)
     # plant a 2 in the first basis's tableau, off the basis, where the walk
     # over the bases starts
     fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
@@ -338,7 +438,7 @@ def test_tableau_orientation_refuses_what_the_vectors_refuse():
     rows[0][off] = 2
     fresh.__dict__["_first_tableau"] = (pivots, tuple(tuple(row) for row in rows))
     with pytest.raises(InputError, match="matrix is not totally unimodular"):
-        bijection._orient_basis_mask(fresh, basis, sig, cosig)
+        reversal._orientation_columns(fresh, sig, cosig)
 
 
 @pytest.mark.parametrize("name", ["K4", "R10"])
@@ -585,10 +685,8 @@ def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
 
 def test_incompatible_basis_orientation_is_refused_by_the_key_map(monkeypatch):
     rep = _k4()
-    full = (1 << rep.element_count) - 1
-    orient = reversal._orient_basis_mask
     monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
-    monkeypatch.setattr(reversal, "_orient_basis_mask", lambda *args: orient(*args) ^ full)
+    _flipped_columns(monkeypatch, rep)
     with pytest.raises(InvariantViolationError, match="not jointly compatible"):
         orientation_to_subgraph(rep, Orientation.reference(6), *canonical_signature_pair(rep))
 
