@@ -34,6 +34,7 @@ from .core import (
     _basis_mask,
     bits_of,
     _class_keys,
+    _integers,
     _orientation_mask,
     _packed_sum,
     _subset_sums,
@@ -79,8 +80,8 @@ class BijectionTable:
         return frozenset(bits_of(self.forward[_orientation_mask(o, self.rep.element_count)]))
 
     def orientation_of(self, subgraph: Iterable[int]) -> Orientation:
-        m = mask_of(subgraph)
-        if m not in self.inverse:
+        elements = _integers(subgraph, "subgraph")
+        if min(elements, default=0) < 0 or (m := mask_of(elements)) not in self.inverse:
             raise InputError("subset is outside the ground set")
         return Orientation.from_mask(self.rep.element_count, self.inverse[m])
 
@@ -283,8 +284,8 @@ def restricted_orientation_map(
     Inverts the subgraph map over subsets containing ``include`` and avoiding
     ``exclude``, then drops the fixed elements.  Always a bijection.
     """
-    include = frozenset(include)
-    exclude = frozenset(exclude)
+    include = frozenset(_integers(include, "fixed element"))
+    exclude = frozenset(_integers(exclude, "fixed element"))
     if include & exclude:
         raise InputError("included and excluded elements overlap")
     n = rep.element_count

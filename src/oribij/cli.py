@@ -17,7 +17,6 @@ from .errors import (
     CapExceededError,
     InputError,
     InvariantViolationError,
-    NonGenericWeightsError,
     TrivialGraphError,
 )
 from .geometry import independent_set_polynomial, cell_count_polynomial
@@ -210,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, NonGenericWeightsError, TrivialGraphError) as exc:
+    except (InputError, TrivialGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceededError as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index, mul
@@ -205,7 +206,10 @@ class PartialOrientation:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, bool]) -> "PartialOrientation":
-        return cls(tuple(sorted((int(k), bool(v)) for k, v in mapping.items())))
+        elements = _integers(mapping, "partial orientation")
+        if min(elements, default=0) < 0:
+            raise InputError("fixed element outside the ground set")
+        return cls(tuple(sorted(zip(elements, map(bool, mapping.values())))))
 
     @cached_property
     def mapping(self) -> dict[int, bool]:
@@ -398,9 +402,11 @@ class RegularMatroidRep:
         n = self.element_count
         circuits, cocircuits = {}, {}  # keyed by support
         first, tableau = self._first_tableau
-        walk = [(mask_of(first), first, tableau)]
+        # popped as visited, so a tableau is kept only until its turn
+        walk = deque([(mask_of(first), first, tableau)])
         seen = {walk[0][0]}
-        for b, elements, tableau in walk:
+        while walk:
+            b, elements, tableau = walk.popleft()
             fundamental = [1 << e for e in range(n)]
             for i, (element, row) in enumerate(zip(elements, tableau)):
                 support = 0

@@ -26,7 +26,12 @@ class NotSameClassError(OribijError):
 
 
 class NonGenericWeightsError(OribijError):
-    """Weight vector ties could not be certified acyclic; perturb the weights."""
+    """Kept for compatibility; nothing raises it.
+
+    ``signature_from_weights`` breaks a tie toward the vector whose
+    lowest-index entry is +1, the lexicographic refinement of the weights, so
+    every weight vector gives an acyclic signature.
+    """
 
 
 class NotCompatibleError(InputError):

@@ -30,12 +30,7 @@ from .core import (
     enumerate_signed_cocircuits,
     orientations_with_bit,
 )
-from .errors import (
-    CapExceededError,
-    InputError,
-    InvariantViolationError,
-    NonGenericWeightsError,
-)
+from .errors import CapExceededError, InputError, InvariantViolationError
 
 DEFAULT_SUPPORT_CAP = 20
 
@@ -105,37 +100,19 @@ def signature_from_weights(
 ) -> Signature:
     """Choose, per support, the direction with positive weight inner product.
 
-    Ties (inner product zero) fall back to the canonical representative,
-    whose lowest-index entry is +1; that matches refining the weights by the
-    unit-basis order.  A tie-broken signature is re-validated with
-    is_acyclic, and rejected as non-generic if validation is impossible or
-    fails.
+    A tie (inner product zero) keeps the canonical vector, whose lowest-index
+    entry is +1.  That is the lexicographic refinement: the choices equal
+    those of the tie-free weights D 3^n w + (3^(n-1), ..., 3, 1), D the lcm of
+    the denominators, so every weight vector gives an acyclic signature and
+    nothing is re-checked.  ``support_cap`` is accepted and ignored; it
+    stays for compatibility.
     """
     w = [Fraction(x) for x in weights]
     if len(w) != rep.element_count:
         raise InputError("weight vector length disagrees with the ground set")
-    chosen = []
-    tied = False
-    for vec in _supports_for(rep, side, cap):
-        score = sum(a * b for a, b in zip(w, vec.entries))
-        if score > 0:
-            chosen.append(vec)
-        elif score < 0:
-            chosen.append(-vec)
-        else:
-            tied = True
-            chosen.append(vec)
-    sig = Signature(side=side, chosen=tuple(chosen), provenance="weights")
-    if tied:
-        hint = (
-            "weights are not generic for some support; append a lexicographic "
-            "tiebreaker such as adding epsilon * (1, 3, 9, ...)"
-        )
-        if len(chosen) > support_cap:
-            raise NonGenericWeightsError(hint)
-        if not is_acyclic(rep, sig, cap=support_cap).acyclic:
-            raise NonGenericWeightsError(hint)
-    return sig
+    chosen = tuple(-vec if sum(map(mul, w, vec.entries)) < 0 else vec
+                   for vec in _supports_for(rep, side, cap))
+    return Signature(side=side, chosen=chosen, provenance="weights")
 
 
 def explicit_signature(

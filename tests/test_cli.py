@@ -90,6 +90,31 @@ def test_non_acyclic_signature_exits_2(capsys, tmp_path, theta_file):
     assert "signature not acyclic" in err
 
 
+@pytest.fixture
+def k5_file(tmp_path):
+    path = tmp_path / "k5.json"
+    edges = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    path.write_text(json.dumps({"vertices": 5, "edges": edges}))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cycle-weights"], ["--cocycle-weights"], ["--cycle-weights", "--cocycle-weights"],
+])
+def test_tied_weights_run_as_their_lexicographic_refinement(capsys, k5_file, flags):
+    # all-ones weights tie on K5; 3^10 (1, ..., 1) + (3^9, ..., 3, 1) never does
+    ones = ",".join(["1"] * 10)
+    refined = ",".join(str(3 ** 10 + 3 ** (9 - j)) for j in range(10))
+    tied = [arg for flag in flags for arg in (flag, ones)]
+    code, out, err = run(capsys, ["table", "--graph", k5_file, *tied])
+    assert (code, err) == (0, "")
+    want = run(capsys, ["table", "--graph", k5_file,
+                        *[arg for flag in flags for arg in (flag, refined)]])
+    assert (code, out, err) == want
+    code, out, _ = run(capsys, ["verify", "--graph", k5_file, "--samples", "200", *tied])
+    assert code == 0 and json.loads(out)["passed"]
+
+
 @pytest.mark.parametrize("last_signs, code", [([1, -1], 0), ([-1, 1], 2)])
 def test_signature_check_decides_each_side_once(
     capsys, tmp_path, theta_file, monkeypatch, last_signs, code
@@ -242,6 +267,28 @@ def test_classes_cycle_kind(capsys, triangle_file):
     code, out, _ = run(capsys, ["classes", "--graph", triangle_file, "--kind", "cycle"])
     assert code == 0
     assert json.loads(out)["count"] == 7
+
+
+def test_classes_tutte_mismatch_exits_1(capsys, triangle_file, monkeypatch):
+    from oribij import cli
+
+    monkeypatch.setattr(cli, "tutte", lambda graph, x, y: 8)
+    code, out, _ = run(capsys, ["classes", "--graph", triangle_file, "--kind", "cycle"])
+    obj = json.loads(out)
+    assert (code, obj["count"], obj["tutte_count"]) == (1, 7, 8)
+
+
+def test_invariant_violation_exits_1(capsys, triangle_file, monkeypatch):
+    from oribij import cli
+    from oribij.errors import InvariantViolationError
+
+    def broken(*args, **kwargs):
+        raise InvariantViolationError("forward map is not a bijection")
+
+    monkeypatch.setattr(cli.BijectionTable, "build", broken)
+    code, out, err = run(capsys, ["table", "--graph", triangle_file])
+    assert (code, out) == (1, "")
+    assert err == "internal invariant violated: forward map is not a bijection\n"
 
 
 def test_ehrhart_triangle(capsys, triangle_file):

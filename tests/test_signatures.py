@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from oribij import fourier_motzkin, signatures
 from oribij import (
     CIRCUIT,
     COCIRCUIT,
@@ -23,7 +26,14 @@ from oribij import (
     tutte,
 )
 
-from helpers import R10_MATRIX, random_connected_multigraph, random_weights
+from helpers import (
+    R10_MATRIX,
+    ladder_reps,
+    matrix_rep,
+    random_connected_multigraph,
+    random_weights,
+    suite_instances,
+)
 
 
 def dot(u, v):
@@ -116,6 +126,47 @@ def test_weight_induced_signatures_are_acyclic():
                 sig = signature_from_weights(rep, w, side)
                 assert is_acyclic(rep, sig).acyclic
             checked += 1
+
+
+def refined_weights(weights, n):
+    """D 3^n w + (3^(n-1), ..., 3, 1), D the lcm of the denominators: tie-free
+    weights whose choices are w's with each tie broken toward the vector
+    whose lowest-index entry is +1."""
+    w = [Fraction(x) for x in weights]
+    scale = lcm(*(x.denominator for x in w)) * 3 ** n
+    return [int(scale * x) + 3 ** (n - 1 - j) for j, x in enumerate(w)]
+
+
+def tied_weights(rng, n):
+    """Integer entries in {-1, 0, 1, 2}, or halves and thirds of them."""
+    denominator = rng.choice((1, 1, 2, 3))
+    return [Fraction(rng.choice((-1, 0, 1, 2)), denominator) for _ in range(n)]
+
+
+def test_tied_weights_choose_as_their_lexicographic_refinement(monkeypatch):
+    # the ladder up to n = 12 and the acceptance pool, each with its matrix
+    # twin; support_cap is accepted and ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("weight signatures are acyclic without a check")
+
+    monkeypatch.setattr(signatures, "is_acyclic", refuse)
+    monkeypatch.setattr(fourier_motzkin, "maximize", refuse)
+    reps = [rep for rep in ladder_reps().values() if rep.element_count <= 12]
+    reps += [rep for _, rep, _ in suite_instances()]
+    rng = random.Random(24)
+    ties = 0
+    for rep in reps:
+        n = rep.element_count
+        for r in (rep, matrix_rep(rep)):
+            for _ in range(3):
+                w = tied_weights(rng, n)
+                refined = refined_weights(w, n)
+                for side in (CIRCUIT, COCIRCUIT):
+                    sig = signature_from_weights(r, w, side, support_cap=0)
+                    ties += sum(dot(w, v.entries) == 0 for v in sig.chosen)
+                    assert all(dot(refined, v.entries) > 0 for v in sig.chosen)
+                    assert sig.chosen == signature_from_weights(r, refined, side).chosen
+    assert ties > 500  # the draws do tie
 
 
 def test_explicit_signature_validation(triangle_rep):
