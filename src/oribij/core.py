@@ -112,13 +112,20 @@ class Graph:
     """A connected multigraph with a reference orientation.
 
     ``edges[j] = (tail, head)`` fixes the reference arc of edge j.  Loops
-    (tail == head) and parallel edges are allowed.
+    (tail == head) and parallel edges are allowed.  The vertex count and the
+    endpoints are read as integers and stored as ints and tuples.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        (count,) = _integers((self.vertex_count,), "vertex count")
+        edges = tuple(_integers(edge, "edge endpoint") for edge in self.edges)
+        if any(len(edge) != 2 for edge in edges):
+            raise InputError("an edge must be a (tail, head) pair")
+        object.__setattr__(self, "vertex_count", count)
+        object.__setattr__(self, "edges", edges)
         if self.vertex_count < 1:
             raise InputError("a graph needs at least one vertex")
         for tail, head in self.edges:

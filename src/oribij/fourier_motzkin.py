@@ -3,8 +3,10 @@
 A row ``(a_0, ..., a_{k-1}, c)`` encodes ``sum(a_i * x_i) + c >= 0``.  All
 arithmetic stays integral: combined rows are rescaled by gcd, so projections
 are exact and there is no tolerance anywhere.  This is only meant for the
-desk-scale systems in this package (signature acyclicity certificates and
-zonotope membership); a hard row-count cap guards against blowup.
+desk-scale systems of the package's one caller, the signature acyclicity
+certificates (``maximize``); a hard row-count cap guards against blowup.
+``project`` has no caller in the package: it is kept only because the
+benchmark's tracer fetches it by name.
 
 Eliminating a variable combines every row p with a positive coefficient
 ``a_p`` on it with every row q with a negative one ``-a_q``, into

@@ -35,14 +35,12 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-from . import fourier_motzkin as fm
 from .bijection import BijectionTable
 from .core import (
     DEFAULT_ELEMENT_CAP,
     Orientation,
     RegularMatroidRep,
     _element_sets,
-    _gauss_jordan,
     _integers,
     _orientation_mask,
     _require_cap,
@@ -331,6 +329,7 @@ def verify_cube_tiling(
     popcount (``_anchors_containing``); points are drawn as integer pairs
     and become Fractions only when reported.
     """
+    (sample_count,) = _integers((sample_count,), "sample count")
     if sample_count < 0:
         raise InputError("the sample count must not be negative")
     n = rep.element_count
@@ -364,12 +363,22 @@ def verify_cube_tiling(
 # ---------------------------------------------------------------------------
 # counting polynomials
 
+def _subset_mask(subset: Iterable[int]) -> int:
+    """The mask of a subset; a non-integer or negative element is refused, never truncated."""
+    elements = _integers(subset, "subset")
+    if min(elements, default=0) < 0:
+        raise InputError("subset elements must not be negative")
+    return mask_of(elements)
+
+
 class MultilinearPolynomial:
     """Integer combination of squarefree monomials, keyed by subsets stored as masks."""
 
     def __init__(self, coefficients: Mapping[frozenset[int], int] | None = None):
+        items = (coefficients or {}).items()
+        values = _integers((c for _, c in items), "coefficient")
         self._coeffs: dict[int, int] = {
-            mask_of(s): int(c) for s, c in (coefficients or {}).items() if c
+            _subset_mask(s): c for (s, _), c in zip(items, values) if c
         }
 
     @classmethod
@@ -380,7 +389,7 @@ class MultilinearPolynomial:
 
     @classmethod
     def from_subsets(cls, subsets: Iterable[Iterable[int]]) -> "MultilinearPolynomial":
-        return cls._of_masks(Counter(map(mask_of, subsets)))
+        return cls._of_masks(Counter(map(_subset_mask, subsets)))
 
     @classmethod
     def full_cube(cls, n: int) -> "MultilinearPolynomial":
@@ -388,7 +397,7 @@ class MultilinearPolynomial:
         return cls._of_masks(dict.fromkeys(range(1 << n), 1))
 
     def coefficient(self, subset: Iterable[int]) -> int:
-        return self._coeffs.get(mask_of(subset), 0)
+        return self._coeffs.get(_subset_mask(subset), 0)
 
     def monomials(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(
@@ -450,38 +459,6 @@ def cell_count_polynomial(
 # ---------------------------------------------------------------------------
 # dilated zonotope lattice counting
 
-def _zonotope_inequalities(
-    columns: Sequence[tuple[int, ...]], rank: int
-) -> list[tuple[int, ...]]:
-    """Halfspace rows over x for {sum c_e w_e : 0 <= c_e <= 1}.
-
-    Derived by substituting the equalities sum_e c_e w_e = x into the box
-    bounds, solved for the pivot c_e by ``_gauss_jordan`` and scaled by its
-    |d|, and projecting the combination variables out by Fourier-Motzkin
-    elimination; the result is an exact description, so membership testing
-    is a pure integer check.
-    """
-    n = len(columns)
-    width = n + rank
-    eq_rows = [[col[i] for col in columns] + [-int(j == i) for j in range(rank)]
-               for i in range(rank)]
-    reduced, pivots, d = _gauss_jordan(eq_rows, n)
-    if len(pivots) < rank:
-        raise InvariantViolationError("dilated columns lost rank")
-    scale = abs(d)
-    # exprs[e] is |d| c_e over (c, x): |d| c_e itself off the pivots; on pivot e,
-    # -(|d| / d) times the rest of e's row, as the row reads d c_e + rest = 0
-    exprs = [[scale * int(j == e) for j in range(width)] for e in range(n)]
-    for e, row in zip(pivots, reduced):
-        exprs[e] = [-x if d > 0 else x for x in row]
-        exprs[e][e] = 0
-    rows: list[tuple[int, ...]] = []
-    for expr in exprs:
-        rows.append(tuple(expr) + (0,))
-        rows.append(tuple(-x for x in expr) + (scale,))
-    return fm.project(rows, width, keep=list(range(n, width)))
-
-
 def dilated_zonotope_lattice_count(
     rep: RegularMatroidRep,
     dilation: Sequence[int],
@@ -490,52 +467,35 @@ def dilated_zonotope_lattice_count(
 ) -> int:
     """Lattice points of the coordinate-wise dilated zonotope of the columns.
 
-    Bounding-box enumeration against an exact halfspace description; this is
-    the independent oracle for the counting polynomials, so it never consults
-    them.
+    A is unimodular, so {c : A c = x, 0 <= c <= q} has integral vertices for
+    integral x (Veinott and Dantzig, SIAM Review 1968), and the lattice points
+    are the sums A k over integers 0 <= k <= q.  They are reached on one bitset
+    over the bounding box, with strides w_0 = 1, w_(i+1) = w_i (hi_i - lo_i + 1):
+    element e ORs in the set shifted by k (a_e . w), k = 1..q_e.  Past the
+    default element cap the bases are walked first, to certify unimodularity.
+    As the oracle for the counting polynomials, it never consults them.  ``rank_cap``
+    stays for the benchmark's refusal counts, ``fourier_motzkin.project`` for its tracer.
     """
     q = _integers(dilation, "dilation")
     if len(q) != rep.element_count or any(x < 1 for x in q):
         raise InputError("dilation must assign a positive integer to every element")
     if rep.rank > rank_cap:
         raise CapExceededError(f"rank {rep.rank} exceeds the zonotope cap {rank_cap}")
-    if rep.rank == 0:
-        return 1
-    columns = tuple(
-        tuple(q[e] * x for x in col) for e, col in enumerate(rep.columns)
-    )
-    lows = [sum(min(0, col[i]) for col in columns) for i in range(rep.rank)]
-    highs = [sum(max(0, col[i]) for col in columns) for i in range(rep.rank)]
-    size = 1
-    for lo, hi in zip(lows, highs):
+    strides, origin, size = [], 0, 1
+    for i in range(rep.rank):
+        lo = sum(min(0, qe * col[i]) for qe, col in zip(q, rep.columns))
+        hi = sum(max(0, qe * col[i]) for qe, col in zip(q, rep.columns))
+        strides.append(size)
+        origin -= lo * size
         size *= hi - lo + 1
     if size > box_cap:
         raise CapExceededError(f"bounding box has {size} points; cap is {box_cap}")
-
-    rows = _zonotope_inequalities(columns, rep.rank)
-    n = rep.element_count
-    count = 0
-    point = lows[:]
-    while True:
-        ok = True
-        for row in rows:
-            total = row[-1]
-            for i in range(rep.rank):
-                coeff = row[n + i]
-                if coeff:
-                    total += coeff * point[i]
-            if total < 0:
-                ok = False
-                break
-        if ok:
-            count += 1
-        i = rep.rank - 1
-        while i >= 0:
-            point[i] += 1
-            if point[i] <= highs[i]:
-                break
-            point[i] = lows[i]
-            i -= 1
-        if i < 0:
-            break
-    return count
+    _require_cap(rep, rep.element_count)
+    reach = 1 << origin
+    for qe, col in zip(q, rep.columns):
+        step = sum(x * w for x, w in zip(col, strides))
+        shifted = reach
+        for _ in range(qe):
+            shifted = shifted << step if step >= 0 else shifted >> -step
+            reach |= shifted
+    return reach.bit_count()

@@ -169,7 +169,8 @@ def _basis_map(
     """The pair's checked basis map, from the cache if there; the cap is checked first.
 
     The gate of builds, queries and decompositions: a chosen vector other
-    than +- the rep's signed circuit (cocircuit) on its support is bad input.
+    than +- the rep's signed circuit (cocircuit) on its support, or a support
+    chosen twice, is bad input.
     Checked: the t basis orientations (``_orientation_columns``) are distinct
     and jointly compatible, no two share a class key, the keys number t, the
     Gram determinant det(A A^T) (Cauchy-Binet: the number of bases, every basis
@@ -188,6 +189,10 @@ def _basis_map(
         canonical = {v.pos_mask | v.neg_mask: v.entries for v in vectors}
         if odd := canonical.keys() ^ s.pos_by_support.keys():
             raise InputError(f"no circuit with support {bits_of(min(odd))}")
+        if len(s.chosen) != len(s.pos_by_support):
+            supports = [v.pos_mask | v.neg_mask for v in s.chosen]
+            twice = next(m for i, m in enumerate(supports) if m in supports[:i])
+            raise InputError(f"support {bits_of(twice)} chosen twice")
         for v in s.chosen:
             if canonical[v.pos_mask | v.neg_mask] not in (v.entries, tuple(-x for x in v.entries)):
                 raise InputError(f"{v.entries} is not a signed {s.side} on its support")

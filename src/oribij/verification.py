@@ -9,7 +9,7 @@ counting-polynomial identities.
 from __future__ import annotations
 
 from .bijection import BijectionTable
-from .core import RegularMatroidRep, closure_mask_partition
+from .core import RegularMatroidRep, _integers, closure_mask_partition
 from .errors import InputError
 from .geometry import (
     MultilinearPolynomial,
@@ -44,6 +44,7 @@ def run_verification(
     seed: int = 0,
     table: BijectionTable | None = None,
 ) -> dict:
+    (samples,) = _integers((samples,), "sample count")
     if samples < 0:
         raise InputError("the sample count must not be negative")
     n = rep.element_count

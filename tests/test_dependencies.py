@@ -33,3 +33,19 @@ def test_the_project_declares_no_runtime_dependency():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.M | re.S).group(1)
     assert re.findall(r"^dependencies\b.*$", project, re.M) == ["dependencies = []"]
+
+
+def test_only_signatures_imports_fourier_motzkin():
+    # the acyclicity certificate is its one call site left in the package
+    importers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.rpartition(".")[2] == "fourier_motzkin" for name in names):
+                importers.add(path.name)
+    assert importers == {"signatures.py"}

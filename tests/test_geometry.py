@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import random
@@ -18,6 +17,7 @@ from oribij import (
     Graph,
     Orientation,
     RationalPoint,
+    RegularMatroidRep,
     canonical_signature_pair,
     cell_contains,
     cell_count_polynomial,
@@ -33,10 +33,9 @@ from oribij import geometry
 
 from helpers import (
     SubsetPolynomial,
-    ladder_reps,
+    complete_graph,
     random_connected_multigraph,
     random_signature_pair,
-    suite_instances,
 )
 
 
@@ -354,25 +353,27 @@ def test_zonotope_dilation_must_be_integers(triangle_rep):
     assert dilated_zonotope_lattice_count(triangle_rep, (2, 1, 1)) == 10
 
 
-def test_zonotope_inequalities_are_pinned():
-    # the halfspace rows of every rank-1..3 rep of the acceptance pool and the
-    # ladder, at three dilations each, as the Fraction RREF with lcm scaling
-    # produced them; fm.project normalises each row by its gcd, so any
-    # positive rescaling of the box rows leaves them unchanged
-    reps = [rep for _, rep, _ in suite_instances(seed=20240, count=50, pairs_per_graph=3)]
-    reps += list(ladder_reps().values())
-    out = []
-    for rep in reps:
-        if not 1 <= rep.rank <= 3:
-            continue
+def test_zonotope_count_refuses_a_non_unimodular_matrix_past_the_default_cap():
+    # the non-TU block of test_core padded with zero columns to 17 elements: its
+    # count rests on unimodularity, so the bases are walked before counting
+    rows = [[1, 0, 1, 1] + [0] * 13, [0, 1, 1, -1] + [0] * 13]
+    rep = RegularMatroidRep.from_rows(rows)
+    with pytest.raises(InputError, match="not totally unimodular"):
+        dilated_zonotope_lattice_count(rep, (1,) * 17)
+
+
+def test_zonotope_count_matches_polynomial_up_to_dilation_five():
+    k4 = complete_graph(4)
+    doubled = Graph(4, k4.edges + k4.edges)
+    rng = random.Random(11)
+    for g in (k4, doubled):
+        rep = graph_to_rep(g)
         n = rep.element_count
-        for q in ((1,) * n, (3,) * n, tuple(e % 3 + 1 for e in range(n))):
-            columns = tuple(tuple(q[e] * x for x in col) for e, col in enumerate(rep.columns))
-            out.append(geometry._zonotope_inequalities(columns, rep.rank))
-    assert len(out) == 102
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "a2a3a55fe16f3e9af111a58786571939b06ac7e3dd0b00cc64ac8c13c11fcf4c"
-    )
+        poly = independent_set_polynomial(rep)
+        dilations = [(k,) * n for k in range(1, 6)]
+        dilations += [tuple(rng.randint(1, 5) for _ in range(n)) for _ in range(5)]
+        for q in dilations:
+            assert dilated_zonotope_lattice_count(rep, q) == poly.evaluate(q), (g, q)
 
 
 def test_triangle_mixed_dilation(triangle_rep):

@@ -1,5 +1,9 @@
 """Every refusal at the door, each with its error type and message."""
 
+import dataclasses
+import re
+from fractions import Fraction
+
 import pytest
 
 from oribij import (
@@ -8,10 +12,12 @@ from oribij import (
     CapExceededError,
     Graph,
     InputError,
+    MultilinearPolynomial,
     Orientation,
     PartialOrientation,
     RegularMatroidRep,
     SignedSupportVector,
+    basis_to_orientation,
     canonical_signature_pair,
     circuit_class_representative,
     cocircuit_class_representative,
@@ -23,8 +29,10 @@ from oribij import (
     fundamental_circuit,
     fundamental_cocircuit,
     graph_to_rep,
+    orientation_to_subgraph,
     restricted_orientation_map,
     restricted_subgraph_map,
+    run_verification,
     same_class,
     signature_from_weights,
     split_kernel_image,
@@ -33,6 +41,8 @@ from oribij import (
 )
 from oribij.core import closure_mask_partition
 from oribij.serialize import load_matroid_obj, load_signature_obj, parse_weights
+
+from helpers import complete_graph
 
 TRIANGLE = graph_to_rep(Graph(3, ((2, 0), (0, 1), (1, 2))))
 SIG, COSIG = canonical_signature_pair(TRIANGLE)
@@ -117,6 +127,41 @@ REFUSALS = {
     "negative partial orientation element": (
         lambda: PartialOrientation.from_mapping({-1: True}),
         "fixed element outside the ground set"),
+    "fractional vertex count": (
+        lambda: Graph(2.0, ((0, 1),)), "vertex count entries must be integers"),
+    "fractional edge endpoint": (
+        lambda: Graph(2, ((0.0, 1),)), "edge endpoint entries must be integers"),
+    "edge of three endpoints": (
+        lambda: Graph(2, ((0, 1, 2),)), r"an edge must be a \(tail, head\) pair"),
+    "edge of one endpoint": (
+        lambda: Graph(2, ((0,),)), r"an edge must be a \(tail, head\) pair"),
+    "fractional verification samples": (
+        lambda: run_verification(TRIANGLE, SIG, COSIG, samples=2.5),
+        "sample count entries must be integers"),
+    "fractional tiling samples": (
+        lambda: verify_cube_tiling(TRIANGLE, BijectionTable.build(TRIANGLE, SIG, COSIG), 2.0),
+        "sample count entries must be integers"),
+    "float coefficient": (
+        lambda: MultilinearPolynomial({frozenset({0}): 1.7}),
+        "coefficient entries must be integers"),
+    "half coefficient": (
+        lambda: MultilinearPolynomial({frozenset({0}): 0.5}),
+        "coefficient entries must be integers"),
+    "fraction coefficient": (
+        lambda: MultilinearPolynomial({(0,): Fraction(3, 2)}),
+        "coefficient entries must be integers"),
+    "string coefficient": (
+        lambda: MultilinearPolynomial({(0,): "2"}), "coefficient entries must be integers"),
+    "negative monomial element": (
+        lambda: MultilinearPolynomial({(-1,): 1}), "subset elements must not be negative"),
+    "fractional monomial element": (
+        lambda: MultilinearPolynomial({(0.0,): 1}), "subset entries must be integers"),
+    "negative subset element": (
+        lambda: MultilinearPolynomial.from_subsets([(0,), (-1,)]),
+        "subset elements must not be negative"),
+    "negative coefficient element": (
+        lambda: MultilinearPolynomial({(0,): 2}).coefficient([-1]),
+        "subset elements must not be negative"),
 }
 
 
@@ -145,3 +190,40 @@ def test_backward_fundamental_cocircuit_is_the_negation():
         forward = fundamental_cocircuit(TRIANGLE, TREE, e)
         assert fundamental_cocircuit(TRIANGLE, TREE, e, forward=False) == -forward
         assert forward.entries[e] == 1
+
+
+def test_graph_stores_its_vertex_count_and_endpoints_as_ints():
+    g = Graph(True, [[0, 0]])
+    assert (g.vertex_count, g.edges) == (1, ((0, 0),))
+    assert g == Graph(1, ((0, 0),)) and hash(g) == hash(Graph(1, ((0, 0),)))
+
+
+def test_polynomial_coefficients_are_read_as_integers():
+    assert MultilinearPolynomial({(1, 0): True}).monomials() == [((0, 1), 1)]
+    assert MultilinearPolynomial.from_subsets([(1,), [1]]).coefficient({1}) == 2
+
+
+K4 = graph_to_rep(complete_graph(4))
+K4_SIG, K4_COSIG = canonical_signature_pair(K4)
+SIGNATURE_CALLS = {
+    "build": lambda sig, cosig: BijectionTable.build(K4, sig, cosig, use_cache=False),
+    "query": lambda sig, cosig: orientation_to_subgraph(
+        K4, Orientation.reference(K4.element_count), sig, cosig),
+    "basis_to_orientation": lambda sig, cosig: basis_to_orientation(
+        K4, Basis(frozenset({0, 1, 2})), sig, cosig),
+    "compatible_decomposition": lambda sig, cosig: compatible_decomposition(
+        K4, Orientation.reference(K4.element_count), sig, cosig),
+}
+
+
+@pytest.mark.parametrize("call", SIGNATURE_CALLS.values(), ids=SIGNATURE_CALLS.keys())
+@pytest.mark.parametrize("side", ["circuit", "cocircuit"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["duplicate", "opposite"])
+def test_a_support_chosen_twice_is_refused(call, side, sign):
+    call(K4_SIG, K4_COSIG)
+    pair = {"circuit": K4_SIG, "cocircuit": K4_COSIG}
+    first = pair[side].chosen[0]
+    pair[side] = dataclasses.replace(
+        pair[side], chosen=pair[side].chosen + (first if sign == 1 else -first,))
+    with pytest.raises(InputError, match=re.escape(f"support {sorted(first.support)} chosen twice")):
+        call(pair["circuit"], pair["cocircuit"])
