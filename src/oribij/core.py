@@ -1,4 +1,4 @@
-"""Graphs, totally unimodular representations, and signed circuit machinery.
+"""Graphs, unimodular representations, and signed circuit machinery.
 
 Conventions used throughout the package:
 
@@ -104,6 +104,23 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise InputError(f"{what} entries must be integers") from None
 
 
+def _components(vertex_count: int, edges: Iterable[tuple[int, int]]) -> int:
+    """The number of connected components of the multigraph on range(vertex_count)."""
+    parent = list(range(vertex_count))
+
+    def find(v: int) -> int:
+        while (p := parent[v]) != v:
+            parent[v] = v = parent[p]
+        return v
+
+    count = vertex_count
+    for tail, head in edges:
+        if (a := find(tail)) != (b := find(head)):
+            parent[a] = b
+            count -= 1
+    return count
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -121,7 +138,10 @@ class Graph:
 
     def __post_init__(self):
         (count,) = _integers((self.vertex_count,), "vertex count")
-        edges = tuple(_integers(edge, "edge endpoint") for edge in self.edges)
+        try:
+            edges = tuple(_integers(edge, "edge endpoint") for edge in self.edges)
+        except TypeError:
+            raise InputError("the edges must be an iterable of (tail, head) pairs") from None
         if any(len(edge) != 2 for edge in edges):
             raise InputError("an edge must be a (tail, head) pair")
         object.__setattr__(self, "vertex_count", count)
@@ -132,21 +152,8 @@ class Graph:
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
                 raise InputError(f"edge endpoint out of range: {(tail, head)}")
         # fewer than vertex_count - 1 edges cannot connect; refuse before the union-find
-        if self.vertex_count > len(self.edges) + 1 or not self._connected():
+        if self.vertex_count > len(self.edges) + 1 or _components(count, edges) != 1:
             raise InputError("graph must be connected")
-
-    def _connected(self) -> bool:
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for tail, head in self.edges:
-            parent[find(tail)] = find(head)
-        return len({find(v) for v in range(self.vertex_count)}) == 1
 
     @property
     def edge_count(self) -> int:
@@ -279,7 +286,7 @@ class Basis:
 
 @dataclass(frozen=True)
 class RegularMatroidRep:
-    """A full-row-rank totally unimodular integer matrix, optionally graph-backed.
+    """A full-row-rank unimodular integer matrix, optionally graph-backed.
 
     ``matrix`` is stored row-wise.  When built from a graph, ``graph`` keeps
     the vertex structure around for what only a graph has (Tutte counts, DOT
@@ -560,19 +567,9 @@ def graph_to_rep(g: Graph) -> RegularMatroidRep:
         raise TrivialGraphError(
             "single-vertex graphs have no incidence matrix; use loops_only_rep"
         )
-    rows = []
-    for v in range(g.vertex_count - 1):
-        row = []
-        for tail, head in g.edges:
-            if tail == head:
-                row.append(0)
-            elif head == v:
-                row.append(1)
-            elif tail == v:
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
+    # a loop's head and tail cancel
+    rows = [tuple((head == v) - (tail == v) for tail, head in g.edges)
+            for v in range(g.vertex_count - 1)]
     return RegularMatroidRep.from_rows(rows, graph=g)
 
 

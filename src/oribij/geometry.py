@@ -406,6 +406,8 @@ class MultilinearPolynomial:
         )
 
     def evaluate(self, values: Sequence[int | Fraction]):
+        if (size := max(self._coeffs, default=0).bit_length()) > len(values):
+            raise InputError(f"the polynomial needs {size} values, got {len(values)}")
         total = 0
         for m, coeff in self._coeffs.items():
             total += coeff * reduce(lambda a, e: a * values[e], bits_of(m), 1)

@@ -1,8 +1,8 @@
 """Independent brute-force ground truth.
 
 Everything here is deliberately direct: deletion-contraction for Tutte
-evaluations, union-find subgraph classification, the components of the
-single-reversal move graph for reversal classes, and a generic bijection
+evaluations, subgraph classification by component counts, the components of
+the single-reversal move graph for reversal classes, and a generic bijection
 auditor.  Nothing in this module consults signatures or the bijection tables
 it is used to check, and the closure shares no code with the linear keys that
 partition the classes.
@@ -18,6 +18,7 @@ from .core import (
     Graph,
     Orientation,
     RegularMatroidRep,
+    _components,
     _require_cap,
     closure_mask_partition,
 )
@@ -45,20 +46,6 @@ def tutte(g: Graph, x: int, y: int, cap: int = DEFAULT_ELEMENT_CAP) -> int:
             tuple(sorted((relabel[t], relabel[h]))) for t, h in edges
         ))
 
-    def connected_without(vcount: int, edges, skip: int) -> bool:
-        parent = list(range(vcount))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, (t, h) in enumerate(edges):
-            if i != skip:
-                parent[find(t)] = find(h)
-        return len({find(v) for v in range(vcount)}) == 1
-
     def contract(vcount: int, edges, idx: int):
         t, h = edges[idx]
         keep, lost = min(t, h), max(t, h)
@@ -80,7 +67,7 @@ def tutte(g: Graph, x: int, y: int, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         t, h = edges[0]
         if t == h:
             val = y * rec(vcount, edges[1:])
-        elif not connected_without(vcount, edges, 0):
+        elif _components(vcount, edges[1:]) > 1:
             val = x * rec(*contract(vcount, edges, 0))
         else:
             val = rec(vcount, edges[1:]) + rec(*contract(vcount, edges, 0))
@@ -93,23 +80,8 @@ def tutte(g: Graph, x: int, y: int, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 def classify_subset(g: Graph, subset: Iterable[int]) -> str:
     """One of tree / forest / connected-spanning / neither."""
     chosen = set(subset)
-    parent = list(range(g.vertex_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    acyclic = True
-    for j in chosen:
-        t, h = g.edges[j]
-        rt, rh = find(t), find(h)
-        if rt == rh:
-            acyclic = False
-        else:
-            parent[rt] = rh
-    components = len({find(v) for v in range(g.vertex_count)})
+    components = _components(g.vertex_count, (g.edges[j] for j in chosen))
+    acyclic = len(chosen) == g.vertex_count - components
     spanning = components == 1
     if acyclic and spanning:
         return "tree"

@@ -45,7 +45,9 @@ from .core import (
     split_kernel_image,
 )
 from .errors import InputError, InvariantViolationError
-from .signatures import CIRCUIT, COCIRCUIT, Signature, _compatible_among, _compatible_set
+from .signatures import (
+    CIRCUIT, COCIRCUIT, Signature, _checked_choices, _compatible_among, _compatible_set,
+)
 
 Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
 KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
@@ -168,9 +170,8 @@ def _basis_map(
 ) -> _BasisMap:
     """The pair's checked basis map, from the cache if there; the cap is checked first.
 
-    The gate of builds, queries and decompositions: a chosen vector other
-    than +- the rep's signed circuit (cocircuit) on its support, or a support
-    chosen twice, is bad input.
+    The gate of builds, queries and decompositions: each signature must pass
+    ``signatures._checked_choices``.
     Checked: the t basis orientations (``_orientation_columns``) are distinct
     and jointly compatible, no two share a class key, the keys number t, the
     Gram determinant det(A A^T) (Cauchy-Binet: the number of bases, every basis
@@ -185,17 +186,8 @@ def _basis_map(
     if use_cache and (entry := _TABLE_CACHE.pop(key, None)) is not None:
         _TABLE_CACHE[key] = entry
         return entry
-    for s, vectors in ((sig, rep._circuits), (cosig, rep._cocircuits)):
-        canonical = {v.pos_mask | v.neg_mask: v.entries for v in vectors}
-        if odd := canonical.keys() ^ s.pos_by_support.keys():
-            raise InputError(f"no circuit with support {bits_of(min(odd))}")
-        if len(s.chosen) != len(s.pos_by_support):
-            supports = [v.pos_mask | v.neg_mask for v in s.chosen]
-            twice = next(m for i, m in enumerate(supports) if m in supports[:i])
-            raise InputError(f"support {bits_of(twice)} chosen twice")
-        for v in s.chosen:
-            if canonical[v.pos_mask | v.neg_mask] not in (v.entries, tuple(-x for x in v.entries)):
-                raise InputError(f"{v.entries} is not a signed {s.side} on its support")
+    for s in (sig, cosig):
+        _checked_choices(rep, s.side, s.chosen, cap)
     columns = _orientation_columns(rep, sig, cosig)
     bases, full = rep._basis_masks, (1 << len(rep._basis_masks)) - 1
     masks = _element_sets(columns, len(bases))

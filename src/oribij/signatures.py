@@ -124,28 +124,39 @@ def explicit_signature(
 ) -> Signature:
     """Validate and package an explicit list of chosen directions.
 
-    Every circuit support must be covered exactly once and every choice must
-    be one of the two signed vectors on its support.
+    Every support must be chosen exactly once, and every choice must be one
+    of the two signed vectors on its support.
     """
-    canonical = {vec.support: vec for vec in _supports_for(rep, side, cap)}
-    seen: dict[frozenset[int], SignedSupportVector] = {}
-    for raw in choices:
-        entries = _integers(
-            raw.entries if isinstance(raw, SignedSupportVector) else raw, f"signed {side}")
-        vec = SignedSupportVector(entries, "kernel" if side == CIRCUIT else "image")
-        ref = canonical.get(vec.support)
+    tag = "kernel" if side == CIRCUIT else "image"
+    chosen = [SignedSupportVector(_integers(
+        raw.entries if isinstance(raw, SignedSupportVector) else raw, f"signed {side}"), tag)
+        for raw in choices]
+    return Signature(side, _checked_choices(rep, side, chosen, cap), "explicit")
+
+
+def _checked_choices(
+    rep: RegularMatroidRep, side: Side, chosen: Iterable[SignedSupportVector],
+    cap: int = DEFAULT_ELEMENT_CAP,
+) -> tuple[SignedSupportVector, ...]:
+    """The one signature gate: the choices in the rep's order, or bad input if
+    some choice is not +- the rep's signed circuit (cocircuit) on its support,
+    or some support is chosen twice or not at all.
+    """
+    canonical = {v.pos_mask | v.neg_mask: v.entries for v in _supports_for(rep, side, cap)}
+    seen: dict[int, SignedSupportVector] = {}
+    for vec in chosen:
+        support = vec.pos_mask | vec.neg_mask
+        ref = canonical.get(support)
         if ref is None:
-            raise InputError(f"{sorted(vec.support)} is not a {side} support")
-        if entries not in (ref.entries, (-ref).entries):
-            raise InputError(f"{entries} is not a signed {side} on its support")
-        if vec.support in seen:
-            raise InputError(f"support {sorted(vec.support)} chosen twice")
-        seen[vec.support] = vec if entries == ref.entries else -ref
-    missing = set(canonical) - set(seen)
-    if missing:
-        raise InputError(f"{len(missing)} supports have no chosen direction")
-    ordered = tuple(seen[vec.support] for vec in canonical.values())
-    return Signature(side=side, chosen=ordered, provenance="explicit")
+            raise InputError(f"no {side} with support {bits_of(support)}")
+        if vec.entries != ref and vec.entries != tuple(-x for x in ref):
+            raise InputError(f"{vec.entries} is not a signed {side} on its support")
+        if support in seen:
+            raise InputError(f"support {bits_of(support)} chosen twice")
+        seen[support] = vec
+    if missing := canonical.keys() - seen.keys():
+        raise InputError(f"{side} support {bits_of(min(missing))} has no chosen direction")
+    return tuple(map(seen.__getitem__, canonical))
 
 
 def is_acyclic(
@@ -164,16 +175,9 @@ def is_acyclic(
         raise InputError("a chosen vector's length disagrees with the ground set")
     if not sig.chosen:
         return Acyclicity(True, tuple(Fraction(0) for _ in range(n)))
-    rows = []
-    for vec in sig.chosen:
-        rows.append(tuple(vec.entries) + (-1, 0))
-    for j in range(n):
-        unit = [0] * (n + 2)
-        unit[j], unit[n + 1] = 1, 1
-        rows.append(tuple(unit))
-        unit = [0] * (n + 2)
-        unit[j], unit[n + 1] = -1, 1
-        rows.append(tuple(unit))
+    # <w, v> - t >= 0 per chosen v, then +-w_j + 1 >= 0 per element j
+    rows = [tuple(vec.entries) + (-1, 0) for vec in sig.chosen]
+    rows += [tuple(s * (i == j) for i in range(n)) + (0, 1) for j in range(n) for s in (1, -1)]
     sup, point = fm.maximize(rows, n + 1, n)
     if sup is None or sup <= 0:
         return Acyclicity(False, None)

@@ -16,6 +16,7 @@ from oribij import (
     is_acyclic,
     signature_from_weights,
 )
+from oribij import core
 from oribij.cli import main
 
 from helpers import table_oracle
@@ -363,10 +364,10 @@ def test_out_file(capsys, tmp_path, triangle_file):
 
 
 def test_huge_vertex_count_exits_2_before_the_union_find(capsys, tmp_path, monkeypatch):
-    def union_find(self):
+    def union_find(vertex_count, edges):
         raise AssertionError("the union-find ran")
 
-    monkeypatch.setattr(Graph, "_connected", union_find)
+    monkeypatch.setattr(core, "_components", union_find)
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps({"vertices": 4 * 10 ** 6, "edges": [[0, 1]]}))
     code, _, err = run(capsys, ["table", "--graph", str(path)])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -92,14 +93,41 @@ def test_disconnected_graph_rejected():
 
 
 def test_too_few_edges_to_connect_are_refused_before_the_union_find(monkeypatch):
-    def union_find(self):
+    def union_find(vertex_count, edges):
         raise AssertionError("the union-find ran")
 
-    monkeypatch.setattr(Graph, "_connected", union_find)
+    monkeypatch.setattr(core, "_components", union_find)
     with pytest.raises(InputError, match="graph must be connected"):
         Graph(10 ** 12, ((0, 1),))
     with pytest.raises(InputError, match="graph must be connected"):
         Graph(3, ((0, 1),))
+
+
+def test_components_matches_a_breadth_first_count():
+    rng = random.Random(2603)
+    cases = [(1, []), (1, [(0, 0)]), (3, [])]
+    for _ in range(300):
+        v = rng.randint(1, 8)
+        edges = [(rng.randrange(v), rng.randrange(v)) for _ in range(rng.randint(0, 10))]
+        cases.append((v, edges + [(x, x) for x, _ in edges[:2]] + edges[:2]))
+    for v, edges in cases:
+        neighbours = [[] for _ in range(v)]
+        for t, h in edges:
+            neighbours[t].append(h)
+            neighbours[h].append(t)
+        seen, count = set(), 0
+        for start in range(v):
+            if start in seen:
+                continue
+            count += 1
+            seen.add(start)
+            queue = deque([start])
+            while queue:
+                for w in neighbours[queue.popleft()]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        assert core._components(v, edges) == count, (v, edges)
 
 
 def test_single_vertex_graph_signals_trivial_case():

@@ -49,3 +49,24 @@ def test_only_signatures_imports_fourier_motzkin():
             if any(name.rpartition(".")[2] == "fourier_motzkin" for name in names):
                 importers.add(path.name)
     assert importers == {"signatures.py"}
+
+
+def _raised_text(path: Path) -> str:
+    """The string constants of every raise statement in one module, joined."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return "\n".join(node.value for raise_ in ast.walk(tree) if isinstance(raise_, ast.Raise)
+                     for node in ast.walk(raise_)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def test_one_signature_gate_and_one_union_find():
+    # explicit signatures and the basis map share signatures._checked_choices
+    gates = {path.name for path in sorted(PACKAGE.rglob("*.py"))
+             if re.search("chosen twice|is not a signed", _raised_text(path))}
+    assert gates == {"signatures.py"}
+    # the oracle counts components through core._components
+    oracle = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    names = {node.name for node in ast.walk(oracle) if isinstance(node, ast.FunctionDef)}
+    names |= {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    assert not names & {"find", "parent", "union", "connected_without"}
+    assert "_components" in names

@@ -16,6 +16,7 @@ from oribij import (
     Orientation,
     PartialOrientation,
     RegularMatroidRep,
+    Signature,
     SignedSupportVector,
     basis_to_orientation,
     canonical_signature_pair,
@@ -135,6 +136,8 @@ REFUSALS = {
         lambda: Graph(2, ((0, 1, 2),)), r"an edge must be a \(tail, head\) pair"),
     "edge of one endpoint": (
         lambda: Graph(2, ((0,),)), r"an edge must be a \(tail, head\) pair"),
+    "edge list that is not iterable": (
+        lambda: Graph(2, None), r"the edges must be an iterable of \(tail, head\) pairs"),
     "fractional verification samples": (
         lambda: run_verification(TRIANGLE, SIG, COSIG, samples=2.5),
         "sample count entries must be integers"),
@@ -162,6 +165,9 @@ REFUSALS = {
     "negative coefficient element": (
         lambda: MultilinearPolynomial({(0,): 2}).coefficient([-1]),
         "subset elements must not be negative"),
+    "too few polynomial values": (
+        lambda: MultilinearPolynomial({(3,): 1}).evaluate([1]),
+        "the polynomial needs 4 values, got 1"),
 }
 
 
@@ -227,3 +233,35 @@ def test_a_support_chosen_twice_is_refused(call, side, sign):
         pair[side], chosen=pair[side].chosen + (first if sign == 1 else -first,))
     with pytest.raises(InputError, match=re.escape(f"support {sorted(first.support)} chosen twice")):
         call(pair["circuit"], pair["cocircuit"])
+
+
+def _turn_first_arc(vec):
+    low = min(vec.support)
+    return SignedSupportVector(tuple(-x if e == low else x for e, x in enumerate(vec.entries)))
+
+
+# K4 has no circuit or cocircuit on two elements
+SIGNATURE_DEFECTS = {
+    "support missing": (lambda chosen: chosen[1:], "has no chosen direction"),
+    "foreign support": (
+        lambda chosen: chosen + (SignedSupportVector((1, 1, 0, 0, 0, 0)),),
+        r"no \w+ with support \[0, 1\]"),
+    "support chosen twice": (lambda chosen: chosen + chosen[:1], "chosen twice"),
+    "vector off its circuit": (
+        lambda chosen: (_turn_first_arc(chosen[0]),) + chosen[1:],
+        r"is not a signed \w+ on its support"),
+}
+
+
+@pytest.mark.parametrize("defect, message", SIGNATURE_DEFECTS.values(),
+                         ids=SIGNATURE_DEFECTS.keys())
+@pytest.mark.parametrize("side", ["circuit", "cocircuit"])
+def test_explicit_signature_and_the_build_refuse_alike(defect, message, side):
+    pair = {"circuit": K4_SIG, "cocircuit": K4_COSIG}
+    chosen = defect(pair[side].chosen)
+    with pytest.raises(InputError, match=message) as explicit:
+        explicit_signature(K4, side, chosen)
+    pair[side] = Signature(side, chosen)
+    with pytest.raises(InputError) as built:
+        BijectionTable.build(K4, pair["circuit"], pair["cocircuit"], use_cache=False)
+    assert str(built.value) == str(explicit.value)

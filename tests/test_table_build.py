@@ -395,8 +395,10 @@ def test_a_signature_pair_of_another_rep_is_refused_at_the_door(monkeypatch):
     with pytest.raises(InputError, match="is not a signed cocircuit on its support"):
         BijectionTable.build(flipped, own, cosig)
     # a support the signature lacks, or one the rep lacks
-    for chosen in (own.chosen[1:], own.chosen + (SignedSupportVector((1, 1, 0, 0, 0, 0)),)):
-        with pytest.raises(InputError, match="no circuit with support"):
+    for chosen, message in ((own.chosen[1:], "has no chosen direction"),
+                            (own.chosen + (SignedSupportVector((1, 1, 0, 0, 0, 0)),),
+                             "no circuit with support")):
+        with pytest.raises(InputError, match=message):
             BijectionTable.build(flipped, Signature(CIRCUIT, chosen), own_co)
     assert not reversal._TABLE_CACHE
 
