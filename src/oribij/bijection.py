@@ -34,7 +34,7 @@ from .core import (
     _basis_mask,
     bits_of,
     _class_keys,
-    _integers,
+    _elements,
     _orientation_mask,
     _packed_sum,
     _subset_sums,
@@ -80,23 +80,17 @@ class BijectionTable:
         return frozenset(bits_of(self.forward[_orientation_mask(o, self.rep.element_count)]))
 
     def orientation_of(self, subgraph: Iterable[int]) -> Orientation:
-        elements = _integers(subgraph, "subgraph")
-        if min(elements, default=0) < 0 or (m := mask_of(elements)) not in self.inverse:
-            raise InputError("subset is outside the ground set")
-        return Orientation.from_mask(self.rep.element_count, self.inverse[m])
+        n = self.rep.element_count
+        elements = _elements(subgraph, n, "subgraph", "subset is outside the ground set")
+        return Orientation.from_mask(n, self.inverse[mask_of(elements)])
 
     def tag_of(self, o: Orientation) -> Tag:
         return self.tags[_orientation_mask(o, self.rep.element_count)]
 
-    def mask_rows(self):
-        """(orientation mask, sorted subgraph elements, tag), by increasing mask."""
-        for m in sorted(self.forward):
-            yield m, bits_of(self.forward[m]), self.tags[m]
-
     def rows(self):
         n = self.rep.element_count
-        for m, subgraph, tag in self.mask_rows():
-            yield Orientation.from_mask(n, m), frozenset(subgraph), tag
+        for m in range(1 << n):
+            yield Orientation.from_mask(n, m), frozenset(bits_of(self.forward[m])), self.tags[m]
 
     # -- construction ----------------------------------------------------------
 
@@ -183,7 +177,7 @@ def basis_to_orientation(
 ) -> Orientation:
     """Orient every element by its chosen fundamental circuit/cocircuit direction."""
     n = rep.element_count
-    mask = _basis_map(rep, sig, cosig, cap=n).orientations.get(_basis_mask(basis))
+    mask = _basis_map(rep, sig, cosig, cap=n).orientations.get(_basis_mask(rep, basis))
     if mask is None:
         raise InputError(_NOT_A_BASIS)
     return Orientation.from_mask(n, mask)
@@ -262,8 +256,7 @@ def restricted_subgraph_map(
     always a bijection.
     """
     n = rep.element_count
-    if any(not 0 <= e < n for e in partial.support):
-        raise InputError("fixed element outside the ground set")
+    _elements(partial.support, n, "fixed element", "fixed element outside the ground set")
     table = BijectionTable.build(rep, sig, cosig)
     free = sorted(set(range(n)) - partial.support)
     base = partial.forward_mask
@@ -284,13 +277,12 @@ def restricted_orientation_map(
     Inverts the subgraph map over subsets containing ``include`` and avoiding
     ``exclude``, then drops the fixed elements.  Always a bijection.
     """
-    include = frozenset(_integers(include, "fixed element"))
-    exclude = frozenset(_integers(exclude, "fixed element"))
+    n = rep.element_count
+    include, exclude = (
+        frozenset(_elements(s, n, "fixed element", "fixed element outside the ground set"))
+        for s in (include, exclude))
     if include & exclude:
         raise InputError("included and excluded elements overlap")
-    n = rep.element_count
-    if any(not 0 <= e < n for e in include | exclude):
-        raise InputError("fixed element outside the ground set")
     table = BijectionTable.build(rep, sig, cosig)
     free = sorted(set(range(n)) - include - exclude)
     base = mask_of(include)

@@ -19,7 +19,7 @@ from .errors import (
     InvariantViolationError,
     TrivialGraphError,
 )
-from .geometry import independent_set_polynomial, cell_count_polynomial
+from .geometry import _restricted_cell_polynomial, independent_set_polynomial
 from .oracle import tutte
 from .reversal import _class_masks
 from .signatures import (
@@ -130,12 +130,8 @@ def _cmd_table(args) -> int:
     rep = _load_rep(args)
     sig, cosig, _ = _load_signatures(rep, args)
     table = BijectionTable.build(rep, sig, cosig)
-    if args.format == "dot":
-        _emit(args, [table_dot(table)])
-    elif args.format == "csv":
-        _emit(args, [table_csv(table)])
-    else:
-        _emit(args, json_pieces(table_json_obj(table)))
+    write = {"dot": table_dot, "csv": table_csv}.get(args.format)
+    _emit(args, write(table) if write else json_pieces(table_json_obj(table)))
     return EXIT_OK
 
 
@@ -166,9 +162,7 @@ def _cmd_ehrhart(args) -> int:
     sig, cosig, _ = _load_signatures(rep, args)
     table = BijectionTable.build(rep, sig, cosig)
     independent = independent_set_polynomial(rep)
-    compatible = [m for m in rep.orientation_universe()
-                  if table.tags[m] in ("basis", "forest")]
-    restricted = cell_count_polynomial(table, compatible)
+    restricted = _restricted_cell_polynomial(table)
     diff = restricted - independent
     _emit(args, json_pieces({
         "independent_set_polynomial": polynomial_json_obj(independent),

@@ -47,6 +47,8 @@ CACHE_SIZE = 2
 TU_MINOR_CAP = 10 ** 6
 
 Side = Literal["kernel", "image", "free"]
+Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
+KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,22 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise InputError(f"{what} entries must be integers") from None
+
+
+def _elements(values: Iterable, n: float, what: str, outside: str) -> tuple[int, ...]:
+    """The door for element sets: the values as ints (``_integers``), each in range(n)
+    or refused with the message ``outside``; n is math.inf without a ground set."""
+    elements = _integers(values, what)
+    if elements and not (min(elements) >= 0 and max(elements) < n):
+        raise InputError(outside)
+    return elements
+
+
+def _reversal_kind(kind: Kind) -> Kind:
+    """The door for reversal kinds: one of KINDS."""
+    if kind not in KINDS:
+        raise InputError(f"unknown reversal kind {kind!r}")
+    return kind
 
 
 def _components(vertex_count: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -178,9 +196,8 @@ class Orientation:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Orientation":
-        """The orientation of n elements given by mask; a mask outside [0, 2^n) is refused."""
-        if mask < 0 or mask >> n:
-            raise InputError("orientation mask lies outside the ground set")
+        """The orientation of n elements given by mask, read by ``_orientation_mask``."""
+        mask = _orientation_mask(mask, n)
         o = object.__new__(cls)
         object.__setattr__(o, "mask", mask)
         object.__setattr__(o, "size", n)
@@ -202,14 +219,17 @@ class Orientation:
 
 
 def _orientation_mask(o: Orientation | int, n: int) -> int:
-    """The mask of o over n elements; another length, or a mask outside [0, 2^n), is refused."""
-    if isinstance(o, int):
-        if o < 0 or o >> n:
-            raise InputError("orientation mask lies outside the ground set")
-        return o
-    if len(o) != n:
-        raise InputError("orientation length disagrees with the ground set")
-    return o.mask
+    """The door for orientations: the mask of o over n elements.  An Orientation of
+    another length is refused, and so is a mask that is not an int in [0, 2^n)."""
+    if type(o) is not int:
+        if isinstance(o, Orientation):
+            if o.size != n:
+                raise InputError("orientation length disagrees with the ground set")
+            return o.mask
+        (o,) = _integers((o,), "orientation mask")
+    if o < 0 or o >> n:
+        raise InputError("orientation mask lies outside the ground set")
+    return o
 
 
 @dataclass(frozen=True)
@@ -220,9 +240,8 @@ class PartialOrientation:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, bool]) -> "PartialOrientation":
-        elements = _integers(mapping, "partial orientation")
-        if min(elements, default=0) < 0:
-            raise InputError("fixed element outside the ground set")
+        elements = _elements(mapping, math.inf, "partial orientation",
+                             "fixed element outside the ground set")
         return cls(tuple(sorted(zip(elements, map(bool, mapping.values())))))
 
     @cached_property
@@ -731,11 +750,9 @@ _NOT_A_BASIS = "the set is not a basis of the matrix"
 _UNIT = frozenset((-1, 0, 1))
 
 
-def _basis_mask(basis: Basis) -> int:
-    """The mask of basis; a negative element is refused (larger ones fail as non-bases)."""
-    if min(basis.elements, default=0) < 0:
-        raise InputError(_NOT_A_BASIS)
-    return basis.mask
+def _basis_mask(rep: RegularMatroidRep, basis: Basis) -> int:
+    """The mask of basis, its elements read at the door (not whether it is a basis)."""
+    return mask_of(_elements(basis.elements, rep.element_count, "basis", _NOT_A_BASIS))
 
 
 def _pivot(tableau, elements: Sequence[int], i: int, e: int) -> tuple[tuple, tuple]:
@@ -785,12 +802,13 @@ def fundamental_circuit(
     rep: RegularMatroidRep, basis: Basis, element: int, forward: bool = True
 ) -> SignedSupportVector:
     """The unique signed circuit inside basis + element, oriented at element."""
-    tableau = _basis_tableau(rep, _basis_mask(basis))
-    if not 0 <= element < rep.element_count:
-        raise InputError("element outside the ground set")
-    if element in basis.elements:
+    b = _basis_mask(rep, basis)
+    tableau = _basis_tableau(rep, b)
+    (element,) = _elements((element,), rep.element_count, "element",
+                           "element outside the ground set")
+    if b >> element & 1:
         raise InputError("fundamental circuits need an element outside the basis")
-    entries = _circuit_entries(tableau, bits_of(basis.mask), element, rep.element_count)
+    entries = _circuit_entries(tableau, bits_of(b), element, rep.element_count)
     if not forward:
         entries = [-x for x in entries]
     return SignedSupportVector(tuple(entries), "kernel")
@@ -800,10 +818,13 @@ def fundamental_cocircuit(
     rep: RegularMatroidRep, basis: Basis, element: int, forward: bool = True
 ) -> SignedSupportVector:
     """The unique signed cocircuit avoiding basis - element, oriented at element."""
-    tableau = _basis_tableau(rep, _basis_mask(basis))
-    if element not in basis.elements:
+    b = _basis_mask(rep, basis)
+    tableau = _basis_tableau(rep, b)
+    (element,) = _elements((element,), rep.element_count, "element",
+                           "element outside the ground set")
+    if not b >> element & 1:
         raise InputError("fundamental cocircuits need an element of the basis")
-    entries = tableau[bits_of(basis.mask).index(element)]
+    entries = tableau[bits_of(b).index(element)]
     if not forward:
         entries = tuple(-x for x in entries)
     return SignedSupportVector(tuple(entries), "image")
@@ -832,16 +853,16 @@ def find_conforming_circuit_or_cocircuit(
     returns the first match; a graph rep and its matrix twin agree.
     """
     n = rep.element_count
-    supp = partial.support
-    if element not in supp:
-        raise InputError("the pivot element must carry a direction")
-    if cycle_only & cocycle_only or (supp | cycle_only | cocycle_only) != frozenset(range(n)) \
-            or supp & (cycle_only | cocycle_only):
-        raise InputError("the three edge classes must partition the ground set")
-    fwd, bwd = partial.forward_mask, partial.backward_mask
+    partition = "the three edge classes must partition the ground set"
+    supp, ec_mask, ed_mask = (mask_of(_elements(s, n, "edge class", partition))
+                              for s in (partial.support, cycle_only, cocycle_only))
+    (element,) = _elements((element,), n, "element", "the pivot element must carry a direction")
     bit = 1 << element
-    ed_mask = mask_of(cocycle_only)
-    ec_mask = mask_of(cycle_only)
+    if not supp & bit:
+        raise InputError("the pivot element must carry a direction")
+    if ec_mask & ed_mask or supp & (ec_mask | ed_mask) or supp | ec_mask | ed_mask != (1 << n) - 1:
+        raise InputError(partition)
+    fwd, bwd = partial.forward_mask, partial.backward_mask
     for pool, forbidden in ((rep._circuits, ed_mask), (rep._cocircuits, ec_mask)):
         for vec in pool:
             pos, neg = vec.pos_mask, vec.neg_mask
@@ -880,18 +901,11 @@ def conformal_decompose(
     current = list(vec.entries)
     while any(current):
         support = frozenset(j for j, x in enumerate(current) if x)
-        partial = PartialOrientation.from_mapping(
-            {j: current[j] > 0 for j in support}
-        )
+        partial = PartialOrientation.from_mapping({j: current[j] > 0 for j in support})
         rest = frozenset(range(n)) - support
-        if vec.side == "kernel":
-            piece = find_conforming_circuit_or_cocircuit(
-                rep, partial, frozenset(), rest, min(support)
-            )
-        else:
-            piece = find_conforming_circuit_or_cocircuit(
-                rep, partial, rest, frozenset(), min(support)
-            )
+        # a kernel vector's pieces are circuits, so the rest is cocycle-only; dually for images
+        classes = (frozenset(), rest) if vec.side == "kernel" else (rest, frozenset())
+        piece = find_conforming_circuit_or_cocircuit(rep, partial, *classes, min(support))
         if piece.side != vec.side:
             raise InvariantViolationError("conforming search returned the wrong side")
         for j, x in enumerate(piece.entries):
@@ -915,18 +929,13 @@ def closure_mask_partition(rep: RegularMatroidRep, kind: str) -> tuple[tuple[int
     Nothing here reads the linear class keys or the matrix.  Returns sorted
     tuples of orientation masks, by least member.
     """
-    pools = {
-        "cycle": (rep._circuits,),
-        "cocycle": (rep._cocircuits,),
-        "cycle-cocycle": (rep._circuits, rep._cocircuits),
-    }
-    if kind not in pools:
-        raise InputError(f"unknown reversal kind {kind!r}")
+    kind = _reversal_kind(kind)
+    pools = [rep._circuits] * (kind != "cocycle") + [rep._cocircuits] * (kind != "cycle")
     n = rep.element_count
     total = 1 << n
     forward = orientations_with_bit(n)
     parent = list(range(total))
-    for pool in pools[kind]:
+    for pool in pools:
         for vec in pool:
             directed = (1 << total) - 1
             for e in bits_of(vec.pos_mask):

@@ -28,6 +28,7 @@ their number is a popcount.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     _element_sets,
+    _elements,
     _integers,
     _orientation_mask,
     _require_cap,
@@ -217,6 +219,23 @@ def _anchors_containing(
     return hits
 
 
+def _table_over(rep: RegularMatroidRep | None, table: BijectionTable) -> BijectionTable:
+    """The door for tables: a table with a ground set, rep's when rep is given."""
+    if type(getattr(getattr(table, "rep", None), "element_count", None)) is not int:
+        raise InputError("expected a bijection table")
+    if rep is not None and table.rep.element_count != rep.element_count:
+        raise InputError("the table's ground set disagrees with the representation")
+    return table
+
+
+def _sample_count(samples: int) -> int:
+    """The door for sample counts: a non-negative integer."""
+    (samples,) = _integers((samples,), "sample count")
+    if samples < 0:
+        raise InputError("the sample count must not be negative")
+    return samples
+
+
 def locate_point(
     rep: RegularMatroidRep, point: RationalPoint, table: BijectionTable,
     complement: bool = False,
@@ -230,8 +249,7 @@ def locate_point(
     n = rep.element_count
     if len(point.coords) != n:
         raise InputError("point dimension disagrees with the ground set")
-    if table.rep.element_count != n:
-        raise InputError("the table's ground set disagrees with the representation")
+    _table_over(rep, table)
     hits = _anchors_containing(
         table, point.fractional_mask, point.integral_one_mask, complement
     )
@@ -329,13 +347,9 @@ def verify_cube_tiling(
     popcount (``_anchors_containing``); points are drawn as integer pairs
     and become Fractions only when reported.
     """
-    (sample_count,) = _integers((sample_count,), "sample count")
-    if sample_count < 0:
-        raise InputError("the sample count must not be negative")
+    sample_count = _sample_count(sample_count)
     n = rep.element_count
-    if table.rep.element_count != n:
-        raise InputError("the table's ground set disagrees with the representation")
-    pair_violations = _table_pairs(table)
+    pair_violations = _table_pairs(_table_over(rep, table))
     rng = random.Random(seed)
     point_violations = []
     for _ in range(sample_count):
@@ -364,11 +378,8 @@ def verify_cube_tiling(
 # counting polynomials
 
 def _subset_mask(subset: Iterable[int]) -> int:
-    """The mask of a subset; a non-integer or negative element is refused, never truncated."""
-    elements = _integers(subset, "subset")
-    if min(elements, default=0) < 0:
-        raise InputError("subset elements must not be negative")
-    return mask_of(elements)
+    """The mask of a monomial's subset, read at the element door (no ground set bound)."""
+    return mask_of(_elements(subset, math.inf, "subset", "subset elements must not be negative"))
 
 
 class MultilinearPolynomial:
@@ -447,6 +458,7 @@ def cell_count_polynomial(
     complement: bool = False,
 ) -> MultilinearPolynomial:
     """Sum of image monomials over orientations (all of them by default)."""
+    _table_over(None, table)
     masks: Iterable[int]
     if orientations is None:
         masks = table.rep.orientation_universe()
@@ -456,6 +468,12 @@ def cell_count_polynomial(
     return MultilinearPolynomial._of_masks(
         Counter(_image_mask(table, m, complement) for m in masks)
     )
+
+
+def _restricted_cell_polynomial(table: BijectionTable) -> MultilinearPolynomial:
+    """The cell count polynomial over the orientations tagged basis or forest."""
+    return cell_count_polynomial(
+        table, [m for m, tag in table.tags.items() if tag in ("basis", "forest")])
 
 
 # ---------------------------------------------------------------------------

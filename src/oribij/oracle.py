@@ -19,6 +19,7 @@ from .core import (
     Orientation,
     RegularMatroidRep,
     _components,
+    _elements,
     _require_cap,
     closure_mask_partition,
 )
@@ -79,17 +80,10 @@ def tutte(g: Graph, x: int, y: int, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 
 def classify_subset(g: Graph, subset: Iterable[int]) -> str:
     """One of tree / forest / connected-spanning / neither."""
-    chosen = set(subset)
+    chosen = set(_elements(subset, g.edge_count, "subset", "subset is outside the ground set"))
     components = _components(g.vertex_count, (g.edges[j] for j in chosen))
     acyclic = len(chosen) == g.vertex_count - components
-    spanning = components == 1
-    if acyclic and spanning:
-        return "tree"
-    if acyclic:
-        return "forest"
-    if spanning:
-        return "connected-spanning"
-    return "neither"
+    return ("neither", "connected-spanning", "forest", "tree")[2 * acyclic + (components == 1)]
 
 
 @dataclass(frozen=True)

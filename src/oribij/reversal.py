@@ -24,11 +24,11 @@ import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Literal
 
 from .core import (
     CACHE_SIZE,
     DEFAULT_ELEMENT_CAP,
+    Kind,
     Orientation,
     RegularMatroidRep,
     SignedSupportVector,
@@ -39,6 +39,7 @@ from .core import (
     _orientation_mask,
     _packed_columns,
     _require_cap,
+    _reversal_kind,
     _subset_sums,
     bits_of,
     conformal_decompose,
@@ -48,9 +49,6 @@ from .errors import InputError, InvariantViolationError
 from .signatures import (
     CIRCUIT, COCIRCUIT, Signature, _checked_choices, _compatible_among, _compatible_set,
 )
-
-Kind = Literal["cycle", "cocycle", "cycle-cocycle"]
-KINDS: tuple[Kind, ...] = ("cycle", "cocycle", "cycle-cocycle")
 
 
 @dataclass(frozen=True)
@@ -64,34 +62,34 @@ class ClassDecomposition:
 
 def reverse(o: Orientation, vec: SignedSupportVector) -> Orientation:
     """Reverse the arcs of ``vec`` in ``o`` (the vector must lie in ``o``)."""
-    if not vec.in_orientation(o):
+    mask = _orientation_mask(o, len(vec.entries))
+    if not vec.in_orientation(mask):
         raise InputError("vector is not contained in the orientation")
-    mask = (o.mask & ~vec.pos_mask) | vec.neg_mask
-    return Orientation.from_mask(len(o), mask)
+    return Orientation.from_mask(len(vec.entries), (mask & ~vec.pos_mask) | vec.neg_mask)
 
 
 def _representative_mask(
-    rep: RegularMatroidRep, mask: int, sig: Signature, rng: random.Random | None
+    rep: RegularMatroidRep, o: Orientation, sig: Signature, rng: random.Random | None, side: str,
 ) -> int:
-    """Reverse anti-chosen circuits until the orientation is compatible."""
-    guard = (1 << rep.element_count) + 1
+    """The mask of the one sig-compatible orientation in o's reversal class, sig of side:
+    reverse anti-chosen vectors, in ``rng``'s order if given, until none is left."""
+    if sig.side != side:
+        raise InputError(f"expected a {side} signature")
+    n = rep.element_count
+    mask = _orientation_mask(o, n)
     order = list(range(len(sig.chosen)))
-    for _ in range(guard):
+    for _ in range((1 << n) + 1):
         if rng is not None:
             rng.shuffle(order)
-        hit = None
         for i in order:
             pos, neg = sig.anti_masks[i]
-            if (pos & ~mask) == 0 and (neg & mask) == 0:
-                hit = i
+            if not (pos & ~mask or neg & mask):
+                mask = (mask & ~pos) | neg
                 break
-        if hit is None:
+        else:
             return mask
-        pos, neg = sig.anti_masks[hit]
-        mask = (mask & ~pos) | neg
     raise InvariantViolationError(
-        "reversal did not terminate; the signature is probably not acyclic"
-    )
+        "reversal did not terminate; the signature is probably not acyclic")
 
 
 def circuit_class_representative(
@@ -99,9 +97,7 @@ def circuit_class_representative(
     rng: random.Random | None = None,
 ) -> Orientation:
     """The unique sig-compatible orientation in o's circuit reversal class."""
-    if sig.side != CIRCUIT:
-        raise InputError("expected a circuit signature")
-    mask = _representative_mask(rep, _orientation_mask(o, rep.element_count), sig, rng)
+    mask = _representative_mask(rep, o, sig, rng, CIRCUIT)
     return Orientation.from_mask(rep.element_count, mask)
 
 
@@ -110,9 +106,7 @@ def cocircuit_class_representative(
     rng: random.Random | None = None,
 ) -> Orientation:
     """The unique sig-compatible orientation in o's cocircuit reversal class."""
-    if sig.side != COCIRCUIT:
-        raise InputError("expected a cocircuit signature")
-    mask = _representative_mask(rep, _orientation_mask(o, rep.element_count), sig, rng)
+    mask = _representative_mask(rep, o, sig, rng, COCIRCUIT)
     return Orientation.from_mask(rep.element_count, mask)
 
 
@@ -262,9 +256,10 @@ def compatible_decomposition(
     n = rep.element_count
     # the lookup needs only the bases, so it refuses no ground set for its size
     entry = _basis_map(rep, sig, cosig, cap=n)
-    cp_mask, _ = _joint_representative(rep, _orientation_mask(o, n), entry)
+    m = _orientation_mask(o, n)
+    cp_mask, _ = _joint_representative(rep, m, entry)
     cp = Orientation.from_mask(n, cp_mask)
-    c, cstar = split_kernel_image(rep, [a - b for a, b in zip(cp.vector(), o.vector())])
+    c, cstar = split_kernel_image(rep, [(cp_mask >> j & 1) - (m >> j & 1) for j in range(n)])
     if not (c.is_sign_vector() and cstar.is_sign_vector()):
         raise InvariantViolationError("same-class split is not a sign vector")
     if (c.pos_mask | c.neg_mask) & (cstar.pos_mask | cstar.neg_mask):
@@ -283,21 +278,15 @@ def same_class(
     """Whether two orientations differ by reversals of the given kind."""
     m1 = _orientation_mask(o1, rep.element_count)
     m2 = _orientation_mask(o2, rep.element_count)
-    if kind == "cycle-cocycle":
+    if _reversal_kind(kind) == "cycle-cocycle":
         return _class_key(rep, m1) == _class_key(rep, m2)
     d = [(m1 >> j & 1) - (m2 >> j & 1) for j in range(rep.element_count)]
-    if kind == "cycle":
-        return rep.in_kernel(d)
-    if kind == "cocycle":
-        return rep.in_row_space(d)
-    raise InputError(f"unknown reversal kind {kind!r}")
+    return rep.in_kernel(d) if kind == "cycle" else rep.in_row_space(d)
 
 
 def _class_masks(rep: RegularMatroidRep, kind: Kind) -> tuple[tuple[int, ...], ...]:
     """Reversal classes as sorted tuples of orientation masks, by least member."""
-    if kind not in KINDS:
-        raise InputError(f"unknown reversal kind {kind!r}")
-    if kind == "cycle-cocycle":
+    if _reversal_kind(kind) == "cycle-cocycle":
         labels = _class_keys(rep)
     else:
         rows = rep.kernel_basis if kind == "cocycle" else rep.matrix

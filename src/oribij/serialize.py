@@ -6,12 +6,13 @@ inputs and seeds produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bijection import BijectionTable
-from .core import Graph, RegularMatroidRep, bits_of
+from .core import Graph, RegularMatroidRep, _elements, bits_of
 from .errors import InputError
 from .geometry import MultilinearPolynomial
 from .signatures import CIRCUIT, COCIRCUIT, Signature, explicit_signature, signature_from_weights
@@ -59,9 +60,8 @@ def _explicit_entries(item: dict, n: int) -> list[int]:
     if len(support) != len(signs) or len(set(support)) < len(support):
         raise ValueError(f"support {support} needs distinct elements, one sign each: {signs}")
     entries = [0] * n
-    for e, s in zip(support, signs):
-        if not 0 <= e < n:
-            raise ValueError(f"element {e} is not in 0..{n - 1}")
+    outside = f"bad signature document: a support element is not in 0..{n - 1}"
+    for e, s in zip(_elements(support, n, "support", outside), signs):
         entries[e] = s
     return entries
 
@@ -143,52 +143,68 @@ def polynomial_json_obj(poly: MultilinearPolynomial) -> list[dict]:
     ]
 
 
-def table_csv(table: BijectionTable) -> str:
+def table_csv(table: BijectionTable) -> Iterator[str]:
+    """The table as CSV, in blocks (see ``_blocks``): one line per orientation, by mask."""
     n = table.rep.element_count
-    lines = ["orientation,subgraph,tag"]
-    for m, subgraph, tag in table.mask_rows():
-        bits = "".join(map(str, _orientation_bits(m, n)))
-        subset = ";".join(map(str, subgraph))
-        lines.append(f"{bits},{subset},{tag}")
-    return "\n".join(lines) + "\n"
+    forward, tags = table.forward, table.tags
+    lines = (f"{''.join(map(str, _orientation_bits(m, n)))},"
+             f"{';'.join(map(str, bits_of(forward[m])))},{tags[m]}\n" for m in range(1 << n))
+    return _blocks(itertools.chain(["orientation,subgraph,tag\n"], lines))
 
 
-def table_dot(table: BijectionTable) -> str:
-    """One cluster per orientation, drawn with its image subgraph.
+def table_dot(table: BijectionTable) -> Iterator[str]:
+    """One cluster per orientation, drawn with its image subgraph, in blocks.
 
     Arcs follow the orientation; an edge is dashed exactly when it is not in
-    the subgraph.
+    the subgraph.  A table without a graph is refused before any text is made.
     """
     g = table.rep.graph
     if g is None:
         raise InputError("DOT output needs a graph-backed representation")
     n = table.rep.element_count
-    lines = ["digraph table {"]
-    for m, subgraph, tag in table.mask_rows():
-        bits = "".join(map(str, _orientation_bits(m, n)))
-        lines.append(f'  subgraph "cluster_{bits}" {{')
-        lines.append(f'    label="{bits} [{tag}]";')
-        for v in range(g.vertex_count):
-            lines.append(f'    "o{bits}_v{v}";')
-        for j, (tail, head) in enumerate(g.edges):
-            if not m >> j & 1:
-                tail, head = head, tail
-            style = "solid" if j in subgraph else "dashed"
-            lines.append(
-                f'    "o{bits}_v{tail}" -> "o{bits}_v{head}" [style={style}, label="e{j}"];'
-            )
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    forward, tags = table.forward, table.tags
+
+    def clusters():
+        yield "digraph table {\n"
+        for m in range(1 << n):
+            bits = "".join(map(str, _orientation_bits(m, n)))
+            vertex, s = f'    "o{bits}_v', forward[m]
+            lines = [f'  subgraph "cluster_{bits}" {{\n    label="{bits} [{tags[m]}]";\n']
+            lines += [f'{vertex}{v}";\n' for v in range(g.vertex_count)]
+            for j, (tail, head) in enumerate(g.edges):
+                if not m >> j & 1:
+                    tail, head = head, tail
+                style = "solid" if s >> j & 1 else "dashed"
+                lines.append(
+                    f'{vertex}{tail}" -> "o{bits}_v{head}" [style={style}, label="e{j}"];\n')
+            lines.append("  }\n")
+            yield "".join(lines)
+        yield "}\n"
+
+    return _blocks(clusters())
 
 
 _INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-# json_pieces joins its pieces up to this many characters, so a writer makes
+# _blocks joins its pieces up to this many characters, so a writer makes
 # few calls and holds little of the text at once
 _PIECE_CHARS = 1 << 16
+
+
+def _blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces joined into blocks of at least ``_PIECE_CHARS`` characters, the last
+    block shorter."""
+    chunk, size = [], 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _PIECE_CHARS:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield "".join(chunk)
 
 
 def dump_json(obj) -> str:
@@ -207,18 +223,9 @@ def json_pieces(obj) -> Iterator[str]:
     each flat value in them (see ``_flat``) is written in one go, a flat
     record such as a row of ``table_json_obj`` included; every other value
     (scalars, non-string keys, container subclasses) is encoded by ``json``
-    and re-indented.  The pieces are joined up to ``_PIECE_CHARS`` each.
+    and re-indented.  The pieces are joined by ``_blocks``.
     """
-    chunk: list[str] = []
-    size = 0
-    for piece in _pieces(obj, "", {}, _IntTexts()):
-        chunk.append(piece)
-        size += len(piece)
-        if size >= _PIECE_CHARS:
-            yield "".join(chunk)
-            chunk, size = [], 0
-    chunk.append("\n")
-    yield "".join(chunk)
+    return _blocks(itertools.chain(_pieces(obj, "", {}, _IntTexts()), ["\n"]))
 
 
 def _pieces(obj, indent: str, layouts: dict, ints: _IntTexts) -> Iterator[str]:

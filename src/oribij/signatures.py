@@ -64,7 +64,7 @@ class Signature:
         try:
             return self.by_support[key]
         except KeyError:
-            raise InputError(f"no circuit with support {sorted(key)}") from None
+            raise InputError(f"no {self.side} with support {sorted(key)}") from None
 
     @cached_property
     def pos_by_support(self) -> dict[int, int]:

@@ -9,17 +9,20 @@ counting-polynomial identities.
 from __future__ import annotations
 
 from .bijection import BijectionTable
-from .core import RegularMatroidRep, _integers, closure_mask_partition
+from .core import KINDS, RegularMatroidRep, closure_mask_partition
 from .errors import InputError
 from .geometry import (
     MultilinearPolynomial,
+    _restricted_cell_polynomial,
+    _sample_count,
+    _table_over,
     _table_pairs,
     cell_count_polynomial,
     independent_set_polynomial,
     verify_cube_tiling,
 )
 from .oracle import tutte
-from .reversal import KINDS, _class_masks
+from .reversal import _class_masks
 from .signatures import Signature
 
 
@@ -33,7 +36,7 @@ def separation_violations(table: BijectionTable) -> list[tuple[int, int]]:
     The list is the table's, shared with both ``verify_cube_tiling`` calls of
     a verification, so it is computed once per table.
     """
-    return list(_table_pairs(table))
+    return list(_table_pairs(_table_over(None, table)))
 
 
 def run_verification(
@@ -44,15 +47,11 @@ def run_verification(
     seed: int = 0,
     table: BijectionTable | None = None,
 ) -> dict:
-    (samples,) = _integers((samples,), "sample count")
-    if samples < 0:
-        raise InputError("the sample count must not be negative")
+    samples = _sample_count(samples)
     n = rep.element_count
     if table is None:
         table = BijectionTable.build(rep, sig, cosig)
-    elif table.rep.element_count != n:
-        raise InputError("the table's ground set disagrees with the representation")
-    elif (table.circuit_signature.by_support != sig.by_support
+    elif (_table_over(rep, table).circuit_signature.by_support != sig.by_support
           or table.cocircuit_signature.by_support != cosig.by_support):
         raise InputError("the table was built for other signatures")
     suites = []
@@ -110,9 +109,7 @@ def run_verification(
         {"monomials": len(product), "expected": 1 << n},
     ))
 
-    compatible = [m for m in rep.orientation_universe()
-                  if table.tags[m] in ("basis", "forest")]
-    restricted = cell_count_polynomial(table, compatible)
+    restricted = _restricted_cell_polynomial(table)
     independent = independent_set_polynomial(rep)
     suites.append(_suite(
         "cell-polynomial-restricted", restricted == independent,

@@ -335,6 +335,16 @@ def test_dot_needs_graph(capsys, triangle_matrix_file):
     assert code == 2
 
 
+def test_dot_refusal_opens_no_out_file(capsys, tmp_path, triangle_matrix_file):
+    # the DOT writer streams its text, but refuses a matrix-only table before
+    # the first block, so --out is never opened
+    target = tmp_path / "table.dot"
+    code, out, _ = run(capsys, ["table", "--matroid", triangle_matrix_file, "--format", "dot",
+                                "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert not target.exists()
+
+
 def test_csv_output(capsys, triangle_file):
     code, out, _ = run(capsys, ["table", "--graph", triangle_file, "--format", "csv"])
     assert code == 0

@@ -11,6 +11,7 @@ from oribij import (
     CapExceededError,
     Graph,
     InputError,
+    InvariantViolationError,
     NotSameClassError,
     PartialOrientation,
     RegularMatroidRep,
@@ -239,6 +240,15 @@ def test_gauss_jordan_matches_the_fraction_references():
 
 # ---------------------------------------------------------------------------
 # total unimodularity
+
+
+def test_a_cocircuit_off_the_kernel_basis_is_refused_by_the_walk():
+    # a graph rep is not walked at load, so its kernel basis can be corrupted first
+    rep = graph_to_rep(complete_graph(4))
+    assert "_tableau_pass" not in vars(rep)
+    rep.__dict__["kernel_basis"] = ((1,) + (0,) * (rep.element_count - 1),)
+    with pytest.raises(InvariantViolationError, match="cocircuit not orthogonal to the kernel"):
+        rep._tableau_pass
 
 
 def test_triangle_matrix_is_tu(triangle_rep):

@@ -70,3 +70,19 @@ def test_one_signature_gate_and_one_union_find():
     names |= {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
     assert not names & {"find", "parent", "union", "connected_without"}
     assert "_components" in names
+
+
+def test_one_door_per_kind_of_input():
+    # the modules whose raise statements spell out each door's refusal; the
+    # callers pass their own wording to the door as an argument, never in a raise
+    messages = ("outside the ground set", "the table's ground set disagrees",
+                "sample count must not be negative", "unknown reversal kind")
+    raised = {path.name: _raised_text(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    doors = {message: {name for name, text in raised.items() if message in text}
+             for message in messages}
+    assert doors == {
+        "outside the ground set": {"core.py"},
+        "the table's ground set disagrees": {"geometry.py"},
+        "sample count must not be negative": {"geometry.py"},
+        "unknown reversal kind": {"core.py"},
+    }

@@ -15,24 +15,36 @@ from oribij import (
     MultilinearPolynomial,
     Orientation,
     PartialOrientation,
+    RationalPoint,
     RegularMatroidRep,
     Signature,
     SignedSupportVector,
+    basis_from_orientation,
     basis_to_orientation,
     canonical_signature_pair,
+    cell_count_polynomial,
     circuit_class_representative,
+    classify_specialization,
+    classify_subset,
     cocircuit_class_representative,
     compatible_decomposition,
     conformal_decompose,
     dilated_zonotope_lattice_count,
+    directed_circuits_in,
     enumerate_classes,
     explicit_signature,
+    find_conforming_circuit_or_cocircuit,
     fundamental_circuit,
     fundamental_cocircuit,
     graph_to_rep,
+    is_compatible,
+    locate_point,
     orientation_to_subgraph,
+    orientation_to_subgraph_complement,
     restricted_orientation_map,
     restricted_subgraph_map,
+    reversal_closure_classes,
+    reverse,
     run_verification,
     same_class,
     signature_from_weights,
@@ -41,6 +53,7 @@ from oribij import (
     verify_cube_tiling,
 )
 from oribij.core import closure_mask_partition
+from oribij.verification import separation_violations
 from oribij.serialize import load_matroid_obj, load_signature_obj, parse_weights
 
 from helpers import complete_graph
@@ -103,6 +116,8 @@ REFUSALS = {
         "needs 'weights' or 'explicit'"),
     # signatures
     "choice of a non-support": (lambda: SIG.choice({0, 1}), r"no circuit with support \[0, 1\]"),
+    "cocircuit choice of a non-support": (
+        lambda: COSIG.choice({0, 1, 2}), r"no cocircuit with support \[0, 1, 2\]"),
     "weights for an unknown side": (
         lambda: signature_from_weights(TRIANGLE, (1, 2, 3), "cut"),
         "unknown signature side 'cut'"),
@@ -265,3 +280,127 @@ def test_explicit_signature_and_the_build_refuse_alike(defect, message, side):
     with pytest.raises(InputError) as built:
         BijectionTable.build(K4, pair["circuit"], pair["cocircuit"], use_cache=False)
     assert str(built.value) == str(explicit.value)
+
+
+# ---------------------------------------------------------------------------
+# every door: each exported callable that reads an element set, an orientation
+# mask, a reversal kind, a sample count or a table refuses bad values of it with
+# InputError, never a TypeError, IndexError or KeyError from deeper down
+
+N = TRIANGLE.element_count
+TABLE = BijectionTable.build(TRIANGLE, SIG, COSIG)
+# a negative value, the first one past the ground set, and a fraction
+BAD = {
+    "element": (-1, N, 0.5),
+    "unbounded element": (-1, 0.5),  # no ground set is known
+    "mask": (-1, 1 << N, 0.5),
+    "kind": (-1, N, 0.5, "cut"),
+    "count": (-1, 0.5),
+    "table": (-1, N, 0.5),
+    "table of a rep": (-1, N, 0.5, "K4"),  # "K4": a table over another ground set
+}
+
+
+def _partial(x):
+    # built directly, so that the callable's own door is the one reached
+    return PartialOrientation(((0, True), (x, False)))
+
+
+def _any_table(x):
+    return BijectionTable.build(K4, K4_SIG, K4_COSIG) if x == "K4" else x
+
+
+# a jointly compatible orientation, the one basis_from_orientation accepts
+JOINT = basis_to_orientation(TRIANGLE, TREE, SIG, COSIG).mask
+# name: (the kind of input, a value of it the call accepts, the call)
+DOORS = {
+    # element sets
+    "PartialOrientation.from_mapping": (
+        "unbounded element", 1, lambda x: PartialOrientation.from_mapping({x: True})),
+    "MultilinearPolynomial": (
+        "unbounded element", 1, lambda x: MultilinearPolynomial({(0, x): 1})),
+    "MultilinearPolynomial.from_subsets": (
+        "unbounded element", 1, lambda x: MultilinearPolynomial.from_subsets([(x,)])),
+    "MultilinearPolynomial.coefficient": (
+        "unbounded element", 1, lambda x: MultilinearPolynomial({(0,): 1}).coefficient([x])),
+    "fundamental_circuit basis": (
+        "element", 1, lambda x: fundamental_circuit(TRIANGLE, Basis(frozenset({0, x})), 2)),
+    "fundamental_cocircuit basis": (
+        "element", 1, lambda x: fundamental_cocircuit(TRIANGLE, Basis(frozenset({0, x})), 0)),
+    "basis_to_orientation basis": ("element", 1, lambda x: basis_to_orientation(
+        TRIANGLE, Basis(frozenset({0, x})), SIG, COSIG)),
+    "fundamental_circuit element": ("element", 2, lambda x: fundamental_circuit(TRIANGLE, TREE, x)),
+    "fundamental_cocircuit element": (
+        "element", 1, lambda x: fundamental_cocircuit(TRIANGLE, TREE, x)),
+    "BijectionTable.orientation_of": ("element", 2, lambda x: TABLE.orientation_of([0, x])),
+    "subgraph_to_orientation": (
+        "element", 1, lambda x: subgraph_to_orientation(TRIANGLE, [x], SIG, COSIG)),
+    "restricted_subgraph_map": (
+        "element", 1, lambda x: restricted_subgraph_map(TRIANGLE, _partial(x), SIG, COSIG)),
+    "restricted_orientation_map include": (
+        "element", 1, lambda x: restricted_orientation_map(TRIANGLE, [x], [], SIG, COSIG)),
+    "restricted_orientation_map exclude": (
+        "element", 1, lambda x: restricted_orientation_map(TRIANGLE, [], [x], SIG, COSIG)),
+    "classify_subset": ("element", 1, lambda x: classify_subset(TRIANGLE.graph, [0, x])),
+    "find_conforming_circuit_or_cocircuit": (
+        "element", 1, lambda x: find_conforming_circuit_or_cocircuit(
+            TRIANGLE, PartialOrientation.from_mapping({0: True, 1: True, 2: True}),
+            frozenset(), frozenset(), x)),
+    # orientation masks
+    "Orientation.from_mask": ("mask", 0, lambda x: Orientation.from_mask(N, x)),
+    "BijectionTable.subgraph_of": ("mask", 0, lambda x: TABLE.subgraph_of(x)),
+    "BijectionTable.tag_of": ("mask", 0, lambda x: TABLE.tag_of(x)),
+    "basis_from_orientation": (
+        "mask", JOINT, lambda x: basis_from_orientation(TRIANGLE, x, SIG, COSIG)),
+    "orientation_to_subgraph": (
+        "mask", 0, lambda x: orientation_to_subgraph(TRIANGLE, x, SIG, COSIG)),
+    "orientation_to_subgraph_complement": (
+        "mask", 0, lambda x: orientation_to_subgraph_complement(TRIANGLE, x, SIG, COSIG)),
+    "classify_specialization": (
+        "mask", 0, lambda x: classify_specialization(TRIANGLE, x, SIG, COSIG)),
+    "circuit_class_representative": (
+        "mask", 0, lambda x: circuit_class_representative(TRIANGLE, x, SIG)),
+    "cocircuit_class_representative": (
+        "mask", 0, lambda x: cocircuit_class_representative(TRIANGLE, x, COSIG)),
+    "compatible_decomposition": (
+        "mask", 0, lambda x: compatible_decomposition(TRIANGLE, x, SIG, COSIG)),
+    "reverse": ("mask", 7, lambda x: reverse(x, SIG.choice({0, 1, 2}))),
+    "same_class first": ("mask", 0, lambda x: same_class(TRIANGLE, x, 0, "cycle")),
+    "same_class second": ("mask", 0, lambda x: same_class(TRIANGLE, 0, x, "cocycle")),
+    "is_compatible": ("mask", 0, lambda x: is_compatible(TRIANGLE, x, SIG)),
+    "directed_circuits_in": ("mask", 0, lambda x: directed_circuits_in(TRIANGLE, x)),
+    "cell_count_polynomial orientations": (
+        "mask", 0, lambda x: cell_count_polynomial(TABLE, [0, x])),
+    # reversal kinds
+    "same_class kind": ("kind", "cycle", lambda x: same_class(TRIANGLE, 0, 0, x)),
+    "enumerate_classes": ("kind", "cycle", lambda x: enumerate_classes(TRIANGLE, x)),
+    "reversal_closure_classes": ("kind", "cycle", lambda x: reversal_closure_classes(TRIANGLE, x)),
+    "closure_mask_partition": ("kind", "cycle", lambda x: closure_mask_partition(TRIANGLE, x)),
+    # sample counts
+    "run_verification samples": (
+        "count", 3, lambda x: run_verification(TRIANGLE, SIG, COSIG, samples=x)),
+    "verify_cube_tiling samples": ("count", 3, lambda x: verify_cube_tiling(TRIANGLE, TABLE, x)),
+    # tables
+    "cell_count_polynomial table": ("table", TABLE, lambda x: cell_count_polynomial(x)),
+    "separation_violations": ("table", TABLE, lambda x: separation_violations(x)),
+    "verify_cube_tiling table": (
+        "table of a rep", TABLE, lambda x: verify_cube_tiling(TRIANGLE, _any_table(x), 3)),
+    "locate_point": ("table of a rep", TABLE, lambda x: locate_point(
+        TRIANGLE, RationalPoint.of([0, 0, 0]), _any_table(x))),
+    "run_verification table": ("table of a rep", TABLE, lambda x: run_verification(
+        TRIANGLE, SIG, COSIG, samples=3, table=_any_table(x))),
+}
+DOOR_CASES = {f"{name} <- {bad!r}": (call, bad)
+              for name, (kind, _, call) in DOORS.items() for bad in BAD[kind]}
+
+
+@pytest.mark.parametrize("call, bad", DOOR_CASES.values(), ids=DOOR_CASES.keys())
+def test_every_door_refuses_bad_input(call, bad):
+    with pytest.raises(InputError):
+        call(bad)
+
+
+@pytest.mark.parametrize("kind, good, call", DOORS.values(), ids=DOORS.keys())
+def test_every_door_lets_good_input_through(kind, good, call):
+    # so the sweep above fails on its bad values alone
+    call(good)

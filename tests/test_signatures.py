@@ -11,6 +11,7 @@ from oribij import (
     CapExceededError,
     Graph,
     InputError,
+    InvariantViolationError,
     Orientation,
     RegularMatroidRep,
     Signature,
@@ -97,6 +98,15 @@ def test_acyclicity_witness_separates(theta_rep):
     assert result.acyclic
     for vec in sig.chosen:
         assert dot(result.witness, vec.entries) > 0
+
+
+def test_a_witness_that_does_not_separate_is_refused(theta_rep, monkeypatch):
+    # a positive supremum reported at the zero point: only the strict check can tell
+    sig = signature_from_weights(theta_rep, (1, 5, 25), CIRCUIT)
+    monkeypatch.setattr(fourier_motzkin, "maximize",
+                        lambda rows, nvars, objective: (Fraction(1), [Fraction(0)] * nvars))
+    with pytest.raises(InvariantViolationError, match="witness does not separate strictly"):
+        is_acyclic(theta_rep, sig)
 
 
 def test_acyclicity_cap(theta_rep):

@@ -347,3 +347,18 @@ def test_single_query_images_are_unchanged(twin):
     ]
     digest = hashlib.sha256(json.dumps(images).encode()).hexdigest()
     assert digest == "f500648c6f7d1e74866a511e1451f03b8db0ffee6e54cf35e122c7165b75d92f"
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "411eb0ab35f188724bf2c78c3af3c9dd04731c0938642354933eba6b9d99f7cb"),
+    ("dot", "9c24c718539bc8f1dd3114f435e1ee52b0501c53e7034c54af19168bb4e8a73d"),
+])
+def test_w6_table_text_is_unchanged(capsys, tmp_path, fmt, digest):
+    # pinned to the text the writers made when they joined every line at once
+    g = wheel(6)
+    path = tmp_path / "W6.json"
+    path.write_text(json.dumps({"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}))
+    code = main(["table", "--graph", str(path), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
