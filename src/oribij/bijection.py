@@ -95,11 +95,9 @@ class BijectionTable:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def build(
-        cls, rep: RegularMatroidRep, sig: Signature, cosig: Signature,
-        cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
-    ) -> "BijectionTable":
-        entry = _basis_map(rep, sig, cosig, cap, use_cache)
+    def build(cls, rep: RegularMatroidRep, sig: Signature, cosig: Signature,
+              cap: int = DEFAULT_ELEMENT_CAP) -> "BijectionTable":
+        entry = _basis_map(rep, sig, cosig, cap)
         if entry.table is not None:
             return entry.table
         codes = _tag_codes(rep, sig, cosig, entry)

@@ -12,7 +12,7 @@ import sys
 from typing import Iterable
 
 from .bijection import BijectionTable
-from .core import DEFAULT_ELEMENT_CAP, RegularMatroidRep, _require_cap, rep_for
+from .core import DEFAULT_ELEMENT_CAP, KINDS, RegularMatroidRep, _require_cap, rep_for
 from .errors import (
     CapExceededError,
     InputError,
@@ -55,33 +55,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Orientation/subgraph correspondences with exact verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # full flag names only: a prefix would name different flags on different commands
+    for name, (help_text, _, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph", help="JSON file {vertices, edges}")
         src.add_argument("--matroid", help="JSON file {matrix}")
-        p.add_argument("--cycle-weights", help="comma-separated rationals, e.g. 1/2,-3,1")
-        p.add_argument("--cocycle-weights", help="comma-separated rationals")
-        p.add_argument("--signature", help="JSON file {circuit: {...}, cocircuit: {...}}")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--format", choices=("json", "dot", "csv"), default="json")
+        for flag, keywords in own.items():
+            p.add_argument(flag, **keywords)
         p.add_argument("--out", help="output path (default: stdout)")
-
-    for name, help_text in (
-        ("table", "emit the full orientation-to-subgraph table"),
-        ("verify", "run the exact invariant battery"),
-        ("classes", "emit the reversal-class partition"),
-        ("ehrhart", "emit the two counting polynomials and their difference"),
-        ("signature-check", "check signature acyclicity and print a witness"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        if name == "classes":
-            p.add_argument(
-                "--kind", choices=("cycle", "cocycle", "cycle-cocycle"),
-                default="cycle-cocycle",
-            )
     return parser
 
 
@@ -100,6 +82,8 @@ def _load_signatures(rep, args):
     acyclic by construction and are not checked here.
     """
     if args.signature:
+        if (args.cycle_weights, args.cocycle_weights) != (None, None):
+            raise InputError("--signature excludes --cycle-weights and --cocycle-weights")
         with open(args.signature, encoding="utf-8") as fh:
             sig, cosig = load_signature_pair(rep, json.load(fh))
     else:
@@ -189,12 +173,25 @@ def _cmd_signature_check(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "classes": _cmd_classes,
-    "ehrhart": _cmd_ehrhart,
-    "signature-check": _cmd_signature_check,
+_SIGNATURE_FLAGS = {
+    "--cycle-weights": {"help": "comma-separated rationals, e.g. 1/2,-3,1"},
+    "--cocycle-weights": {"help": "comma-separated rationals"},
+    "--signature": {"help": "JSON file {circuit: {...}, cocircuit: {...}}"},
+}
+
+# name -> (help text, handler, argparse keywords of each flag it reads past the input and --out)
+_COMMANDS = {
+    "table": ("emit the full orientation-to-subgraph table", _cmd_table, {
+        **_SIGNATURE_FLAGS, "--format": {"choices": ("json", "dot", "csv"), "default": "json"}}),
+    "verify": ("run the exact invariant battery", _cmd_verify, {
+        **_SIGNATURE_FLAGS, "--seed": {"type": int, "default": 0},
+        "--samples": {"type": int, "default": 2000}}),
+    "classes": ("emit the reversal-class partition", _cmd_classes,
+                {"--kind": {"choices": KINDS, "default": "cycle-cocycle"}}),
+    "ehrhart": ("emit the two counting polynomials and their difference", _cmd_ehrhart,
+                _SIGNATURE_FLAGS),
+    "signature-check": ("check signature acyclicity and print a witness",
+                        _cmd_signature_check, _SIGNATURE_FLAGS),
 }
 
 
@@ -202,7 +199,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except (InputError, TrivialGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -159,8 +159,7 @@ def _orientation_columns(rep: RegularMatroidRep, sig: Signature, cosig: Signatur
 
 
 def _basis_map(
-    rep: RegularMatroidRep, sig: Signature, cosig: Signature,
-    cap: int = DEFAULT_ELEMENT_CAP, use_cache: bool = True,
+    rep: RegularMatroidRep, sig: Signature, cosig: Signature, cap: int = DEFAULT_ELEMENT_CAP,
 ) -> _BasisMap:
     """The pair's checked basis map, from the cache if there; the cap is checked first.
 
@@ -177,7 +176,7 @@ def _basis_map(
     _require_cap(rep, cap)
     key = (rep, sig, cosig, rep.graph is not None)
     # one pop and one insert, so a concurrent eviction cannot fail the lookup
-    if use_cache and (entry := _TABLE_CACHE.pop(key, None)) is not None:
+    if (entry := _TABLE_CACHE.pop(key, None)) is not None:
         _TABLE_CACHE[key] = entry
         return entry
     for s in (sig, cosig):
@@ -202,10 +201,9 @@ def _basis_map(
         raise InvariantViolationError(
             f"the class moduli multiply to {classes}, not the Gram determinant {t}")
     entry = _BasisMap(by_key, dict(zip(bases, masks)))
-    if use_cache:
-        _TABLE_CACHE[key] = entry
-        if len(_TABLE_CACHE) > CACHE_SIZE:
-            _TABLE_CACHE.popitem(last=False)
+    _TABLE_CACHE[key] = entry
+    if len(_TABLE_CACHE) > CACHE_SIZE:
+        _TABLE_CACHE.popitem(last=False)
     return entry
 
 

@@ -147,8 +147,9 @@ def table_csv(table: BijectionTable) -> Iterator[str]:
     """The table as CSV, in blocks (see ``_blocks``): one line per orientation, by mask."""
     n = table.rep.element_count
     forward, tags = table.forward, table.tags
-    lines = (f"{''.join(map(str, _orientation_bits(m, n)))},"
-             f"{';'.join(map(str, bits_of(forward[m])))},{tags[m]}\n" for m in range(1 << n))
+    # bit j of m at place j: the binary digits below a leading 1 at bit n, reversed
+    lines = (f"{bin(m | 1 << n)[:2:-1]},{';'.join(map(str, bits_of(forward[m])))},{tags[m]}\n"
+             for m in range(1 << n))
     return _blocks(itertools.chain(["orientation,subgraph,tag\n"], lines))
 
 
@@ -167,7 +168,7 @@ def table_dot(table: BijectionTable) -> Iterator[str]:
     def clusters():
         yield "digraph table {\n"
         for m in range(1 << n):
-            bits = "".join(map(str, _orientation_bits(m, n)))
+            bits = bin(m | 1 << n)[:2:-1]  # as in table_csv
             vertex, s = f'    "o{bits}_v', forward[m]
             lines = [f'  subgraph "cluster_{bits}" {{\n    label="{bits} [{tags[m]}]";\n']
             lines += [f'{vertex}{v}";\n' for v in range(g.vertex_count)]
@@ -221,9 +222,10 @@ def json_pieces(obj) -> Iterator[str]:
     The standard library writes indented JSON in pure Python, one chunk per
     token.  Here dicts with string keys and lists are laid out directly, and
     each flat value in them (see ``_flat``) is written in one go, a flat
-    record such as a row of ``table_json_obj`` included; every other value
-    (scalars, non-string keys, container subclasses) is encoded by ``json``
-    and re-indented.  The pieces are joined by ``_blocks``.
+    record such as a row of ``table_json_obj`` or a monomial of
+    ``polynomial_json_obj`` included; every other value (floats, booleans,
+    None, non-string keys, subclasses) is encoded by ``json`` and re-indented.
+    The pieces are joined by ``_blocks``.
     """
     return _blocks(itertools.chain(_pieces(obj, "", {}, _IntTexts()), ["\n"]))
 
@@ -265,15 +267,17 @@ def _flat(
 ) -> str | None:
     """The text of value at ``indent`` if it is flat, else None.
 
-    Flat are strings, empty lists and tuples, lists and tuples of plain
-    ints, and flat records: non-empty dicts with string keys whose values
-    are flat but no dict.  One dump keeps the text of each int it meets in
+    Flat are strings, plain ints, empty lists and tuples, lists and tuples
+    of plain ints, and flat records: non-empty dicts with string keys whose
+    values are flat but no dict.  One dump keeps the text of each int it meets in
     ``ints`` and, per key tuple, the sorted keys with their text in
     ``layouts``, since records mostly repeat both.
     """
     kind = type(value)
     if kind is str:
         return _encode_str(value)
+    if kind is int:
+        return ints[value]
     inner = indent + "  "
     if kind is list or kind is tuple:
         if not value:

@@ -1,11 +1,26 @@
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oribij import Graph, graph_to_rep
+from oribij import Graph, graph_to_rep, reversal
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty pair cache for the test; calling the fixture's value empties it again.
+
+    Reps compare by their matrix, so a test whose rep has a corrupted cached
+    field, or that must see a map or table made anew, starts from an empty cache.
+    """
+    def empty():
+        monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+
+    empty()
+    return empty
 
 
 @pytest.fixture

@@ -404,7 +404,8 @@ def test_single_vertex_graph_loops_fast_path(capsys, tmp_path):
 def test_non_tu_matrix_exits_2(capsys, tmp_path, matrix, command):
     path = tmp_path / "non_tu.json"
     path.write_text(json.dumps({"matrix": matrix}))
-    code, _, err = run(capsys, [command, "--matroid", str(path), "--samples", "50"])
+    samples = ["--samples", "50"] if command == "verify" else []
+    code, _, err = run(capsys, [command, "--matroid", str(path), *samples])
     assert code == 2
     assert "not totally unimodular" in err
 
@@ -489,6 +490,92 @@ def test_disconnected_graph_exits_2(capsys, tmp_path):
     path.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))
     code, _, err = run(capsys, ["table", "--graph", str(path)])
     assert code == 2
+
+
+# each flag of any command, with a value the triangle takes; --out is every command's
+FLAG_VALUES = {
+    "--cycle-weights": "1,-2,1/3",
+    "--cocycle-weights": "1,2,4",
+    "--signature": None,  # a signature file, written by the test
+    "--seed": "5",
+    "--samples": "30",
+    "--format": "csv",
+    "--kind": "cycle",
+}
+READS = {
+    "table": {"--cycle-weights", "--cocycle-weights", "--signature", "--format"},
+    "verify": {"--cycle-weights", "--cocycle-weights", "--signature", "--seed", "--samples"},
+    "classes": {"--kind"},
+    "ehrhart": {"--cycle-weights", "--cocycle-weights", "--signature"},
+    "signature-check": {"--cycle-weights", "--cocycle-weights", "--signature"},
+}
+
+
+@pytest.fixture
+def triangle_signature_file(tmp_path):
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps({"circuit": _TRIANGLE_CYCLE, "cocircuit": _TRIANGLE_COCYCLE}))
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("command", READS)
+def test_each_command_takes_exactly_the_flags_it_reads(
+    capsys, triangle_file, triangle_signature_file, command, flag
+):
+    from oribij import cli
+
+    value = FLAG_VALUES[flag] or triangle_signature_file
+    argv = [command, "--graph", triangle_file, flag, value]
+    if flag in READS[command]:
+        args = cli._build_parser().parse_args(argv)
+        dest = flag[2:].replace("-", "_")
+        assert str(getattr(args, dest)) == value
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "") and out
+        if flag == "--format":
+            assert out.startswith("orientation,subgraph,tag\n")
+        elif flag == "--kind":
+            assert json.loads(out)["count"] == 7  # the triangle's cycle classes
+        elif flag in ("--seed", "--samples"):
+            assert json.loads(out)[flag[2:]] == int(value)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--graph", "G", "--sam", "5"],
+    ["table", "--graph", "G", "--form", "csv"],
+    ["table", "--graph", "G", "--s", "sig.json"],
+    ["classes", "--graph", "G", "--k", "cycle"],
+    ["ehrhart", "--graph", "G", "--cycle", "1,2,4"],
+    ["signature-check", "--graph", "G", "--sig", "sig.json"],
+    ["verify", "--gra", "G"],
+    ["table", "--graph", "G", "--o", "out.json"],
+])
+def test_an_abbreviated_flag_exits_2(capsys, triangle_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([triangle_file if arg == "G" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["table", "verify", "ehrhart", "signature-check"])
+@pytest.mark.parametrize("weights", [
+    ["--cycle-weights", "1,2,4"], ["--cocycle-weights", "1,2,4"],
+    ["--cycle-weights", "1,2,4", "--cocycle-weights", "1,2,4"],
+])
+def test_a_signature_file_with_weights_exits_2(
+    capsys, triangle_file, triangle_signature_file, command, weights
+):
+    code, out, err = run(capsys, [command, "--graph", triangle_file,
+                                  "--signature", triangle_signature_file, *weights])
+    assert (code, out) == (2, "")
+    assert err == "error: --signature excludes --cycle-weights and --cocycle-weights\n"
 
 
 def test_the_package_runs_as_a_module():

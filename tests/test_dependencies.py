@@ -86,3 +86,33 @@ def test_one_door_per_kind_of_input():
         "sample count must not be negative": {"geometry.py"},
         "unknown reversal kind": {"core.py"},
     }
+
+
+def test_every_flag_a_command_declares_is_read_and_no_switch_is_test_only():
+    from oribij import cli
+
+    # the attributes each cli function reads off its args, with those of the
+    # cli functions it calls (_load_rep, _load_signatures, _emit)
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name):
+        found = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions
+                  and any(getattr(arg, "id", None) == "args" for arg in node.args)):
+                found |= reads(node.func.id)
+        return found
+
+    parsers = next(action for action in cli._build_parser()._actions
+                   if action.dest == "command").choices
+    assert set(parsers) == set(cli._COMMANDS)
+    for command, (_, handler, flags) in cli._COMMANDS.items():
+        declared = {flag[2:].replace("-", "_") for flag in flags} | {"graph", "matroid", "out"}
+        parsed = {action.dest for action in parsers[command]._actions} - {"help"}
+        assert reads(handler.__name__) == declared == parsed, command
+    # every cache use goes through the one bounded pair cache
+    assert not [path.name for path in sorted(PACKAGE.rglob("*.py"))
+                if "use_cache" in path.read_text(encoding="utf-8")]

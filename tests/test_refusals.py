@@ -227,7 +227,7 @@ def test_polynomial_coefficients_are_read_as_integers():
 K4 = graph_to_rep(complete_graph(4))
 K4_SIG, K4_COSIG = canonical_signature_pair(K4)
 SIGNATURE_CALLS = {
-    "build": lambda sig, cosig: BijectionTable.build(K4, sig, cosig, use_cache=False),
+    "build": lambda sig, cosig: BijectionTable.build(K4, sig, cosig),
     "query": lambda sig, cosig: orientation_to_subgraph(
         K4, Orientation.reference(K4.element_count), sig, cosig),
     "basis_to_orientation": lambda sig, cosig: basis_to_orientation(
@@ -240,7 +240,7 @@ SIGNATURE_CALLS = {
 @pytest.mark.parametrize("call", SIGNATURE_CALLS.values(), ids=SIGNATURE_CALLS.keys())
 @pytest.mark.parametrize("side", ["circuit", "cocircuit"])
 @pytest.mark.parametrize("sign", [1, -1], ids=["duplicate", "opposite"])
-def test_a_support_chosen_twice_is_refused(call, side, sign):
+def test_a_support_chosen_twice_is_refused(call, side, sign, fresh_cache):
     call(K4_SIG, K4_COSIG)
     pair = {"circuit": K4_SIG, "cocircuit": K4_COSIG}
     first = pair[side].chosen[0]
@@ -271,14 +271,14 @@ SIGNATURE_DEFECTS = {
 @pytest.mark.parametrize("defect, message", SIGNATURE_DEFECTS.values(),
                          ids=SIGNATURE_DEFECTS.keys())
 @pytest.mark.parametrize("side", ["circuit", "cocircuit"])
-def test_explicit_signature_and_the_build_refuse_alike(defect, message, side):
+def test_explicit_signature_and_the_build_refuse_alike(defect, message, side, fresh_cache):
     pair = {"circuit": K4_SIG, "cocircuit": K4_COSIG}
     chosen = defect(pair[side].chosen)
     with pytest.raises(InputError, match=message) as explicit:
         explicit_signature(K4, side, chosen)
     pair[side] = Signature(side, chosen)
     with pytest.raises(InputError) as built:
-        BijectionTable.build(K4, pair["circuit"], pair["cocircuit"], use_cache=False)
+        BijectionTable.build(K4, pair["circuit"], pair["cocircuit"])
     assert str(built.value) == str(explicit.value)
 
 

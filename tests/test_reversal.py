@@ -1,6 +1,5 @@
 import ast
 import random
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -310,7 +309,7 @@ def test_decomposition_past_the_default_cap():
         orientation_to_subgraph(rep, o, sig, cosig)
 
 
-def test_decomposition_of_a_large_ground_set_makes_no_2n_set(monkeypatch):
+def test_decomposition_of_a_large_ground_set_makes_no_2n_set(fresh_cache):
     # the basis map checks its t orientations one by one; the 2^n tag codes
     # are made only for the build and single queries, which refuse this
     # ground set
@@ -319,7 +318,6 @@ def test_decomposition_of_a_large_ground_set_makes_no_2n_set(monkeypatch):
     weights = [3 ** j for j in range(n)]
     sig = signature_from_weights(rep, weights, CIRCUIT, cap=n)
     cosig = signature_from_weights(rep, weights, COCIRCUIT, cap=n)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     o = Orientation.from_mask(n, 0b10110)
     dec = compatible_decomposition(rep, o, sig, cosig)
     assert dec.representative == Orientation.from_mask(n, 0b111 << n - 3)
@@ -392,7 +390,7 @@ def _refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("name", ["K4", "R10"])
-def test_partitions_consult_neither_the_oracle_nor_signatures(monkeypatch, name):
+def test_partitions_consult_neither_the_oracle_nor_signatures(monkeypatch, name, fresh_cache):
     if name == "K4":
         rep = graph_to_rep(complete_graph(4))
     else:
@@ -406,7 +404,7 @@ def test_partitions_consult_neither_the_oracle_nor_signatures(monkeypatch, name)
         for attr in ("closure_mask_partition", "canonical_signature_pair"):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, _refuse)
-    table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+    table = BijectionTable.build(rep, sig, cosig)
     joint = enumerate_classes(rep, "cycle-cocycle")
     assert len(joint) == sum(tag == "basis" for tag in table.tags.values())
     for kind in KINDS:

@@ -42,10 +42,11 @@ def test_dump_json_edge_cases():
         assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-# flat records: str values and lists or tuples of ints (bools and empty ones
-# included, which the record writer must refuse or write as "[]")
+# flat records: str and int values and lists or tuples of ints (bools and
+# empty ones included, which the record writer must refuse or write as "[]")
 _flat_values = (
     _keys
+    | st.integers(min_value=-10**20, max_value=10**20)
     | st.lists(st.integers(min_value=-10**20, max_value=10**20), max_size=4)
     | st.lists(st.integers(min_value=-3, max_value=3), max_size=4).map(tuple)
     | st.lists(st.integers(min_value=-3, max_value=3) | st.booleans(), max_size=4)
@@ -92,13 +93,15 @@ def test_each_flat_record_is_one_piece():
         {"orientation": [1, 0, 1], "subgraph": [], "tag": "basis"},
         {"tag": "forest", "subgraph": (0, 2), "orientation": [0, 0, 1]},
         {"é\n": "\x00", "a": [-(10**30)]},
+        {"subset": [0, 2], "coeff": 3},
+        {"coeff": -(10**30), "subset": []},
     ]
     pieces = _record_pieces(rows)
     assert len(pieces) == len(rows) + 1  # and the closing bracket
     assert dump_json(rows) == json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    # a bool, a float, a nested list or an int subclass is not flat: the record
-    # takes the general path
-    for odd in (True, 1.0, [[1]], [True], [_Small(3)]):
+    # a bool, a float, None, a nested list or an int subclass is not flat: the
+    # record takes the general path
+    for odd in (True, 1.0, None, _Small(3), [[1]], [True], [_Small(3)]):
         rows[1]["subgraph"] = odd
         assert len(_record_pieces(rows)) > len(rows) + 1
         assert dump_json(rows) == json.dumps(rows, sort_keys=True, indent=2) + "\n"

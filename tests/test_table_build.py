@@ -13,7 +13,6 @@ make each of the build's invariant checks fire.
 import json
 import math
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -44,7 +43,7 @@ from oribij import (
 )
 from oribij import bijection, core, reversal, signatures
 from oribij.core import _class_key, bits_of, mask_of
-from oribij.serialize import dump_json, table_json_obj
+from oribij.serialize import dump_json, table_csv, table_json_obj
 from oribij.signatures import _compatible_set
 
 from helpers import (
@@ -83,10 +82,10 @@ def _oracle(rep, sig, cosig):
     return _ORACLES[key]
 
 
-def test_table_equals_the_fraction_oracle():
+def test_table_equals_the_fraction_oracle(fresh_cache):
     oracles = set()
     for rep, sig, cosig in _oracle_cases():
-        table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+        table = BijectionTable.build(rep, sig, cosig)
         oracles.add((rep.matrix, sig, cosig))
         assert (table.forward, table.tags) == _oracle(rep, sig, cosig)
     assert len(oracles) > 30
@@ -109,15 +108,15 @@ def _k4():
     return graph_to_rep(Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4))))
 
 
-def test_cyclic_explicit_signature_pair_is_refused(theta_rep):
+def test_cyclic_explicit_signature_pair_is_refused(theta_rep, fresh_cache):
     # the three 2-cycles of the theta graph, chosen head to tail: they sum to zero
     sig = explicit_signature(theta_rep, CIRCUIT, [(1, -1, 0), (0, 1, -1), (-1, 0, 1)])
     cosig = explicit_signature(theta_rep, COCIRCUIT, [(1, 1, 1)])
     with pytest.raises(InvariantViolationError):
-        BijectionTable.build(theta_rep, sig, cosig, use_cache=False)
+        BijectionTable.build(theta_rep, sig, cosig)
 
 
-def test_class_with_two_compatible_orientations_is_refused(monkeypatch):
+def test_class_with_two_compatible_orientations_is_refused(monkeypatch, fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
     # one more orientation compatible with both signatures (tag code 3): its
@@ -128,7 +127,7 @@ def test_class_with_two_compatible_orientations_is_refused(monkeypatch):
     monkeypatch.setattr(reversal, "_compatible_set", lambda rep, s: flags(rep, s) | 1 << extra)
     with pytest.raises(InvariantViolationError,
                        match="17 jointly compatible orientations, not the 16 classes"):
-        BijectionTable.build(rep, sig, cosig, use_cache=False)
+        BijectionTable.build(rep, sig, cosig)
 
 
 def _flipped_columns(monkeypatch, rep):
@@ -139,15 +138,15 @@ def _flipped_columns(monkeypatch, rep):
         reversal, "_orientation_columns", lambda *args: [c ^ full for c in columns(*args)])
 
 
-def test_non_injective_basis_map_is_refused(monkeypatch):
+def test_non_injective_basis_map_is_refused(monkeypatch, fresh_cache):
     rep = _k4()
     # every basis oriented as the all-backward orientation
     monkeypatch.setattr(reversal, "_orientation_columns", lambda *args: [0] * 6)
     with pytest.raises(InvariantViolationError, match="basis map is not injective"):
-        BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
+        BijectionTable.build(rep, *canonical_signature_pair(rep))
 
 
-def test_basis_map_missing_a_representative_is_refused(monkeypatch):
+def test_basis_map_missing_a_representative_is_refused(monkeypatch, fresh_cache):
     rep = _k4()
     # reversing a compatible orientation makes every chosen vector in it anti-chosen
     _flipped_columns(monkeypatch, rep)
@@ -155,10 +154,10 @@ def test_basis_map_missing_a_representative_is_refused(monkeypatch):
     # check, the tag codes must refuse the map
     monkeypatch.setattr(reversal, "_compatible_among", lambda columns, full, s: full)
     with pytest.raises(InvariantViolationError, match="missed by the basis map"):
-        BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
+        BijectionTable.build(rep, *canonical_signature_pair(rep))
 
 
-def test_orientation_outside_its_class_is_refused(monkeypatch):
+def test_orientation_outside_its_class_is_refused(monkeypatch, fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
     labels = bijection._class_keys(rep)
@@ -170,7 +169,7 @@ def test_orientation_outside_its_class_is_refused(monkeypatch):
     labels[stray] = next(label for label in labels if label != labels[stray])
     monkeypatch.setattr(bijection, "_class_keys", lambda *args: labels)
     with pytest.raises(InvariantViolationError, match="class split is not integral"):
-        BijectionTable.build(rep, sig, cosig, use_cache=False)
+        BijectionTable.build(rep, sig, cosig)
 
 
 def _with_projection(rep, scale):
@@ -181,10 +180,10 @@ def _with_projection(rep, scale):
     return fresh
 
 
-def test_split_that_is_not_a_sign_split_is_refused(monkeypatch):
+def test_split_that_is_not_a_sign_split_is_refused(monkeypatch, fresh_cache):
     clean = _k4()
     sig, cosig = canonical_signature_pair(clean)
-    want = BijectionTable.build(clean, sig, cosig, use_cache=False)
+    want = BijectionTable.build(clean, sig, cosig)
     # the class keys read the Smith form of G, not N, so a scaled N still
     # keys the classes apart and the build reaches the split; a single query
     # splits through the same columns as the build: those that need a
@@ -192,9 +191,9 @@ def test_split_that_is_not_a_sign_split_is_refused(monkeypatch):
     for scale in (2, 3):
         rep = _with_projection(clean, scale)
         # the scaled reps equal the clean one, so none may reuse another's basis map
-        monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+        fresh_cache()
         with pytest.raises(InvariantViolationError, match="class split is not a sign split"):
-            BijectionTable.build(rep, sig, cosig, use_cache=False)
+            BijectionTable.build(rep, sig, cosig)
         messages = set()
         answered = 0
         for m in rep.orientation_universe():
@@ -210,18 +209,18 @@ def test_split_that_is_not_a_sign_split_is_refused(monkeypatch):
         assert messages == {"class split is not a sign split"}
 
 
-def test_forward_map_that_is_not_a_bijection_is_refused():
+def test_forward_map_that_is_not_a_bijection_is_refused(fresh_cache):
     rep = _with_projection(_k4(), 0)
     # a zero N leaves the class keys apart (they read the Smith form of G),
     # so the build splits every row with c* = 0
     with pytest.raises(InvariantViolationError, match="not a bijection"):
-        BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
+        BijectionTable.build(rep, *canonical_signature_pair(rep))
 
 
-def test_wrong_tag_is_refused(monkeypatch):
+def test_wrong_tag_is_refused(monkeypatch, fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    tags = BijectionTable.build(rep, sig, cosig, use_cache=False).tags
+    tags = BijectionTable.build(rep, sig, cosig).tags
     flags = reversal._compatible_set
     # the pair's tag codes are made once for the map's entry, which the build
     # and single queries read; swapping the two signatures' flags swaps the
@@ -229,29 +228,26 @@ def test_wrong_tag_is_refused(monkeypatch):
     monkeypatch.setattr(
         reversal, "_compatible_set", lambda rep, s: flags(rep, cosig if s is sig else sig)
     )
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+    fresh_cache()
     with pytest.raises(InvariantViolationError, match="mapped to a subgraph with"):
-        BijectionTable.build(rep, sig, cosig, use_cache=False)
+        BijectionTable.build(rep, sig, cosig)
     forest = Orientation.from_mask(6, min(m for m, tag in tags.items() if tag == "forest"))
     with pytest.raises(InvariantViolationError,
                        match="connected-spanning orientation mapped to a subgraph with"):
         orientation_to_subgraph(rep, forest, sig, cosig)
 
 
-def test_the_build_reads_the_packed_list(monkeypatch):
+def test_the_build_reads_the_packed_list(monkeypatch, fresh_cache):
     # the rows are split off one packed N o per orientation, with no column
     # sum per row
+    def refuse(*args):
+        raise AssertionError("the build summed packed columns per row")
+
+    monkeypatch.setattr(bijection, "_packed_sum", refuse)
     for rep in (_k4(), RegularMatroidRep.from_rows(R10_MATRIX)):
         sig, cosig = canonical_signature_pair(rep)
-        want = _oracle(rep, sig, cosig)
-
-        def refuse(*args):
-            raise AssertionError("the build summed packed columns per row")
-
-        monkeypatch.setattr(bijection, "_packed_sum", refuse)
-        table = BijectionTable.build(rep, sig, cosig, use_cache=False)
-        assert (table.forward, table.tags) == want
-        monkeypatch.undo()
+        table = BijectionTable.build(rep, sig, cosig)
+        assert (table.forward, table.tags) == _oracle(rep, sig, cosig)
 
 
 def _table_json_by_the_row_formula(table):
@@ -267,7 +263,7 @@ def _table_json_by_the_row_formula(table):
 @pytest.mark.parametrize(
     "name", ["single edge", "one loop", "three loops", "triangle", "K4", "R10"],
 )
-def test_table_json_equals_the_row_formula(name):
+def test_table_json_equals_the_row_formula(name, fresh_cache):
     # odd n, n = 1 (no low half), rank 0, and every table's empty subgraph
     rep = {
         "single edge": lambda: graph_to_rep(Graph(2, ((0, 1),))),
@@ -277,7 +273,7 @@ def test_table_json_equals_the_row_formula(name):
         "K4": _k4,
         "R10": lambda: RegularMatroidRep.from_rows(R10_MATRIX),
     }[name]()
-    table = BijectionTable.build(rep, *canonical_signature_pair(rep), use_cache=False)
+    table = BijectionTable.build(rep, *canonical_signature_pair(rep))
     obj = table_json_obj(table)
     assert obj == _table_json_by_the_row_formula(table)
     assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -288,6 +284,16 @@ def test_table_json_equals_the_row_formula(name):
     lists = [row[key] for row in rows for key in ("orientation", "subgraph")]
     assert all(type(x) is list for x in lists)
     assert len({id(x) for x in lists}) == len(lists)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_table_csv_orientations_equal_the_bit_formula(n):
+    # n = 0: one orientation, written as the empty string
+    rep = RegularMatroidRep.from_rows((), element_count=0) if n == 0 else loops_only_rep(n)
+    table = BijectionTable.build(rep, *canonical_signature_pair(rep))
+    lines = "".join(table_csv(table)).splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "".join(str(m >> j & 1) for j in range(n)) for m in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +328,7 @@ def test_single_queries_equal_the_fraction_oracle():
 
 
 def _assert_the_map_orients_by_the_vectors(rep, sig, cosig, bases):
-    entry = reversal._basis_map(rep, sig, cosig, use_cache=False)
+    entry = reversal._basis_map(rep, sig, cosig)
     assert list(entry.orientations) == list(rep._basis_masks)
     for basis in bases:
         got = entry.orientations[basis.mask]
@@ -330,7 +336,7 @@ def _assert_the_map_orients_by_the_vectors(rep, sig, cosig, bases):
         assert basis_to_orientation(rep, basis, sig, cosig).mask == got
 
 
-def test_tableau_orientation_equals_the_vector_definition():
+def test_tableau_orientation_equals_the_vector_definition(fresh_cache):
     bases = 0
     for rep, sig, cosig in _query_cases():
         _assert_the_map_orients_by_the_vectors(rep, sig, cosig, enumerate_bases(rep))
@@ -338,7 +344,7 @@ def test_tableau_orientation_equals_the_vector_definition():
     assert bases > 1000
 
 
-def test_the_column_map_orients_every_basis_by_the_vectors():
+def test_the_column_map_orients_every_basis_by_the_vectors(fresh_cache):
     rng = random.Random(23)
     edge_cases = [
         RegularMatroidRep.from_rows((), element_count=0),
@@ -353,29 +359,30 @@ def test_the_column_map_orients_every_basis_by_the_vectors():
             bases = rng.sample(bases, 300)
         _assert_the_map_orients_by_the_vectors(rep, sig, cosig, bases)
         # a matrix twin orients its bases alike, keyed alike and in the same order
-        twin = reversal._basis_map(matrix_rep(rep), sig, cosig, use_cache=False)
-        entry = reversal._basis_map(rep, sig, cosig, use_cache=False)
+        twin = reversal._basis_map(matrix_rep(rep), sig, cosig)
+        entry = reversal._basis_map(rep, sig, cosig)
         assert (twin.orientations, list(twin.by_key.items())) == (
             entry.orientations, list(entry.by_key.items()))
 
 
-def test_the_basis_map_enumerates_no_bases_and_tests_no_compatibility(monkeypatch):
+def test_the_basis_map_enumerates_no_bases_and_tests_no_compatibility(monkeypatch, fresh_cache):
     def refuse(*args, **kwargs):
         raise AssertionError("the basis map went one basis at a time")
 
-    for rep in (_k4(), RegularMatroidRep.from_rows(R10_MATRIX)):
-        sig, cosig = canonical_signature_pair(rep)
-        want = reversal._basis_map(rep, sig, cosig, use_cache=False)
-        for module in (core, bijection, reversal, signatures):
-            for name in ("is_compatible", "enumerate_bases"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
-        got = reversal._basis_map(rep, sig, cosig, use_cache=False)
+    cases = [(rep, *canonical_signature_pair(rep))
+             for rep in (_k4(), RegularMatroidRep.from_rows(R10_MATRIX))]
+    wants = [reversal._basis_map(*case) for case in cases]
+    for module in (core, bijection, reversal, signatures):
+        for name in ("is_compatible", "enumerate_bases"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    fresh_cache()
+    for case, want in zip(cases, wants):
+        got = reversal._basis_map(*case)
         assert (got.orientations, list(got.by_key.items())) == (
             want.orientations, list(want.by_key.items()))
-        monkeypatch.undo()
 
 
-def test_a_signature_pair_of_another_rep_is_refused_at_the_door(monkeypatch):
+def test_a_signature_pair_of_another_rep_is_refused_at_the_door(fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
     edges = list(rep.graph.edges)
@@ -383,7 +390,6 @@ def test_a_signature_pair_of_another_rep_is_refused_at_the_door(monkeypatch):
     flipped = graph_to_rep(Graph(4, tuple(edges)))
     # the same supports as K4's, with element 0's signs turned
     assert {v.support for v in enumerate_signed_circuits(flipped)} == set(sig.by_support)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     o = Orientation.reference(6)
     for call in (lambda: BijectionTable.build(flipped, sig, cosig),
                  lambda: orientation_to_subgraph(flipped, o, sig, cosig),
@@ -403,7 +409,7 @@ def test_a_signature_pair_of_another_rep_is_refused_at_the_door(monkeypatch):
     assert not reversal._TABLE_CACHE
 
 
-def test_a_broken_exact_cover_is_refused():
+def test_a_broken_exact_cover_is_refused(fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
     # the triangle {0, 1, 3} is no basis: no chosen cocircuit is the
@@ -411,7 +417,7 @@ def test_a_broken_exact_cover_is_refused():
     fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
     fresh.__dict__["_basis_masks"] = tuple(sorted(rep._basis_masks + (0b1011,)))
     with pytest.raises(InvariantViolationError, match="has no fundamental support"):
-        reversal._basis_map(fresh, sig, cosig, use_cache=False)
+        reversal._basis_map(fresh, sig, cosig)
     # S = {0, 1, 2, 3} posing as a circuit: S less element 3 is the basis
     # {0, 1, 2}, where the triangle {0, 1, 3} is already 3's fundamental circuit
     fake = SignedSupportVector((1, 1, 1, 1, 0, 0), "kernel")
@@ -420,16 +426,16 @@ def test_a_broken_exact_cover_is_refused():
     fresh.__dict__["_tableau_pass"] = (circuits + (fake,), cocircuits, bases)
     padded = Signature(CIRCUIT, sig.chosen + (fake,))
     with pytest.raises(InvariantViolationError, match="has two fundamental supports"):
-        reversal._basis_map(fresh, padded, cosig, use_cache=False)
+        reversal._basis_map(fresh, padded, cosig)
 
 
-def test_tableau_orientation_refuses_what_the_vectors_refuse():
+def test_tableau_orientation_refuses_what_the_vectors_refuse(fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
     basis = enumerate_bases(rep)[0]
     triangle = graph_to_rep(Graph(3, ((0, 1), (1, 2), (2, 0))))
     with pytest.raises(InputError, match="no circuit with support"):
-        reversal._basis_map(rep, *canonical_signature_pair(triangle), use_cache=False)
+        reversal._basis_map(rep, *canonical_signature_pair(triangle))
     # plant a 2 in the first basis's tableau, off the basis, where the walk
     # over the bases starts
     fresh = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
@@ -444,7 +450,7 @@ def test_tableau_orientation_refuses_what_the_vectors_refuse():
 
 
 @pytest.mark.parametrize("name", ["K4", "R10"])
-def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name):
+def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name, fresh_cache):
     rep = _k4() if name == "K4" else RegularMatroidRep.from_rows(R10_MATRIX)
     sig, cosig = canonical_signature_pair(rep)
     enumerate_signed_circuits(rep)
@@ -455,8 +461,7 @@ def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name):
     # wherever a module binds the pivot
     for module in (core, bijection):
         monkeypatch.setattr(module, "_basis_tableau", refuse, raising=False)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
-    table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+    table = BijectionTable.build(rep, sig, cosig)
     entry = bijection._basis_map(rep, sig, cosig)
     assert sorted(entry.by_key.values()) == sorted(
         (m, mask_of(b)) for b, m in table.basis_orientations.items())
@@ -464,10 +469,10 @@ def test_the_build_and_the_basis_map_pivot_nothing(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["K4", "R10"])
-def test_single_queries_never_build_the_table(monkeypatch, name):
+def test_single_queries_never_build_the_table(monkeypatch, name, fresh_cache):
     rep = _k4() if name == "K4" else RegularMatroidRep.from_rows(R10_MATRIX)
     sig, cosig = canonical_signature_pair(rep)
-    want = BijectionTable.build(rep, sig, cosig, use_cache=False)
+    want = BijectionTable.build(rep, sig, cosig)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a single query built the table")
@@ -604,13 +609,13 @@ def test_one_packer_holds_n_a_and_k_field_by_field():
     assert {(12, 12), (12, 6), (12, 8), (10, 5), (10, 10)} <= sizes
 
 
-def test_a_query_and_the_build_read_one_key_and_one_code_per_mask():
+def test_a_query_and_the_build_read_one_key_and_one_code_per_mask(fresh_cache):
     sizes = set()
     for rep in _half_table_reps():
         n = rep.element_count
         sig, cosig = canonical_signature_pair(rep)
         labels = core._class_keys(rep)
-        entry = reversal._basis_map(rep, sig, cosig, use_cache=False)
+        entry = reversal._basis_map(rep, sig, cosig)
         codes = reversal._tag_codes(rep, sig, cosig, entry)
         subset_codes = rep._subset_codes
         assert len(labels) == len(codes) == len(subset_codes) == 1 << n
@@ -634,7 +639,7 @@ def test_a_query_and_the_build_read_one_key_and_one_code_per_mask():
         assert "_class_halves" not in vars(rep) and "_subset_codes" not in vars(rep)
 
 
-def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch):
+def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch, fresh_cache):
     # once the pair's first query has filled the map's entry, a query's tag
     # is two bits of the sets the entry keeps, with no compatibility scan
     def refuse(*args):
@@ -643,7 +648,7 @@ def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch):
     for rep in (_k4(), RegularMatroidRep.from_rows(R10_MATRIX)):
         sig, cosig = canonical_signature_pair(rep)
         want = _oracle(rep, sig, cosig)
-        monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+        fresh_cache()
         orientation_to_subgraph(rep, Orientation.reference(rep.element_count), sig, cosig)
         for module in (bijection, reversal, signatures):
             for name in ("is_compatible", "_compatible_set"):
@@ -658,26 +663,24 @@ def test_single_queries_read_the_map_and_test_no_compatibility(monkeypatch):
         monkeypatch.undo()
 
 
-def test_basis_orientations_sharing_a_class_key_are_refused(monkeypatch):
+def test_basis_orientations_sharing_a_class_key_are_refused(monkeypatch, fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     # K4's class group is Z4 x Z4; keys taken mod (2, 2) name only four classes
     coarse = RegularMatroidRep.from_rows(rep.matrix, graph=rep.graph)
     rows, moduli = rep._class_rows
     assert moduli == (4, 4)
     coarse.__dict__["_class_rows"] = (rows, (2, 2))
     with pytest.raises(InvariantViolationError, match="share a class key"):
-        BijectionTable.build(coarse, sig, cosig, use_cache=False)
+        BijectionTable.build(coarse, sig, cosig)
     monkeypatch.setattr(reversal, "_class_key", lambda rep, m: ())
     with pytest.raises(InvariantViolationError, match="share a class key"):
         orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
 
 
-def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
+def test_class_key_missing_from_the_key_map_is_refused(monkeypatch, fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
     # the lookup reads the key through reversal, after the map is built
     monkeypatch.setattr(reversal, "_class_key", lambda rep, m: ())
@@ -685,26 +688,24 @@ def test_class_key_missing_from_the_key_map_is_refused(monkeypatch):
         orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
 
 
-def test_incompatible_basis_orientation_is_refused_by_the_key_map(monkeypatch):
+def test_incompatible_basis_orientation_is_refused_by_the_key_map(monkeypatch, fresh_cache):
     rep = _k4()
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     _flipped_columns(monkeypatch, rep)
     with pytest.raises(InvariantViolationError, match="not jointly compatible"):
         orientation_to_subgraph(rep, Orientation.reference(6), *canonical_signature_pair(rep))
 
 
-def test_key_count_other_than_the_gram_determinant_is_refused(monkeypatch):
+def test_key_count_other_than_the_gram_determinant_is_refused(monkeypatch, fresh_cache):
     clean = _k4()
     fresh = RegularMatroidRep.from_rows(clean.matrix, graph=clean.graph)
     rows, t = clean._projection
     # the same projection N/t as 3N/3t, but 3t = 48 is not the number of bases
     fresh.__dict__["_projection"] = (tuple(tuple(3 * x for x in r) for r in rows), 3 * t)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     with pytest.raises(InvariantViolationError, match="16 class keys, not the Gram determinant 48"):
         orientation_to_subgraph(fresh, Orientation.reference(6), *canonical_signature_pair(fresh))
 
 
-def test_class_moduli_other_than_the_gram_determinant_are_refused(monkeypatch):
+def test_class_moduli_other_than_the_gram_determinant_are_refused(monkeypatch, fresh_cache):
     clean = _k4()
     sig, cosig = canonical_signature_pair(clean)
     rows, moduli = clean._class_rows
@@ -718,7 +719,7 @@ def test_class_moduli_other_than_the_gram_determinant_are_refused(monkeypatch):
     ):
         fresh = RegularMatroidRep.from_rows(clean.matrix, graph=clean.graph)
         fresh.__dict__["_class_rows"] = class_rows
-        monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
+        fresh_cache()
         with pytest.raises(InvariantViolationError, match=message):
             orientation_to_subgraph(fresh, Orientation.reference(6), sig, cosig)
 
@@ -768,11 +769,10 @@ def test_a_rep_hashes_its_fields_once():
         assert vars(rep)["_hash"] == vars(twin)["_hash"] == hash(rep)
 
 
-def test_a_graph_rep_and_its_matrix_twin_keep_separate_entries(monkeypatch):
+def test_a_graph_rep_and_its_matrix_twin_keep_separate_entries(fresh_cache):
     rep = _k4()
     twin = matrix_rep(rep)
     sig, cosig = canonical_signature_pair(rep)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     o = Orientation.reference(6)
     assert orientation_to_subgraph(rep, o, sig, cosig) == orientation_to_subgraph(
         twin, o, sig, cosig)
@@ -785,10 +785,9 @@ def test_a_graph_rep_and_its_matrix_twin_keep_separate_entries(monkeypatch):
     assert reversal._basis_map(rep, sig, cosig) is graph_entry
 
 
-def test_the_table_and_the_queries_share_one_basis_map(monkeypatch):
+def test_the_table_and_the_queries_share_one_basis_map(fresh_cache):
     rep = _k4()
     sig, cosig = canonical_signature_pair(rep)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     orientation_to_subgraph(rep, Orientation.reference(6), sig, cosig)
     entry = reversal._basis_map(rep, sig, cosig)
     assert entry.table is None
@@ -798,6 +797,10 @@ def test_the_table_and_the_queries_share_one_basis_map(monkeypatch):
     bases = {m: frozenset(bits_of(b)) for m, b in entry.by_key.values()}
     assert table.orientation_bases == bases
     assert table.basis_orientations == {b: m for m, b in bases.items()}
-    # without the cache, the build reads and writes none
-    assert BijectionTable.build(rep, sig, cosig, use_cache=False) is not table
-    assert list(reversal._TABLE_CACHE.values()) == [entry] and entry.table is table
+    # an empty cache gets a map and a table of its own
+    kept = reversal._TABLE_CACHE
+    fresh_cache()
+    again = BijectionTable.build(rep, sig, cosig)
+    (made,) = reversal._TABLE_CACHE.values()
+    assert made is not entry and made.table is again is not table
+    assert list(kept.values()) == [entry] and entry.table is table

@@ -152,10 +152,10 @@ def test_locate_point_matches_the_oracle_on_w4():
             assert got.mask == want
 
 
-def test_the_listing_runs_once_per_verification(monkeypatch):
+def test_the_listing_runs_once_per_verification(monkeypatch, fresh_cache):
     rep = graph_to_rep(complete_graph(4))
     sig, cosig = canonical_signature_pair(rep)
-    table = BijectionTable.build(rep, sig, cosig, use_cache=False)
+    table = BijectionTable.build(rep, sig, cosig)
     calls = []
     listing = geometry._index_pairs
     built = []

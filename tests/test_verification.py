@@ -1,7 +1,6 @@
 import copy
 import json
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -85,7 +84,7 @@ def test_class_oracle_suite_fails_on_a_corrupted_partition(monkeypatch, kind, co
     assert suite["detail"] == {"mismatched_kinds": [kind]}
 
 
-def test_a_verification_partitions_the_joint_classes_once(monkeypatch):
+def test_a_verification_partitions_the_joint_classes_once(monkeypatch, fresh_cache):
     rep = graph_to_rep(wheel(4))
     sig, cosig = canonical_signature_pair(rep)
     kinds = []
@@ -98,7 +97,6 @@ def test_a_verification_partitions_the_joint_classes_once(monkeypatch):
     # the build reads its keys off one label list and partitions nothing
     assert not hasattr(bijection, "_class_masks")
     monkeypatch.setattr(verification, "_class_masks", counted)
-    monkeypatch.setattr(reversal, "_TABLE_CACHE", OrderedDict())
     assert run_verification(rep, sig, cosig, samples=20)["passed"]
     assert sorted(kinds) == ["cocycle", "cycle", "cycle-cocycle"]
 
