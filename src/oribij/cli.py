@@ -67,12 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _document(path: str):
+    """The JSON document in the file at path; every input file is read here."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_rep(args) -> RegularMatroidRep:
-    if args.graph:
-        with open(args.graph, encoding="utf-8") as fh:
-            return rep_for(load_graph_obj(json.load(fh)))
-    with open(args.matroid, encoding="utf-8") as fh:
-        return load_matroid_obj(json.load(fh))
+    if args.graph is not None:
+        return rep_for(load_graph_obj(_document(args.graph)))
+    return load_matroid_obj(_document(args.matroid))
 
 
 def _load_signatures(rep, args):
@@ -81,15 +85,14 @@ def _load_signatures(rep, args):
     An explicit side that is not acyclic is refused; weight-derived sides are
     acyclic by construction and are not checked here.
     """
-    if args.signature:
-        if (args.cycle_weights, args.cocycle_weights) != (None, None):
+    weights = (args.cycle_weights, args.cocycle_weights)
+    if args.signature is not None:
+        if weights != (None, None):
             raise InputError("--signature excludes --cycle-weights and --cocycle-weights")
-        with open(args.signature, encoding="utf-8") as fh:
-            sig, cosig = load_signature_pair(rep, json.load(fh))
+        sig, cosig = load_signature_pair(rep, _document(args.signature))
     else:
         default = canonical_weights(rep.element_count)
-        cw = parse_weights(args.cycle_weights) if args.cycle_weights else default
-        dw = parse_weights(args.cocycle_weights) if args.cocycle_weights else default
+        cw, dw = (default if w is None else parse_weights(w) for w in weights)
         sig = signature_from_weights(rep, cw, CIRCUIT)
         cosig = signature_from_weights(rep, dw, COCIRCUIT)
     checked = {}
@@ -103,11 +106,11 @@ def _load_signatures(rep, args):
 
 def _emit(args, pieces: Iterable[str]):
     """Write the output text, given in pieces, to --out or stdout."""
-    if args.out:
+    if args.out is None:
+        sys.stdout.writelines(pieces)
+    else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
 
 
 def _cmd_table(args) -> int:
@@ -200,15 +203,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command][1](args)
-    except (InputError, TrivialGraphError) as exc:
+    except (InputError, TrivialGraphError, CapExceededError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_INPUT
     except InvariantViolationError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -276,6 +276,7 @@ def same_class(
     """Whether two orientations differ by reversals of the given kind."""
     m1 = _orientation_mask(o1, rep.element_count)
     m2 = _orientation_mask(o2, rep.element_count)
+    _require_cap(rep, rep.element_count)
     if _reversal_kind(kind) == "cycle-cocycle":
         return _class_key(rep, m1) == _class_key(rep, m2)
     d = [(m1 >> j & 1) - (m2 >> j & 1) for j in range(rep.element_count)]

@@ -116,3 +116,22 @@ def test_every_flag_a_command_declares_is_read_and_no_switch_is_test_only():
     # every cache use goes through the one bounded pair cache
     assert not [path.name for path in sorted(PACKAGE.rglob("*.py"))
                 if "use_cache" in path.read_text(encoding="utf-8")]
+
+
+def test_no_cli_flag_is_read_as_a_truth_value():
+    # a flag is absent only when it is None: an empty value must reach its
+    # reader (open, parse_weights) and be refused there, never taken as absent
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    tested = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            tested.append(node.test)
+        elif isinstance(node, ast.BoolOp):
+            tested.extend(node.values)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.append(node.operand)
+        elif isinstance(node, ast.comprehension):
+            tested.extend(node.ifs)
+    truthy = [ast.unparse(node) for node in tested
+              if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"]
+    assert truthy == []

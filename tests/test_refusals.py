@@ -62,6 +62,9 @@ TRIANGLE = graph_to_rep(Graph(3, ((2, 0), (0, 1), (1, 2))))
 SIG, COSIG = canonical_signature_pair(TRIANGLE)
 REFERENCE = Orientation.reference(3)
 TREE = Basis(frozenset({0, 1}))
+# loads, as no walk over the bases runs at load past the 16-element cap; its
+# tableau on the basis {1, 2} holds a -2
+WIDE = RegularMatroidRep.from_rows([[1, 0, 1, 1] + [0] * 13, [0, 1, 1, -1] + [0] * 13])
 
 REFUSALS = {
     # core
@@ -86,11 +89,28 @@ REFUSALS = {
     "split length": (
         lambda: split_kernel_image(TRIANGLE, (1, 0)),
         "vector length disagrees with the ground set"),
+    "pivot element without a direction": (
+        lambda: find_conforming_circuit_or_cocircuit(
+            TRIANGLE, PartialOrientation.from_mapping({0: True}),
+            frozenset({1}), frozenset({2}), 1),
+        "the pivot element must carry a direction"),
+    "fundamental circuit past the cap of a non-unimodular matrix": (
+        lambda: fundamental_circuit(WIDE, Basis(frozenset({1, 2})), 3),
+        "matrix is not totally unimodular"),
+    "fundamental cocircuit past the cap of a non-unimodular matrix": (
+        lambda: fundamental_cocircuit(WIDE, Basis(frozenset({1, 2})), 2),
+        "matrix is not totally unimodular"),
     # reversal
     "same_class kind": (
         lambda: same_class(TRIANGLE, REFERENCE, REFERENCE, "cut"), "unknown reversal kind"),
     "enumerate_classes kind": (
         lambda: enumerate_classes(TRIANGLE, "cut"), "unknown reversal kind"),
+    "same_class cycle past the cap of a non-unimodular matrix": (
+        lambda: same_class(WIDE, 0, 1, "cycle"), "matrix is not totally unimodular"),
+    "same_class cocycle past the cap of a non-unimodular matrix": (
+        lambda: same_class(WIDE, 0, 1, "cocycle"), "matrix is not totally unimodular"),
+    "same_class cycle-cocycle past the cap of a non-unimodular matrix": (
+        lambda: same_class(WIDE, 0, 1, "cycle-cocycle"), "matrix is not totally unimodular"),
     "circuit representative of a cocircuit signature": (
         lambda: circuit_class_representative(TRIANGLE, REFERENCE, COSIG),
         "expected a circuit signature"),
@@ -137,6 +157,9 @@ REFUSALS = {
     "fractional included element": (
         lambda: restricted_orientation_map(TRIANGLE, [0.5], [], SIG, COSIG),
         "fixed element entries must be integers"),
+    "included and excluded at once": (
+        lambda: restricted_orientation_map(TRIANGLE, [0], [0], SIG, COSIG),
+        "included and excluded elements overlap"),
     "fractional partial orientation element": (
         lambda: PartialOrientation.from_mapping({0.7: True}),
         "partial orientation entries must be integers"),
